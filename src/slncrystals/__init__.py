@@ -7,17 +7,12 @@ crystal path model, and exact q-series for the cylinder partition function.
 
 from .partitions import (
     BeadRow,
-    ChargedPartition,
     Partition,
-    RibbonMove,
     add_ribbon,
     addable_ribbons,
-    bead_row_to_partition,
     combine_quotient,
     ell_core,
     ell_quotient,
-    normalized_quotient,
-    partition_to_bead_row,
     removable_ribbons,
     remove_ribbon,
 )
@@ -35,7 +30,6 @@ from .abacus import (
     loosen,
     recombine,
     tighten,
-    total_charge_mod_n,
     weight,
 )
 from .crystal import (
@@ -81,8 +75,6 @@ from .qseries import (
     Z_bruteforce,
     Z_rep,
     boundary_of,
-    check_level_one,
-    check_rank_level,
     dimq_crystal,
     euler_inverse,
 )

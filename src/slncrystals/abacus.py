@@ -77,9 +77,6 @@ class AbacusConfig:
         """Slot of the j-th bead from the right on extended row i."""
         return self.row(i).bead_slot(j)
 
-    def occupied(self, i, slot):
-        return self.row(i).occupied(slot)
-
     def replace_row(self, r, new_row):
         rows = list(self.rows)
         rows[r] = new_row
@@ -114,10 +111,6 @@ class AbacusConfig:
             int(data["ell"]),
             tuple(BeadRow.from_json(r) for r in data["rows"]),
         )
-
-
-def bead_position(psi, i, j):
-    return psi.bead_position(i, j)
 
 
 def is_descending(psi):
@@ -308,10 +301,6 @@ def gl_move(psi, p, direction):
         j += 1
     new_row = row.move_bead(j, dst - src)
     return recombine(gamma(psi), new_row.partition)
-
-
-def total_charge_mod_n(psi):
-    return sum(r.charge for r in psi.rows) % psi.n
 
 
 def enumerate_descending(psi0, max_weight):

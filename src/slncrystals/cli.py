@@ -16,9 +16,9 @@ import json
 import re
 import sys
 
-from . import abacus, crystal, cylindric, kyoto, qseries
+from . import abacus, checks, crystal, cylindric, kyoto, qseries
 from .abacus import AbacusConfig, DominantWeight
-from .partitions import Partition
+from .partitions import Partition, combine_quotient, ell_quotient
 
 
 class InputError(Exception):
@@ -71,12 +71,7 @@ def _to_abacus_form(model, obj, args):
     if model == "abacus":
         return obj
     if model == "partition":
-        from .partitions import BeadRow, ell_quotient
-
-        rows = [
-            BeadRow(c.charge, c.partition) for c in ell_quotient(obj, args.ell)
-        ]
-        return AbacusConfig(args.n, args.ell, tuple(rows))
+        return AbacusConfig(args.n, args.ell, ell_quotient(obj, args.ell))
     if model == "cpp":
         if not cylindric.is_valid_cpp(obj):
             raise ValidationError("not a valid cylindric plane partition")
@@ -90,8 +85,6 @@ def _from_abacus_form(model, psi, args):
     if model == "abacus":
         return psi.to_json()
     if model == "partition":
-        from .partitions import combine_quotient
-
         if sum(r.charge for r in psi.rows) != 0:
             raise ValidationError("total charge nonzero; no partition image")
         return combine_quotient(psi.rows, psi.ell).to_json()
@@ -126,7 +119,8 @@ def cmd_convert(args):
     return 0
 
 
-def _generator_config(args):
+def _weight(args):
+    """The --weight argument, color-rotated; its level must be --ell."""
     if args.weight is None:
         raise InputError("--weight is required")
     w = parse_weight(args.weight, args.n).rotated(args.rotate_colors)
@@ -134,7 +128,11 @@ def _generator_config(args):
         raise ValidationError(
             "weight level %d does not match --ell %d" % (w.level, args.ell)
         )
-    return abacus.highest_weight_config(w, args.n, args.ell)
+    return w
+
+
+def _generator_config(args):
+    return abacus.highest_weight_config(_weight(args), args.n, args.ell)
 
 
 def cmd_graph(args):
@@ -153,11 +151,7 @@ def cmd_graph(args):
 
 
 def cmd_series(args):
-    if args.weight is None:
-        raise InputError("--weight is required")
-    w = parse_weight(args.weight, args.n).rotated(args.rotate_colors)
-    if w.level != args.ell:
-        raise ValidationError("weight level does not match --ell")
+    w = _weight(args)
     if args.kind == "Z":
         s = qseries.Z_rep(w, args.n, args.ell, args.nmax)
     elif args.kind == "dimq":
@@ -184,117 +178,14 @@ def cmd_enumerate(args):
     return 0
 
 
-def _verify_gglemma(args):
-    w = parse_weight(args.weight, args.n) if args.weight else None
-    weights = [w] if w else qseries.level_weights(args.n, args.ell)
-    for w_ in weights:
-        psi0 = abacus.highest_weight_config(w_, args.n, args.ell)
-        for cfg in abacus.enumerate_descending(psi0, args.nmax):
-            for i in range(args.n):
-                if crystal.f_descending(cfg, i) != crystal.f_abacus(cfg, i):
-                    return "f rules disagree at %s color %d" % (cfg.label(), i)
-                if crystal.e_descending(cfg, i) != crystal.e_abacus(cfg, i):
-                    return "e rules disagree at %s color %d" % (cfg.label(), i)
-    return None
-
-
-def _verify_tk_commute(args):
-    weights = qseries.level_weights(args.n, args.ell)
-    for w_ in weights:
-        psi0 = abacus.highest_weight_config(w_, args.n, args.ell)
-        for cfg in abacus.enumerate_descending(psi0, args.nmax):
-            kmax = cfg.max_bead_index() + 1
-            for i in range(args.n):
-                fi = crystal.f_abacus(cfg, i)
-                ei = crystal.e_abacus(cfg, i)
-                for k in range(1, kmax + 1):
-                    tk = abacus.tighten(cfg, k)
-                    if tk is None:
-                        continue
-                    # zero patterns must match on both sides
-                    if crystal.f_abacus(tk, i) != (
-                        abacus.tighten(fi, k) if fi is not None else None
-                    ):
-                        return "T_%d and f_%d disagree at %s" % (k, i, cfg.label())
-                    if crystal.e_abacus(tk, i) != (
-                        abacus.tighten(ei, k) if ei is not None else None
-                    ):
-                        return "T_%d and e_%d disagree at %s" % (k, i, cfg.label())
-    return None
-
-
-def _verify_bijection(args):
-    weights = qseries.level_weights(args.n, args.ell)
-    for w_ in weights:
-        psi0 = abacus.highest_weight_config(w_, args.n, args.ell)
-        for cfg in abacus.enumerate_descending(psi0, args.nmax):
-            pi = cylindric.from_abacus(cfg)
-            if not cylindric.is_valid_cpp(pi):
-                return "image not a cylindric plane partition at %s" % cfg.label()
-            if cylindric.to_abacus(pi) != cfg:
-                return "roundtrip failed at %s" % cfg.label()
-            if cylindric.cpp_weight(pi) != abacus.weight(cfg):
-                return "weight mismatch at %s" % cfg.label()
-    return None
-
-
-def _verify_three_way(args):
-    for w_ in qseries.level_weights(args.n, args.ell):
-        psi0 = abacus.highest_weight_config(w_, args.n, args.ell)
-        zr = qseries.Z_rep(w_, args.n, args.ell, args.nmax)
-        zb = qseries.Z_borodin(qseries.boundary_of(w_, args.n, args.ell), args.nmax)
-        zf = qseries.Z_bruteforce(psi0, args.nmax)
-        for k in range(args.nmax + 1):
-            if not (zr.coeff(k) == zb.coeff(k) == zf.coeff(k)):
-                return "Z mismatch for %s at q^%d: rep=%d borodin=%d brute=%d" % (
-                    w_,
-                    k,
-                    zr.coeff(k),
-                    zb.coeff(k),
-                    zf.coeff(k),
-                )
-    return None
-
-
-def _verify_rank_level(args):
-    for w_ in qseries.level_weights(args.n, args.ell):
-        if not qseries.check_rank_level(w_, args.n, args.ell, args.nmax):
-            return "rank-level duality fails for %s" % w_
-    return None
-
-
-def _verify_level_one(args):
-    if not qseries.check_level_one(args.n, args.nmax):
-        return "level-one identity fails for n=%d" % args.n
-    return None
-
-
-def _verify_kyoto(args):
-    for w_ in qseries.level_weights(args.n, args.ell):
-        psi0 = abacus.highest_weight_config(w_, args.n, args.ell)
-        for cfg in abacus.enumerate_tight(psi0, args.nmax):
-            p = kyoto.to_path(cfg)
-            for i in range(args.n):
-                img = crystal.f_abacus(cfg, i)
-                want = kyoto.to_path(img) if img is not None else None
-                if kyoto.f_path(p, i) != want:
-                    return "path model disagrees at %s color %d" % (cfg.label(), i)
-    return None
-
-
-VERIFIERS = {
-    "gglemma": _verify_gglemma,
-    "tk-commute": _verify_tk_commute,
-    "bijection": _verify_bijection,
-    "three-way-Z": _verify_three_way,
-    "rank-level": _verify_rank_level,
-    "level-one": _verify_level_one,
-    "kyoto": _verify_kyoto,
-}
-
-
 def cmd_verify(args):
-    failure = VERIFIERS[args.which](args)
+    weights = None
+    if args.weight is not None:
+        w = _weight(args)
+        if args.which == "level-one" and w.level != 1:
+            raise ValidationError("level-one needs a level-1 weight")
+        weights = [w]
+    _, failure = checks.run(args.which, args.n, args.ell, args.nmax, weights)
     if failure is None:
         sys.stdout.write("ok: %s\n" % args.which)
         return 0
@@ -340,7 +231,7 @@ def build_parser():
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a named identity suite")
-    p.add_argument("which", choices=sorted(VERIFIERS))
+    p.add_argument("which", choices=checks.SUITES)
     common(p)
     p.add_argument("--nmax", type=int, default=6)
     p.set_defaults(func=cmd_verify)

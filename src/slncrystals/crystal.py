@@ -236,21 +236,6 @@ def eps_phi(psi, i):
     return sig.n_close, sig.n_open
 
 
-def eps_phi_by_iteration(x, i, apply_e, apply_f):
-    """(eps_i, phi_i) by applying the operators until they vanish."""
-    eps = 0
-    y = apply_e(x, i)
-    while y is not None:
-        eps += 1
-        y = apply_e(y, i)
-    phi = 0
-    y = apply_f(x, i)
-    while y is not None:
-        phi += 1
-        y = apply_f(y, i)
-    return eps, phi
-
-
 def wt(psi):
     """phi - eps coordinatewise, as an affine weight without delta."""
     coeffs = []

@@ -10,7 +10,6 @@ profile[i] is that row's charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .abacus import AbacusConfig, DominantWeight, is_descending
 from .partitions import BeadRow, Partition
@@ -138,13 +137,8 @@ def box_color(box, n):
     return (box.y - box.z + 1) % n
 
 
-def t_value(box, n, ell):
-    """The ordering function n*x/ell + y - z, exact."""
-    return Fraction(n * box.x, ell) + box.y - box.z
-
-
 def _t_key(box, n, ell):
-    # t scaled by ell; integer, same order
+    """The ordering function t = n*x/ell + y - z, scaled by ell to an integer."""
     return n * box.x + ell * (box.y - box.z)
 
 

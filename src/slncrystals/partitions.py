@@ -88,21 +88,6 @@ EMPTY = Partition()
 
 
 @dataclass(frozen=True)
-class ChargedPartition:
-    """A partition whose parts are indexed starting at an integer charge."""
-
-    charge: int
-    partition: Partition
-
-    def to_json(self):
-        return {"charge": self.charge, "parts": self.partition.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(int(data["charge"]), Partition.from_json(data["parts"]))
-
-
-@dataclass(frozen=True)
 class BeadRow:
     """One row of beads, stored canonically as (charge, partition).
 
@@ -185,9 +170,6 @@ class BeadRow:
             raise ValueError("slot set not eventually full below floor")
         return row
 
-    def to_charged_partition(self):
-        return ChargedPartition(self.charge, self.partition)
-
     def to_json(self):
         return {"charge": self.charge, "parts": self.partition.to_json()}
 
@@ -196,52 +178,26 @@ class BeadRow:
         return cls(int(data["charge"]), Partition.from_json(data["parts"]))
 
 
-@dataclass(frozen=True)
-class RibbonMove:
-    """A ribbon addition: the bead at source_slot advances `length` slots."""
-
-    source_slot: int
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("ribbon length must be positive")
-
-    @property
-    def rightmost_col(self):
-        return self.source_slot + self.length
-
-
 def addable_ribbons(lam, length):
-    """Every RibbonMove adding a `length`-ribbon to lam."""
+    """The rightmost column of every `length`-ribbon addable to lam."""
     row = BeadRow(0, Partition(lam))
     lo, hi = row.bracket_window()
     return [
-        RibbonMove(s, length)
+        s + length
         for s in range(lo - length, hi + 1)
         if row.occupied(s) and not row.occupied(s + length)
     ]
 
 
 def removable_ribbons(lam, length):
-    """Every RibbonMove whose addition produced a removable ribbon of lam."""
+    """The rightmost column of every `length`-ribbon removable from lam."""
     row = BeadRow(0, Partition(lam))
     lo, hi = row.bracket_window()
     return [
-        RibbonMove(s, length)
+        s + length
         for s in range(lo - length, hi + 1)
         if not row.occupied(s) and row.occupied(s + length)
     ]
-
-
-def partition_to_bead_row(lam, charge=0):
-    """The bead row of a partition: beads on slots part(j) - j + charge."""
-    return BeadRow(charge, Partition(lam))
-
-
-def bead_row_to_partition(row):
-    """Inverse of partition_to_bead_row: (charge, partition)."""
-    return row.charge, row.partition
 
 
 def add_ribbon(lam, length, rightmost_col):
@@ -252,7 +208,7 @@ def add_ribbon(lam, length, rightmost_col):
     """
     if length < 1:
         raise ValueError("ribbon length must be positive")
-    row = partition_to_bead_row(lam)
+    row = BeadRow(0, Partition(lam))
     src = rightmost_col - length
     if not row.occupied(src) or row.occupied(rightmost_col):
         raise ValueError(
@@ -266,7 +222,7 @@ def remove_ribbon(lam, length, rightmost_col):
     """Exact inverse of add_ribbon."""
     if length < 1:
         raise ValueError("ribbon length must be positive")
-    row = partition_to_bead_row(lam)
+    row = BeadRow(0, Partition(lam))
     src = rightmost_col - length
     if not row.occupied(rightmost_col) or row.occupied(src):
         raise ValueError(
@@ -293,7 +249,7 @@ def _move_slot(row, src, dst):
 
 
 def ell_quotient(lam, ell):
-    """The ell rows of the ell-strand abacus of lam, as charged partitions.
+    """The ell rows of the ell-strand abacus of lam, as bead rows.
 
     Slot s of the single charge-0 bead row goes to row s mod ell, slot
     floor(s / ell); row 0 is the bottom row.  Charges are the raw ones read
@@ -301,13 +257,8 @@ def ell_quotient(lam, ell):
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    rows = [r.to_charged_partition() for r in _quotient_rows(lam, ell)]
-    return tuple(rows)
-
-
-def _quotient_rows(lam, ell):
     lam = Partition(lam)
-    row0 = partition_to_bead_row(lam)
+    row0 = BeadRow(0, lam)
     lo = -(len(lam) + ell + 1)
     hi = lam.part(1) + ell + 1
     occupied = [s for s in range(lo, hi + 1) if row0.occupied(s)]
@@ -316,12 +267,11 @@ def _quotient_rows(lam, ell):
         floor_b = (lo - j) // ell + 1
         slots = [(s - j) // ell for s in occupied if (s - j) % ell == 0]
         rows.append(BeadRow.from_occupied([b for b in slots if b >= floor_b], floor_b))
-    return rows
+    return tuple(rows)
 
 
 def combine_quotient(rows, ell):
     """Inverse of ell_quotient; the row charges must sum to zero."""
-    rows = [r if isinstance(r, BeadRow) else BeadRow(r.charge, r.partition) for r in rows]
     if len(rows) != ell:
         raise ValueError("expected %d rows" % ell)
     if sum(r.charge for r in rows) != 0:
@@ -341,13 +291,8 @@ def combine_quotient(rows, ell):
 
 def ell_core(lam, ell):
     """Push every abacus row fully left and read the result back."""
-    rows = [BeadRow.vacuum(r.charge) for r in _quotient_rows(lam, ell)]
+    rows = [BeadRow.vacuum(r.charge) for r in ell_quotient(lam, ell)]
     return combine_quotient(rows, ell)
-
-
-def normalized_quotient(lam, ell):
-    """The quotient partitions alone, every row renormalized to charge 0."""
-    return tuple(c.partition for c in ell_quotient(lam, ell))
 
 
 def partitions_of(m, max_part=None):

@@ -18,7 +18,6 @@ from .abacus import (
     weight,
 )
 from .crystal import crystal_graph
-from .cylindric import dual_weight
 
 
 class QSeries:
@@ -180,29 +179,6 @@ def Z_bruteforce(psi0, nmax):
                 nxt[moved.key()] = moved
         frontier = nxt
     return QSeries(counts, nmax)
-
-
-def check_rank_level(w, n, ell, nmax):
-    """dim_q V x boson(n) on the (n, ell) side equals its (ell, n) dual."""
-    if n < 2 or ell < 2:
-        raise ValueError("rank-level duality needs n, ell >= 2")
-    lhs = dimq_crystal(w, n, ell, nmax) * euler_inverse(n, nmax)
-    rhs = dimq_crystal(dual_weight(w, n, ell), ell, n, nmax) * euler_inverse(ell, nmax)
-    return lhs == rhs
-
-
-def check_level_one(n, nmax):
-    """Every level-1 character times boson(n) is the full partition series."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    target = euler_inverse(1, nmax)
-    for i in range(n):
-        coeffs = [0] * n
-        coeffs[i] = 1
-        lhs = dimq_crystal(DominantWeight(tuple(coeffs)), n, 1, nmax)
-        if lhs * euler_inverse(n, nmax) != target:
-            return False
-    return True
 
 
 def level_weights(n, level):

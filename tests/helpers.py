@@ -5,6 +5,7 @@ are found by enumerating skew shapes, cores by stripping ribbons in every
 order, bracket strings by repeated substring deletion, and so on.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from slncrystals.abacus import (
@@ -203,13 +204,51 @@ def signature_oracle(string):
 
 
 def greedy_left_push_moves(psi):
-    """Compactify by greedy single-slot left moves, counting the moves."""
+    """Compactify by greedy single-slot left moves, counting the moves.
+
+    Works on each row's set of occupied slots: the leftmost bead with an
+    empty slot on its left steps into it, until the beads fill a solid run.
+    """
     moves = 0
-    rows = list(psi.rows)
-    for idx, row in enumerate(rows):
-        parts = list(row.partition.parts)
-        moves += sum(parts)
+    for row in psi.rows:
+        lo, hi = row.bracket_window()  # every slot at or below lo is occupied
+        slots = {s for s in range(lo, hi + 1) if row.occupied(s)}
+        while True:
+            movable = [s for s in slots if s > lo and s - 1 not in slots]
+            if not movable:
+                break
+            s = min(movable)
+            slots.remove(s)
+            slots.add(s - 1)
+            moves += 1
+        assert BeadRow.from_occupied(slots, lo) == BeadRow.vacuum(row.charge)
     return moves
+
+
+def slot_roundtrip(row):
+    """The row rebuilt by from_occupied from its occupied slots in its window."""
+    lo, hi = row.bracket_window()
+    return BeadRow.from_occupied([s for s in range(lo, hi + 1) if row.occupied(s)], lo)
+
+
+def eps_phi_by_iteration(x, i, apply_e, apply_f):
+    """(eps_i, phi_i) by applying the operators until they vanish."""
+    eps = 0
+    y = apply_e(x, i)
+    while y is not None:
+        eps += 1
+        y = apply_e(y, i)
+    phi = 0
+    y = apply_f(x, i)
+    while y is not None:
+        phi += 1
+        y = apply_f(y, i)
+    return eps, phi
+
+
+def t_value(box, n, ell):
+    """The box ordering function n*x/ell + y - z, exact."""
+    return Fraction(n * box.x, ell) + box.y - box.z
 
 
 def cpp_by_white_beads(psi):

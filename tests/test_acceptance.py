@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from slncrystals import checks
 from slncrystals.abacus import (
     DominantWeight,
     compactify,
@@ -20,7 +21,6 @@ from slncrystals.abacus import (
     lambda_part,
     loosen,
     recombine,
-    tighten,
     weight,
 )
 from slncrystals.crystal import (
@@ -38,29 +38,17 @@ from slncrystals.cylindric import (
     f_cpp,
     from_abacus,
     hw_of_cpp,
-    is_valid_cpp,
-    to_abacus,
 )
-from slncrystals.kyoto import e_path, eps_phi_perfect, f_path, ground_state_path, to_path
+from slncrystals.kyoto import e_path, eps_phi_perfect, ground_state_path, to_path
 from slncrystals.partitions import (
     BeadRow,
     Partition,
     add_ribbon,
-    bead_row_to_partition,
     ell_quotient,
-    partition_to_bead_row,
     partitions_up_to,
 )
 from slncrystals.abacus import AbacusConfig
-from slncrystals.qseries import (
-    Z_borodin,
-    Z_bruteforce,
-    Z_rep,
-    boundary_of,
-    check_level_one,
-    check_rank_level,
-    level_weights,
-)
+from slncrystals.qseries import level_weights
 
 from helpers import (
     FIG1,
@@ -70,6 +58,7 @@ from helpers import (
     descending_configs,
     fig9,
     fig10,
+    slot_roundtrip,
     tight_configs,
 )
 
@@ -81,13 +70,21 @@ def report(num, text):
     print("AC%-2d PASS: %s" % (num, text))
 
 
+def holds(predicate, configs):
+    """Assert a checks predicate at every configuration; return the count."""
+    for cfg in configs:
+        failure = predicate(cfg)
+        assert failure is None, failure
+    return len(configs)
+
+
 def test_ac01_figure1_fidelity():
     def convert():
-        row = partition_to_bead_row(FIG1, 0)
+        row = BeadRow(0, FIG1)
         return [b for b in range(-13, 12) if row.occupied(b)]
 
     assert convert() == FIG1_SLOTS
-    row = partition_to_bead_row(FIG1, 0)
+    row = BeadRow(0, FIG1)
     assert all(row.occupied(b) for b in range(-40, -13))
     assert not any(row.occupied(b) for b in range(12, 40))
     best = min(_timed(convert) for _ in range(5))
@@ -104,8 +101,8 @@ def _timed(fn):
 def test_ac02_figure2_ribbon():
     got = add_ribbon(FIG1, 4, 3)
     assert got == FIG2
-    before = partition_to_bead_row(FIG1, 0)
-    after = partition_to_bead_row(got, 0)
+    before = BeadRow(0, FIG1)
+    after = BeadRow(0, got)
     assert before.occupied(-1) and not before.occupied(3)
     assert not after.occupied(-1) and after.occupied(3)
     report(2, "figure-2 ribbon moves the bead from slot -1 to slot 3")
@@ -114,16 +111,11 @@ def test_ac02_figure2_ribbon():
 def test_ac03_bijection_roundtrips():
     for lam in partitions_up_to(12):
         for c in (-2, 0, 3):
-            assert bead_row_to_partition(partition_to_bead_row(lam, c)) == (c, lam)
+            assert slot_roundtrip(BeadRow(c, lam)) == BeadRow(c, lam)
     total = 0
     for n, ell in ((2, 2), (3, 2)):
         for coeffs in all_level_coeffs(n, ell):
-            for cfg in descending_configs(n, ell, coeffs, 8):
-                pi = from_abacus(cfg)
-                assert is_valid_cpp(pi)
-                assert to_abacus(pi) == cfg
-                assert cpp_weight(pi) == weight(cfg)
-                total += 1
+            total += holds(checks.bijection, descending_configs(n, ell, coeffs, 8))
     report(3, "partition/bead and abacus/cpp roundtrips (%d configs)" % total)
 
 
@@ -131,39 +123,21 @@ def test_ac04_operator_equivalences():
     n = 3
     for ell in (2, 4):
         for lam in partitions_up_to(10):
-            rows = tuple(BeadRow(c.charge, c.partition) for c in ell_quotient(lam, ell))
-            psi = AbacusConfig(n, ell, rows)
+            psi = AbacusConfig(n, ell, ell_quotient(lam, ell))
             for i in range(n):
                 img = f_partition(lam, i, n, ell)
                 expect = None
                 if img is not None:
-                    expect = AbacusConfig(
-                        n,
-                        ell,
-                        tuple(
-                            BeadRow(c.charge, c.partition)
-                            for c in ell_quotient(img, ell)
-                        ),
-                    )
+                    expect = AbacusConfig(n, ell, ell_quotient(img, ell))
                 assert f_abacus(psi, i) == expect
                 img = e_partition(lam, i, n, ell)
                 expect = None
                 if img is not None:
-                    expect = AbacusConfig(
-                        n,
-                        ell,
-                        tuple(
-                            BeadRow(c.charge, c.partition)
-                            for c in ell_quotient(img, ell)
-                        ),
-                    )
+                    expect = AbacusConfig(n, ell, ell_quotient(img, ell))
                 assert e_abacus(psi, i) == expect
     for n, ell in ((2, 2), (3, 2), (3, 3)):
         for coeffs in all_level_coeffs(n, ell):
-            for cfg in descending_configs(n, ell, coeffs, 8):
-                for i in range(n):
-                    assert f_descending(cfg, i) == f_abacus(cfg, i)
-                    assert e_descending(cfg, i) == e_abacus(cfg, i)
+            holds(checks.gglemma, descending_configs(n, ell, coeffs, 8))
     for n, ell in ((2, 2), (3, 2)):
         for coeffs in all_level_coeffs(n, ell):
             for cfg in descending_configs(n, ell, coeffs, 6):
@@ -181,17 +155,7 @@ def test_ac05_tightening_structure_suite():
     for coeffs in all_level_coeffs(n, ell):
         psi0 = highest_weight_config(coeffs, n, ell)
         # commutation with matching zero patterns
-        for cfg in descending_configs(n, ell, coeffs, 6):
-            kmax = cfg.max_bead_index() + 1
-            for i in range(n):
-                fi = f_abacus(cfg, i)
-                ei = e_abacus(cfg, i)
-                for k in range(1, kmax + 1):
-                    tk = tighten(cfg, k)
-                    if tk is None:
-                        continue
-                    assert f_abacus(tk, i) == (tighten(fi, k) if fi is not None else None)
-                    assert e_abacus(tk, i) == (tighten(ei, k) if ei is not None else None)
+        holds(checks.tk_commute, descending_configs(n, ell, coeffs, 6))
         # sources are exactly the loosenings of the generator
         orbit = {psi0.key()}
         frontier = [psi0]
@@ -242,28 +206,25 @@ def test_ac06_slack_decomposition():
 @pytest.mark.parametrize("n,ell", [(2, 2), (3, 1), (3, 2)])
 def test_ac07_three_way_partition_function(n, ell):
     for w in level_weights(n, ell):
-        psi0 = highest_weight_config(w, n, ell)
-        zr = Z_rep(w, n, ell, 12)
-        zb = Z_borodin(boundary_of(w, n, ell), 12)
-        zf = Z_bruteforce(psi0, 12)
-        assert zr.coeffs == zb.coeffs == zf.coeffs
+        assert checks.three_way_z(w, 12) is None
     report(7, "Z_rep = Z_borodin = Z_bruteforce to q^12 at (%d,%d)" % (n, ell))
 
 
 def test_ac08_rank_level_duality():
     for n, ell in ((2, 2), (3, 2)):
         for w in level_weights(n, ell):
-            assert check_rank_level(w, n, ell, 12)
+            assert checks.rank_level(w, 12) is None
     assert dual_weight(DominantWeight((2, 3, 1)), 3, 6) == DominantWeight(
         (1, 1, 0, 0, 1, 0)
     )
-    assert check_rank_level(DominantWeight((2, 3, 1)), 3, 6, 10)
+    assert checks.rank_level(DominantWeight((2, 3, 1)), 10) is None
     report(8, "rank-level duality to q^12, figure-8 pair to q^10")
 
 
 def test_ac09_level_one_identity():
     for n in (2, 3, 4):
-        assert check_level_one(n, 20)
+        for w in level_weights(n, 1):
+            assert checks.level_one(w, 20) is None
     report(9, "level-one identity to q^20 for n = 2, 3, 4")
 
 
@@ -280,11 +241,11 @@ def test_ac10_path_model_isomorphism():
                 eps_k, _ = eps_phi_perfect(ground.element(k), n)
                 _, phi_next = eps_phi_perfect(ground.element(k + 1), n)
                 assert eps_k == phi_next
-            for cfg in tight_configs(n, ell, coeffs, 6):
+            configs = tight_configs(n, ell, coeffs, 6)
+            holds(checks.kyoto, configs)
+            for cfg in configs:
                 p = to_path(cfg)
                 for i in range(n):
-                    img = f_abacus(cfg, i)
-                    assert f_path(p, i) == (to_path(img) if img is not None else None)
                     img = e_abacus(cfg, i)
                     assert e_path(p, i) == (to_path(img) if img is not None else None)
     report(10, "path model intertwines e_i, f_i at (2,2), (3,2), (3,4)")

@@ -193,3 +193,101 @@ def test_rotate_colors_shifts_weight():
          "--kind", "dimq"]
     )
     assert rc == rc2 == 0 and out == out2
+
+
+@pytest.mark.parametrize("which", ["gglemma", "rank-level"])
+def test_verify_weight_level_mismatch_exit_3(which):
+    rc, out, err = run_cli(["verify", which, "--weight", "L0", "--n", "3", "--ell", "2"])
+    assert rc == 3 and out == "" and "level" in err
+
+
+def test_verify_single_weight():
+    for which in ("gglemma", "kyoto", "three-way-Z", "rank-level"):
+        rc, out, _ = run_cli(
+            ["verify", which, "--weight", "L0+L1", "--n", "3", "--ell", "2", "--nmax", "3"]
+        )
+        assert (rc, out) == (0, "ok: %s\n" % which)
+    rc, out, _ = run_cli(["verify", "level-one", "--weight", "L2", "--n", "3", "--ell", "1"])
+    assert (rc, out) == (0, "ok: level-one\n")
+    rc, _, err = run_cli(["verify", "level-one", "--weight", "2*L0", "--n", "3", "--ell", "2"])
+    assert rc == 3 and "level-1" in err
+
+
+def _broken_gglemma(monkeypatch):
+    from slncrystals import crystal
+
+    monkeypatch.setattr(crystal, "f_descending", lambda psi, i: None)
+
+
+def _broken_tk_commute(monkeypatch):
+    from slncrystals import abacus
+
+    real = abacus.tighten
+    # T_k now kills every configuration of odd weight
+    monkeypatch.setattr(
+        abacus, "tighten", lambda psi, k: None if abacus.weight(psi) % 2 else real(psi, k)
+    )
+
+
+def _broken_bijection(monkeypatch):
+    from slncrystals import cylindric
+
+    real = cylindric.cpp_weight
+    monkeypatch.setattr(cylindric, "cpp_weight", lambda pi: real(pi) + 1)
+
+
+def _broken_kyoto(monkeypatch):
+    from slncrystals import kyoto
+
+    monkeypatch.setattr(kyoto, "f_path", lambda path, i: None)
+
+
+def _broken_dimq(monkeypatch):
+    from slncrystals import qseries
+
+    real = qseries.dimq_crystal
+
+    def broken(w, n, ell, nmax):
+        s = real(w, n, ell, nmax)
+        coeffs = list(s.coeffs)
+        if n == 3 and nmax >= 1:  # only the rank-3 side of rank-level duality
+            coeffs[1] += 1
+        return qseries.QSeries(coeffs, s.nmax)
+
+    monkeypatch.setattr(qseries, "dimq_crystal", broken)
+
+
+# suite -> a monkeypatch that breaks one side of its identity
+BREAKERS = {
+    "gglemma": _broken_gglemma,
+    "tk-commute": _broken_tk_commute,
+    "bijection": _broken_bijection,
+    "kyoto": _broken_kyoto,
+    "rank-level": _broken_dimq,
+    "level-one": _broken_dimq,
+}
+
+
+@pytest.mark.parametrize("which", sorted(BREAKERS))
+def test_verify_suite_reports_counterexample(monkeypatch, which):
+    BREAKERS[which](monkeypatch)
+    rc, out, _ = run_cli(["verify", which, "--n", "3", "--ell", "2", "--nmax", "4"])
+    assert rc == 1
+    assert out.startswith("FAIL: %s:" % which)
+
+
+@pytest.mark.parametrize("which", ["gglemma", "tk-commute", "bijection", "kyoto"])
+def test_verify_case_count_matches_borodin(which):
+    # descending configurations = sum of Z_borodin's coefficients; tight ones
+    # = dim_q = Z * prod_k (1 - q^{nk})
+    from slncrystals import checks, qseries
+
+    n, ell, nmax = 3, 2, 4
+    expected = 0
+    for w in qseries.level_weights(n, ell):
+        z = qseries.Z_borodin(qseries.boundary_of(w, n, ell), nmax)
+        if which == "kyoto":
+            for e in range(n, nmax + 1, n):
+                z = z.times_one_minus(e)
+        expected += sum(z.coeffs)
+    assert checks.run(which, n, ell, nmax) == (expected, None)

@@ -17,7 +17,6 @@ from slncrystals.crystal import (
     e_descending,
     e_partition,
     eps_phi,
-    eps_phi_by_iteration,
     f_abacus,
     f_descending,
     f_partition,
@@ -25,7 +24,7 @@ from slncrystals.crystal import (
     signature_reduce,
     wt,
 )
-from slncrystals.partitions import BeadRow, Partition, ell_quotient, partitions_up_to
+from slncrystals.partitions import Partition, ell_quotient, partitions_up_to
 from slncrystals.abacus import AbacusConfig, loosen
 
 from helpers import (
@@ -33,6 +32,7 @@ from helpers import (
     all_level_coeffs,
     config,
     descending_configs,
+    eps_phi_by_iteration,
     fig4,
     fig9,
     signature_oracle,
@@ -181,8 +181,7 @@ def test_f_partition_on_empty():
 
 
 def _abacus_of(lam, n, ell):
-    rows = tuple(BeadRow(c.charge, c.partition) for c in ell_quotient(lam, ell))
-    return AbacusConfig(n, ell, rows)
+    return AbacusConfig(n, ell, ell_quotient(lam, ell))
 
 
 @pytest.mark.parametrize("ell", [2, 4])

@@ -18,7 +18,6 @@ from slncrystals.cylindric import (
     reflect,
     removable_boxes,
     render_text,
-    t_value,
     to_abacus,
 )
 from slncrystals.partitions import Partition
@@ -32,6 +31,7 @@ from helpers import (
     fig8,
     fig9,
     fig10,
+    t_value,
 )
 
 P = Partition

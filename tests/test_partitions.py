@@ -6,11 +6,9 @@ from slncrystals.partitions import (
     BeadRow,
     Partition,
     add_ribbon,
-    bead_row_to_partition,
     combine_quotient,
     ell_core,
     ell_quotient,
-    partition_to_bead_row,
     partitions_of,
     partitions_up_to,
     remove_ribbon,
@@ -21,6 +19,7 @@ from helpers import (
     FIG1_SLOTS,
     FIG2,
     occupied_slots_oracle,
+    slot_roundtrip,
     ribbons_by_skew_shapes,
     strip_cores,
 )
@@ -38,7 +37,7 @@ def test_partition_validation():
 
 
 def test_figure1_bead_positions():
-    row = partition_to_bead_row(FIG1, 0)
+    row = BeadRow(0, FIG1)
     got = [b for b in range(-13, 12) if row.occupied(b)]
     assert got == FIG1_SLOTS
     # everything below the listed window is occupied, everything above empty
@@ -47,18 +46,18 @@ def test_figure1_bead_positions():
 
 
 def test_empty_partition_rows():
-    row = partition_to_bead_row(P(()), 0)
+    row = BeadRow(0, P(()))
     assert all(row.occupied(b) for b in range(-10, 0))
     assert not any(row.occupied(b) for b in range(0, 10))
-    shifted = partition_to_bead_row(P(()), 3)
+    shifted = BeadRow(3, P(()))
     assert shifted.occupied(2) and not shifted.occupied(3)
 
 
 def test_bead_row_to_partition_is_inverse():
     for lam in partitions_up_to(12):
         for c in range(-3, 4):
-            row = partition_to_bead_row(lam, c)
-            assert bead_row_to_partition(row) == (c, lam)
+            row = BeadRow(c, lam)
+            assert slot_roundtrip(row) == row
 
 
 def test_from_occupied_against_oracle():
@@ -79,7 +78,7 @@ def test_slot_sets_of_partitions_of_three():
     assert len(table) == 3
     # (2,1) is the one with slot 0 empty and slot 1 full
     row = BeadRow.from_occupied([-5, -4, -3, -1, 1], -5)
-    assert bead_row_to_partition(row) == (0, P((2, 1)))
+    assert (row.charge, row.partition) == (0, P((2, 1)))
     assert table[tuple(occupied_slots_oracle(P((2, 1)), 0, -5, 10))] == P((2, 1))
 
 
@@ -90,18 +89,15 @@ def test_slot_sets_of_partitions_of_three():
 )
 def test_roundtrip_property(parts, charge):
     lam = P(sorted(parts, reverse=True))
-    row = partition_to_bead_row(lam, charge)
-    assert bead_row_to_partition(row) == (charge, lam)
-    lo, hi = row.bracket_window()
-    slots = [s for s in range(lo, hi + 1) if row.occupied(s)]
-    assert BeadRow.from_occupied(slots, lo) == row
+    row = BeadRow(charge, lam)
+    assert slot_roundtrip(row) == row
 
 
 def test_figure2_ribbon():
     got = add_ribbon(FIG1, 4, 3)
     assert got == FIG2
     # the moved bead: slot -1 emptied, slot 3 filled
-    row = partition_to_bead_row(got, 0)
+    row = BeadRow(0, got)
     assert not row.occupied(-1) and row.occupied(3)
     assert remove_ribbon(FIG2, 4, 3) == FIG1
 
@@ -182,21 +178,17 @@ def test_ribbon_move_enumeration_matches_oracle(length):
     from slncrystals.partitions import addable_ribbons, removable_ribbons
 
     for lam in partitions_up_to(7):
-        moves = addable_ribbons(lam, length)
+        cols = addable_ribbons(lam, length)
         expected = ribbons_by_skew_shapes(lam, length)
-        assert sorted(m.rightmost_col for m in moves) == sorted(expected)
-        for m in moves:
-            assert add_ribbon(lam, length, m.rightmost_col) == expected[m.rightmost_col]
-        back = removable_ribbons(
-            add_ribbon(lam, length, moves[0].rightmost_col), length
-        )
-        assert moves[0].rightmost_col in {m.rightmost_col for m in back}
+        assert sorted(cols) == sorted(expected)
+        for col in cols:
+            assert add_ribbon(lam, length, col) == expected[col]
+        back = removable_ribbons(add_ribbon(lam, length, cols[0]), length)
+        assert cols[0] in back
 
 
 def test_normalized_quotient():
-    from slncrystals.partitions import normalized_quotient
-
-    assert normalized_quotient(FIG1, 4) == (
+    assert tuple(r.partition for r in ell_quotient(FIG1, 4)) == (
         P((1,)),
         P((3, 3)),
         P((2, 1)),

@@ -1,6 +1,7 @@
 import pytest
 
 from slncrystals.abacus import DominantWeight, highest_weight_config, weight
+from slncrystals import checks
 from slncrystals.partitions import partitions_of
 from slncrystals.qseries import (
     Boundary,
@@ -9,8 +10,6 @@ from slncrystals.qseries import (
     Z_bruteforce,
     Z_rep,
     boundary_of,
-    check_level_one,
-    check_rank_level,
     dimq_crystal,
     euler_inverse,
     level_weights,
@@ -128,13 +127,13 @@ def test_three_way_partition_function(n, ell):
 
 
 def test_level_one_small():
-    assert check_level_one(2, 12)
-    assert check_level_one(3, 12)
+    for n in (2, 3):
+        assert all(checks.level_one(w, 12) is None for w in level_weights(n, 1))
 
 
 def test_rank_level_small():
-    assert all(check_rank_level(w, 2, 2, 8) for w in level_weights(2, 2))
-    assert all(check_rank_level(w, 3, 2, 8) for w in level_weights(3, 2))
+    assert all(checks.rank_level(w, 8) is None for w in level_weights(2, 2))
+    assert all(checks.rank_level(w, 8) is None for w in level_weights(3, 2))
 
 
 def test_borodin_swapping_roles_is_reflection_symmetry():
