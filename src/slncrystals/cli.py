@@ -239,9 +239,21 @@ def build_parser():
     return top
 
 
+def _check_domain(args):
+    """Reject numeric arguments outside every command's domain."""
+    if args.n < 2 or args.ell < 1:
+        raise ValidationError("need --n >= 2 and --ell >= 1")
+    for name in ("nmax", "max_degree"):
+        if getattr(args, name, 0) < 0:
+            raise ValidationError("--%s must be >= 0" % name.replace("_", "-"))
+    if getattr(args, "which", None) == "rank-level" and args.ell < 2:
+        raise ValidationError("rank-level duality needs --ell >= 2")
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        _check_domain(args)
         return args.func(args)
     except (InputError, ValidationError) as err:
         sys.stderr.write("error: %s\n" % err)

@@ -121,18 +121,18 @@ def e_abacus(psi, i):
 VIRTUAL = "tail"
 
 
-def descending_brackets(psi, i, extra_blocks=0):
+def descending_brackets(psi, i):
     """Tokens of the grouped rule; payload is the bead-set index k.
 
     Block k contributes ")" for each k-th bead on a slot congruent to i and
     "(" for each on a slot congruent to i-1, blocks listed from the vacuum
     side in.  The infinite compact tail beyond the last displaced bead
     collapses to a run of "(" belonging to the first untouched bead set;
-    those tokens carry the payload (VIRTUAL, k).  extra_blocks widens the
-    window (the outcome must not change; asserted in tests).
+    those tokens carry the payload (VIRTUAL, k).  Widening the window by
+    whole blocks does not change the outcome (checked in the tests).
     """
     n = psi.n
-    kmax = psi.max_bead_index() + extra_blocks
+    kmax = psi.max_bead_index()
     virtual_k = kmax + 1
     tokens = []
     v = sum(
@@ -157,7 +157,8 @@ def _bead_set(psi, k):
 
 def f_descending(psi, i):
     """Lowering via the grouped bead-set rule (descending configurations)."""
-    assert is_descending(psi), "f_descending needs a descending configuration"
+    if not is_descending(psi):
+        raise ValueError("f_descending needs a descending configuration")
     sig = signature_reduce(descending_brackets(psi, i))
     if sig.first_open is None:
         return None
@@ -171,7 +172,8 @@ def f_descending(psi, i):
 
 def e_descending(psi, i):
     """Raising via the grouped bead-set rule (descending configurations)."""
-    assert is_descending(psi), "e_descending needs a descending configuration"
+    if not is_descending(psi):
+        raise ValueError("e_descending needs a descending configuration")
     sig = signature_reduce(descending_brackets(psi, i))
     if sig.last_close is None:
         return None

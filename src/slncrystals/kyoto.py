@@ -6,9 +6,18 @@ to recover the usual entries).  A path is a semi-infinite tensor product
 ... x b_3 x b_2 x b_1 of such elements that agrees with the ground state
 path of its highest weight in all but finitely many positions.
 
+The string functions have closed forms: f_i turns an entry i-1 into i and
+e_i an entry i into i-1, so eps_i(b) counts the entries equal to i and
+phi_i(b) those equal to i-1 mod n.  Hence phi(b) determines b, and eps(b) is
+phi(b) rotated by one color.  The ground state path of highest weight w,
+fixed by phi(b_1) = w and eps(b_k) = phi(b_{k+1}), therefore has w[(v + k)
+mod n] copies of each value v in b_k.
+
 to_path is the crystal isomorphism sending a tight descending abacus
 configuration to the path whose k-th element collects the residues of the
-k-th beads, one per row.
+k-th beads, one per row.  from_path inverts it directly, one bead set at a
+time from the vacuum in: bead set k is the weakly decreasing run of the
+integers with the residues of b_k, placed as low as tightness allows.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import (
+    AbacusConfig,
     DominantWeight,
     compactify,
     highest_weight,
@@ -24,6 +34,7 @@ from .abacus import (
     is_tight,
 )
 from .crystal import signature_reduce
+from .partitions import BeadRow, Partition
 
 
 @dataclass(frozen=True)
@@ -35,21 +46,6 @@ class PerfectElem:
 
     def to_json(self):
         return list(self.entries)
-
-
-def all_perfect_elems(n, ell):
-    """Every weakly increasing ell-tuple over 0..n-1."""
-    out = []
-
-    def build(prefix, lo):
-        if len(prefix) == ell:
-            out.append(PerfectElem(tuple(prefix)))
-            return
-        for v in range(lo, n):
-            build(prefix + [v], v)
-
-    build([], 0)
-    return out
 
 
 def f_perfect(b, i, n):
@@ -79,46 +75,10 @@ def e_perfect(b, i, n):
 
 
 def eps_phi_perfect(b, n):
-    """(eps, phi) as dominant weights, computed by iterating the operators."""
-    eps = []
-    phi = []
-    for i in range(n):
-        m = 0
-        y = e_perfect(b, i, n)
-        while y is not None:
-            m += 1
-            y = e_perfect(y, i, n)
-        eps.append(m)
-        m = 0
-        y = f_perfect(b, i, n)
-        while y is not None:
-            m += 1
-            y = f_perfect(y, i, n)
-        phi.append(m)
-    return DominantWeight(tuple(eps)), DominantWeight(tuple(phi))
-
-
-_ground_cache = {}
-
-
-def _ground_chain(weight_coeffs, n, ell, upto):
-    """Ground state elements b_1..b_upto for the given highest weight."""
-    key = (weight_coeffs, n, ell)
-    chain = _ground_cache.setdefault(key, [])
-    elems = all_perfect_elems(n, ell)
-    if chain:
-        target = eps_phi_perfect(chain[-1], n)[0]
-    else:
-        target = DominantWeight(weight_coeffs)
-    while len(chain) < upto:
-        matches = [b for b in elems if eps_phi_perfect(b, n)[1] == target]
-        if len(matches) != 1:
-            raise AssertionError(
-                "ground chain link is not unique for %s" % (target,)
-            )
-        chain.append(matches[0])
-        target = eps_phi_perfect(matches[0], n)[0]
-    return chain
+    """(eps, phi) as dominant weights: eps_i counts entries i, phi_i entries i-1."""
+    eps = tuple(b.entries.count(i) for i in range(n))
+    phi = eps[-1:] + eps[:-1]  # phi_i = eps_{i-1}
+    return DominantWeight(eps), DominantWeight(phi)
 
 
 @dataclass(frozen=True)
@@ -131,7 +91,11 @@ class Path:
     deviations: tuple  # sorted ((k, PerfectElem), ...), all differing from ground
 
     def ground(self, k):
-        return _ground_chain(self.weight.coeffs, self.n, self.ell, k)[k - 1]
+        """The k-th ground state element: w[(v + k) mod n] copies of each v."""
+        w = self.weight.coeffs
+        return PerfectElem(
+            tuple(v for v in range(self.n) for _ in range(w[(v + k) % self.n]))
+        )
 
     def element(self, k):
         for pos, elem in self.deviations:
@@ -152,23 +116,31 @@ class Path:
 
     @classmethod
     def from_json(cls, data):
-        devs = tuple(
-            sorted(
-                (int(k), PerfectElem(tuple(v)))
-                for k, v in data.get("deviations", {}).items()
+        n, ell = int(data["n"]), int(data["ell"])
+        if n < 2 or ell < 1:
+            raise ValueError("a path needs n >= 2 and ell >= 1")
+        w = DominantWeight(tuple(data["weight"]))
+        if w.n != n or w.level != ell:
+            raise ValueError(
+                "weight %s needs %d coefficients and level %d" % (w, n, ell)
             )
-        )
-        return _pruned_path(
-            int(data["n"]), int(data["ell"]), DominantWeight(tuple(data["weight"])), devs
-        )
+        devs = []
+        for k, v in data.get("deviations", {}).items():
+            k, e = int(k), PerfectElem(tuple(v))
+            if k < 1 or len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
+                raise ValueError(
+                    "deviation %s at position %d: need a position >= 1 and %d "
+                    "entries in [0, %d)" % (list(e.entries), k, ell, n)
+                )
+            devs.append((k, e))
+        if len({k for k, _ in devs}) != len(devs):
+            raise ValueError("path positions must be distinct")
+        return _pruned_path(n, ell, w, devs)
 
 
 def _pruned_path(n, ell, w, deviations):
-    chain_len = max((k for k, _ in deviations), default=0)
-    chain = _ground_chain(w.coeffs, n, ell, chain_len)
-    kept = tuple(
-        (k, e) for k, e in sorted(deviations) if chain[k - 1] != e
-    )
+    ground = Path(n, ell, w, ()).ground
+    kept = tuple((k, e) for k, e in sorted(deviations) if ground(k) != e)
     return Path(n, ell, w, kept)
 
 
@@ -178,20 +150,19 @@ def ground_state_path(w, n, ell):
         coeffs = w.coeffs
     else:
         coeffs = tuple(w)
-    if sum(coeffs) != ell:
-        raise ValueError("weight level must equal ell")
-    _ground_chain(coeffs, n, ell, 1)  # force existence/uniqueness check
+    if len(coeffs) != n or sum(coeffs) != ell:
+        raise ValueError("weight needs n coefficients and level ell")
     return Path(n, ell, DominantWeight(coeffs), ())
 
 
-def path_brackets(path, i, extra=0):
+def path_brackets(path, i):
     """Bracket tokens for the signature rule, rightmost factor last.
 
     The untouched ground tail collapses to a run of "(" owned by the first
-    ground position beyond the window; widening the window with `extra` whole
-    positions must not change any outcome (asserted in tests).
+    ground position beyond the window; widening the window by whole
+    positions does not change any outcome (checked in the tests).
     """
-    K = path.last_position() + extra
+    K = path.last_position()
     n = path.n
     tokens = []
     eps, phi = eps_phi_perfect(path.ground(K + 1), n)
@@ -249,26 +220,33 @@ def to_path(psi):
 
 
 def from_path(path):
-    """Inverse of to_path, by unwinding to the ground path and replaying."""
-    from .crystal import e_abacus, f_abacus
+    """Inverse of to_path, built one bead set at a time from the vacuum in.
 
-    moves = []
-    p = path
-    guard = 0
-    while p.deviations:
-        for i in range(path.n):
-            q = e_path(p, i)
-            if q is not None:
-                moves.append(i)
-                p = q
-                break
-        else:
-            raise AssertionError("non-ground path with no raising move")
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("unwinding did not terminate")
-    psi = highest_weight_config(path.weight, path.n, path.ell)
-    for i in reversed(moves):
-        psi = f_abacus(psi, i)
-        assert psi is not None
-    return psi
+    Bead set K+1 (K the last deviation) is the vacuum of the highest weight
+    configuration.  For k = K, ..., 1, read along the extended rows, bead set
+    k is the weakly decreasing run of the integers whose residues are the
+    entries of b_k; tightness puts it as low as it can go while each row's
+    bead stays strictly right of that row's bead in set k+1.
+    """
+    n, ell = path.n, path.ell
+    charges = highest_weight_config(path.weight, n, ell).charges()
+    K = path.last_position()
+    below = [c - K - 1 for c in charges]  # bead set k+1, row by row
+    columns = []
+    for k in range(K, 0, -1):
+        # the run: slot t is res[j] - a*n for t = a*ell + j, weakly decreasing
+        res = sorted(path.element(k).entries, reverse=True)
+        # the largest start s, so the lowest run, with slot s + i > below[i]
+        # on every row i
+        s = min(
+            max((res[j] - below[i] - 1) // n * ell + j for j in range(ell)) - i
+            for i in range(ell)
+        )
+        below = [res[t % ell] - t // ell * n for t in range(s, s + ell)]
+        columns.append(below)
+    columns.reverse()  # columns[k - 1] is bead set k
+    rows = []
+    for i, c in enumerate(charges):
+        parts = [col[i] - c + k for k, col in enumerate(columns, start=1)]
+        rows.append(BeadRow(c, Partition(p for p in parts if p > 0)))
+    return AbacusConfig(n, ell, tuple(rows))

@@ -14,6 +14,8 @@ from slncrystals.abacus import (
     enumerate_tight,
     highest_weight_config,
 )
+from slncrystals.crystal import VIRTUAL
+from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_up_to
 from slncrystals.qseries import level_weights
 
@@ -244,6 +246,72 @@ def eps_phi_by_iteration(x, i, apply_e, apply_f):
         phi += 1
         y = apply_f(y, i)
     return eps, phi
+
+
+def all_perfect_elems(n, ell):
+    """Every weakly increasing ell-tuple over 0..n-1: the perfect crystal."""
+    out = []
+
+    def build(prefix, lo):
+        if len(prefix) == ell:
+            out.append(PerfectElem(tuple(prefix)))
+            return
+        for v in range(lo, n):
+            build(prefix + [v], v)
+
+    build([], 0)
+    return out
+
+
+def perfect_eps_phi_by_iteration(b, n):
+    """(eps, phi) of a perfect crystal element as tuples, by iteration.
+
+    Applies e_perfect / f_perfect until they vanish, color by color.
+    """
+    pairs = [
+        eps_phi_by_iteration(
+            b, i, lambda x, j: e_perfect(x, j, n), lambda x, j: f_perfect(x, j, n)
+        )
+        for i in range(n)
+    ]
+    return tuple(e for e, _ in pairs), tuple(p for _, p in pairs)
+
+
+def descending_tokens_widened(psi, i, extra):
+    """The grouped rule's tokens over a window of `extra` more bead sets.
+
+    Read straight off bead_position: block k gives ")" per k-th bead on a
+    slot congruent to i and "(" per one congruent to i-1; the set beyond
+    the window gives its "(" only, with the tail payload.
+    """
+    n = psi.n
+
+    def count(k, color):
+        return sum(
+            1 for r in range(psi.ell) if psi.bead_position(r, k) % n == color % n
+        )
+
+    kmax = psi.max_bead_index() + extra
+    tokens = [("(", (VIRTUAL, kmax + 1))] * count(kmax + 1, i - 1)
+    for k in range(kmax, 0, -1):
+        tokens += [(")", k)] * count(k, i) + [("(", k)] * count(k, i - 1)
+    return tokens
+
+
+def path_tokens_widened(path, i, extra):
+    """The path's bracket tokens over a window of `extra` more positions.
+
+    Read off Path.element, with (eps_i, phi_i) of each element found by
+    iterating the perfect crystal operators.
+    """
+    n = path.n
+    kmax = path.last_position() + extra
+    _, phi = perfect_eps_phi_by_iteration(path.element(kmax + 1), n)
+    tokens = [("(", kmax + 1)] * phi[i % n]
+    for k in range(kmax, 0, -1):
+        eps, phi = perfect_eps_phi_by_iteration(path.element(k), n)
+        tokens += [(")", k)] * eps[i % n] + [("(", k)] * phi[i % n]
+    return tokens
 
 
 def t_value(box, n, ell):

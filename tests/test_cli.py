@@ -87,6 +87,39 @@ def test_convert_validation_error_exit_3():
     assert rc == 3 and "descending" in err
 
 
+@pytest.mark.parametrize(
+    "deviations,weight",
+    [
+        ({"1": [5, 5]}, [2, 0, 0]),  # entries outside [0, n)
+        ({"1": [0]}, [2, 0, 0]),  # an element of length other than ell
+        ({}, [1, 0, 0]),  # a weight of level other than ell
+        ({"0": [0, 1]}, [2, 0, 0]),  # positions start at 1
+        ({"-2": [0, 1]}, [2, 0, 0]),
+        ({}, [2, 0]),  # a weight with other than n coefficients
+    ],
+)
+def test_convert_malformed_path_exit_2(deviations, weight):
+    data = {"n": 3, "ell": 2, "weight": weight, "deviations": deviations}
+    rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    assert rc == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "rank-level", "--n", "3", "--ell", "1"],
+        ["verify", "kyoto", "--n", "1", "--ell", "1"],
+        ["verify", "level-one", "--n", "1", "--ell", "1"],
+        ["verify", "three-way-Z", "--n", "1", "--ell", "1"],
+        ["series", "--weight", "2*L0", "--nmax", "-1"],
+        ["graph", "--weight", "2*L0", "--max-degree", "-1"],
+    ],
+)
+def test_out_of_domain_arguments_exit_3(argv):
+    rc, out, err = run_cli(argv)
+    assert rc == 3 and out == "" and "error" in err
+
+
 def test_graph_single_node():
     rc, out, _ = run_cli(
         ["graph", "--n", "3", "--ell", "4", "--weight", "L0+2*L1+L2", "--max-degree", "0"]

@@ -32,6 +32,7 @@ from helpers import (
     all_level_coeffs,
     config,
     descending_configs,
+    descending_tokens_widened,
     eps_phi_by_iteration,
     fig4,
     fig9,
@@ -137,9 +138,10 @@ def test_descending_rule_preserves_descent():
 def test_descending_bracket_window_stability():
     for cfg in descending_configs(3, 2, (2, 0, 0), 4):
         for i in range(3):
+            assert descending_tokens_widened(cfg, i, 0) == descending_brackets(cfg, i)
             base = signature_reduce(descending_brackets(cfg, i))
             for extra in (3, 6):
-                wide = signature_reduce(descending_brackets(cfg, i, extra))
+                wide = signature_reduce(descending_tokens_widened(cfg, i, extra))
                 assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
                 if base.first_open is not None:
                     k0 = base.first_open
@@ -148,6 +150,15 @@ def test_descending_bracket_window_stability():
                     k1 = k1[1] if isinstance(k1, tuple) else k1
                     assert k0 == k1
                 assert base.last_close == wide.last_close
+
+
+def test_descending_rule_rejects_non_descending():
+    psi = fig4()
+    assert not is_descending(psi)
+    for op in (f_descending, e_descending):
+        for i in range(3):
+            with pytest.raises(ValueError):
+                op(psi, i)
 
 
 def test_gap_rule_window_is_exhaustive():

@@ -1,11 +1,12 @@
+import random
+
 import pytest
 
-from slncrystals.abacus import DominantWeight, highest_weight_config
+from slncrystals.abacus import highest_weight_config, is_descending, is_tight
 from slncrystals.crystal import e_abacus, f_abacus
 from slncrystals.kyoto import (
     Path,
     PerfectElem,
-    all_perfect_elems,
     e_path,
     e_perfect,
     eps_phi_path,
@@ -19,7 +20,15 @@ from slncrystals.kyoto import (
 )
 from slncrystals.crystal import signature_reduce
 
-from helpers import all_level_coeffs, fig9, fig10, tight_configs
+from helpers import (
+    all_level_coeffs,
+    all_perfect_elems,
+    fig9,
+    fig10,
+    path_tokens_widened,
+    perfect_eps_phi_by_iteration,
+    tight_configs,
+)
 
 
 def test_perfect_crystal_size():
@@ -60,23 +69,26 @@ def test_perfectness_level(n, ell):
         assert phi.level == ell
 
 
+@pytest.mark.parametrize("n,ell", [(2, 2), (3, 2), (3, 4), (4, 3), (4, 4), (5, 2)])
+def test_eps_phi_closed_form_matches_iteration(n, ell):
+    for b in all_perfect_elems(n, ell):
+        eps, phi = eps_phi_perfect(b, n)
+        assert (eps.coeffs, phi.coeffs) == perfect_eps_phi_by_iteration(b, n)
+
+
 def test_ground_chain_unique_links():
-    # each link of the ground chain is the unique element with the right phi
+    # each link of the ground chain is the unique element with the right phi,
+    # found by searching the whole crystal with the iterated string functions
     for n, ell in ((2, 2), (3, 2), (3, 4), (4, 3)):
+        elems = all_perfect_elems(n, ell)
+        strings = [perfect_eps_phi_by_iteration(c, n) for c in elems]
         for coeffs in all_level_coeffs(n, ell):
             p = ground_state_path(coeffs, n, ell)
+            target = coeffs  # phi(b_1) = w, then phi(b_{k+1}) = eps(b_k)
             for k in range(1, 8):
-                b = p.ground(k)
-                eps, phi = eps_phi_perfect(b, n)
-                if k == 1:
-                    assert phi == DominantWeight(coeffs)
-                assert eps == eps_phi_perfect(p.ground(k + 1), n)[1]
-                matches = [
-                    c
-                    for c in all_perfect_elems(n, ell)
-                    if eps_phi_perfect(c, n)[1] == phi
-                ]
-                assert matches == [b]
+                matches = [c for c, (_, phi) in zip(elems, strings) if phi == target]
+                assert matches == [p.ground(k)]
+                target = strings[elems.index(matches[0])][0]
 
 
 def test_ground_path_is_highest_weight():
@@ -106,15 +118,18 @@ def test_J_requires_tight():
 
 
 def test_path_brackets_match_descending_brackets():
-    # token-for-token: the path string equals the grouped abacus string
+    # token-for-token: the path string, widened to the configuration's bead
+    # sets, equals the grouped abacus string
     from slncrystals.crystal import descending_brackets
 
     for coeffs in all_level_coeffs(3, 2):
         for cfg in tight_configs(3, 2, coeffs, 5):
             p = to_path(cfg)
             for i in range(3):
+                assert path_tokens_widened(p, i, 0) == path_brackets(p, i)
                 ab = [c for c, _ in descending_brackets(cfg, i)]
-                pa = [c for c, _ in path_brackets(p, i, extra=cfg.max_bead_index() - p.last_position())]
+                extra = cfg.max_bead_index() - p.last_position()
+                pa = [c for c, _ in path_tokens_widened(p, i, extra)]
                 assert "".join(pa) == "".join(ab)
 
 
@@ -125,13 +140,13 @@ def test_path_window_stability():
             for i in range(3):
                 base = signature_reduce(path_brackets(p, i))
                 for extra in (2, 5):
-                    wide = signature_reduce(path_brackets(p, i, extra))
+                    wide = signature_reduce(path_tokens_widened(p, i, extra))
                     assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
                     assert f_path(p, i) == _f_path_widened(p, i, extra)
 
 
 def _f_path_widened(path, i, extra):
-    sig = signature_reduce(path_brackets(path, i, extra))
+    sig = signature_reduce(path_tokens_widened(path, i, extra))
     if sig.first_open is None:
         return None
     k = sig.first_open
@@ -177,3 +192,23 @@ def test_path_json_roundtrip():
     p = to_path(highest_weight_config((0, 2, 0), 3, 2))
     q = f_path(p, 1)
     assert Path.from_json(q.to_json()) == q
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_from_path_on_random_paths(n, ell):
+    # paths drawn freely, not as images of to_path
+    rng = random.Random(1000 * n + ell)
+    elems = all_perfect_elems(n, ell)
+    for coeffs in all_level_coeffs(n, ell):
+        for _ in range(30):
+            devs = {
+                str(k): rng.choice(elems).to_json()
+                for k in range(1, rng.randint(1, 8) + 1)
+                if rng.random() < 0.7
+            }
+            p = Path.from_json(
+                {"n": n, "ell": ell, "weight": list(coeffs), "deviations": devs}
+            )
+            cfg = from_path(p)
+            assert is_descending(cfg) and is_tight(cfg)
+            assert to_path(cfg) == p
