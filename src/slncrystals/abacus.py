@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import BeadRow, Partition, partitions_of
+from .partitions import BeadRow, Partition, _json_int, partitions_of
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,13 @@ class AbacusConfig:
         if len(self.rows) != self.ell:
             raise ValueError("expected %d rows" % self.ell)
 
-    def row(self, i):
-        """Extended row accessor: row(i + ell) = row(i) shifted left by n."""
-        q, r = divmod(i, self.ell)
-        return self.rows[r].shifted(-self.n * q)
-
     def bead_position(self, i, j):
-        """Slot of the j-th bead from the right on extended row i."""
-        return self.row(i).bead_slot(j)
+        """Slot of the j-th bead from the right on extended row i.
+
+        Row i + ell is row i with every bead shifted n slots to the left.
+        """
+        q, r = divmod(i, self.ell)
+        return self.rows[r].bead_slot(j) - self.n * q
 
     def replace_row(self, r, new_row):
         rows = list(self.rows)
@@ -107,20 +106,31 @@ class AbacusConfig:
     @classmethod
     def from_json(cls, data):
         return cls(
-            int(data["n"]),
-            int(data["ell"]),
+            _json_int(data["n"], "n"),
+            _json_int(data["ell"], "ell"),
             tuple(BeadRow.from_json(r) for r in data["rows"]),
         )
 
 
 def is_descending(psi):
-    """True iff every extended row dominates the next one."""
-    for i in range(psi.ell):
-        upper = psi.row(i + 1)
-        lower = psi.rows[i]
-        jmax = max(len(lower.partition), len(upper.partition)) + 1
-        for j in range(1, jmax + 1):
-            if lower.bead_slot(j) < upper.bead_slot(j):
+    """True iff every extended row dominates the next one.
+
+    Bead j of a row of charge c sits at slot part(j) - j + c, so row i
+    dominates the extended row i + 1, of charge d (n less for the wrap from
+    the top row to the bottom one), iff part(j) of row i minus part(j) of
+    row i + 1 is at least d - c for every j.  Beyond the parts of both rows
+    this says d - c <= 0, and then it holds beyond the parts of row i + 1.
+    """
+    rows = psi.rows
+    for i, lower in enumerate(rows):
+        wrap = i + 1 == psi.ell
+        upper = rows[0] if wrap else rows[i + 1]
+        shift = upper.charge - lower.charge - (psi.n if wrap else 0)
+        if shift > 0:
+            return False
+        low = lower.partition.parts
+        for j, u in enumerate(upper.partition.parts):
+            if (low[j] if j < len(low) else 0) - u < shift:
                 return False
     return True
 

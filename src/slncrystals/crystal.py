@@ -10,6 +10,7 @@ lowering move) or the last uncanceled ")" (for a raising move).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .abacus import is_descending
 from .partitions import BeadRow, Partition, add_ribbon, remove_ribbon
@@ -73,19 +74,37 @@ def abacus_brackets(psi, i):
     Gap g sits between slots g-1 and g and carries color g mod n.  A bead
     that can hop right across the gap contributes "(", one that can hop left
     contributes ")".  Payload is (gap, row).
+
+    The tokens are read off one walk over each row's beads: a bead at slot
+    b gives "(" at gap b+1 when slot b+1 is empty, and ")" at gap b when
+    slot b-1 is empty.  A gap carries a token only when exactly one of its
+    two slots holds a bead, so every token belongs to a bead with an empty
+    neighbour.  Above the first bead every slot is empty, and every slot
+    below the first bead of the compact tail (slot charge - len - 1) is
+    occupied, so the partition's beads and that one tail bead are the only
+    beads that can have one.
     """
-    lo = min(r.bracket_window()[0] for r in psi.rows)
-    hi = max(r.bracket_window()[1] for r in psi.rows)
-    start = lo + ((i - lo) % psi.n)
+    n = psi.n
+    i %= n
     tokens = []
-    for g in range(start, hi + 1, psi.n):
-        for r_idx, row in enumerate(psi.rows):
-            left = row.occupied(g - 1)
-            right = row.occupied(g)
-            if left and not right:
-                tokens.append(("(", (g, r_idx)))
-            elif right and not left:
-                tokens.append((")", (g, r_idx)))
+    for r_idx, row in enumerate(psi.rows):
+        c = row.charge
+        prev = None  # part of the bead to the right, None for the first bead
+        # bead j sits at slot part(j) - j + c; bead j-1 is one slot to its
+        # right exactly when the two parts are equal, so only a change of
+        # part opens an empty slot between neighbouring beads
+        for j, p in enumerate(row.partition.parts + (0,), 1):
+            if p == prev:
+                continue
+            b = p - j + c
+            if (b + 1) % n == i:
+                tokens.append(("(", (b + 1, r_idx)))
+            if prev is not None:
+                b = prev - j + 1 + c  # bead j-1, whose left slot is empty
+                if b % n == i:
+                    tokens.append((")", (b, r_idx)))
+            prev = p
+    tokens.sort(key=itemgetter(1))
     return tokens
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abacus import AbacusConfig, DominantWeight, is_descending
-from .partitions import BeadRow, Partition
+from .partitions import BeadRow, Partition, _json_int, _json_ints
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class CylindricPlanePartition:
     @classmethod
     def from_json(cls, data):
         return cls(
-            int(data["n"]),
-            int(data["ell"]),
-            tuple(int(p) for p in data["profile"]),
+            _json_int(data["n"], "n"),
+            _json_int(data["ell"], "ell"),
+            _json_ints(data["profile"], "profile"),
             tuple(Partition.from_json(r) for r in data["rows"]),
         )
 
@@ -102,7 +102,8 @@ def to_abacus(pi):
             BeadRow(c, parts.conjugate()) for c, parts in zip(pi.profile, pi.rows)
         ),
     )
-    assert is_descending(psi)
+    if not is_descending(psi):
+        raise ValueError("to_abacus gave a configuration that is not descending")
     return psi
 
 
@@ -207,7 +208,8 @@ def f_cpp(pi, i):
     if sig.first_open is None:
         return None
     out = _with_box(pi, sig.first_open, +1)
-    assert is_valid_cpp(out), "f_cpp left the set of cylindric plane partitions"
+    if not is_valid_cpp(out):
+        raise ValueError("f_cpp left the set of cylindric plane partitions")
     return out
 
 
@@ -219,7 +221,8 @@ def e_cpp(pi, i):
     if sig.last_close is None:
         return None
     out = _with_box(pi, sig.last_close, -1)
-    assert is_valid_cpp(out), "e_cpp left the set of cylindric plane partitions"
+    if not is_valid_cpp(out):
+        raise ValueError("e_cpp left the set of cylindric plane partitions")
     return out
 
 
@@ -260,7 +263,8 @@ def reflect(pi):
             k += 1
         new_rows.append(Partition(parts))
     out = CylindricPlanePartition(ell, n, tuple(new_profile), tuple(new_rows))
-    assert is_valid_cpp(out)
+    if not is_valid_cpp(out):
+        raise ValueError("reflect gave an invalid cylindric plane partition")
     return out
 
 

@@ -34,7 +34,7 @@ from .abacus import (
     is_tight,
 )
 from .crystal import signature_reduce
-from .partitions import BeadRow, Partition
+from .partitions import BeadRow, Partition, _json_int, _json_ints
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,20 @@ class Path:
 
     @classmethod
     def from_json(cls, data):
-        n, ell = int(data["n"]), int(data["ell"])
+        n, ell = _json_int(data["n"], "n"), _json_int(data["ell"], "ell")
         if n < 2 or ell < 1:
             raise ValueError("a path needs n >= 2 and ell >= 1")
-        w = DominantWeight(tuple(data["weight"]))
+        w = DominantWeight(_json_ints(data["weight"], "weight"))
         if w.n != n or w.level != ell:
             raise ValueError(
                 "weight %s needs %d coefficients and level %d" % (w, n, ell)
             )
         devs = []
-        for k, v in data.get("deviations", {}).items():
-            k, e = int(k), PerfectElem(tuple(v))
+        deviations = data.get("deviations", {})
+        if not isinstance(deviations, dict):
+            raise ValueError("deviations must be an object, not %r" % (deviations,))
+        for k, v in deviations.items():
+            k, e = int(k), PerfectElem(_json_ints(v, "a path element"))
             if k < 1 or len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
                 raise ValueError(
                     "deviation %s at position %d: need a position >= 1 and %d "

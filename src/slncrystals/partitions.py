@@ -81,10 +81,24 @@ class Partition:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(data))
+        return cls(_json_ints(data, "parts"))
 
 
 EMPTY = Partition()
+
+
+def _json_int(value, what):
+    """`value` if it is a JSON integer; a float, bool or string is refused."""
+    if type(value) is not int:
+        raise ValueError("%s must be an integer, not %r" % (what, value))
+    return value
+
+
+def _json_ints(values, what):
+    """A JSON array of integers, as a tuple."""
+    if not isinstance(values, list):
+        raise ValueError("%s must be a list, not %r" % (what, values))
+    return tuple(_json_int(v, "an entry of " + what) for v in values)
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,8 @@ class BeadRow:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["charge"]), Partition.from_json(data["parts"]))
+        charge = _json_int(data["charge"], "charge")
+        return cls(charge, Partition.from_json(data["parts"]))
 
 
 def addable_ribbons(lam, length):

@@ -8,6 +8,8 @@ order, bracket strings by repeated substring deletion, and so on.
 from fractions import Fraction
 from functools import lru_cache
 
+from hypothesis import strategies as st
+
 from slncrystals.abacus import (
     AbacusConfig,
     enumerate_descending,
@@ -81,6 +83,19 @@ def tight_configs(n, ell, coeffs, max_weight):
 
 def all_level_coeffs(n, level):
     return [w.coeffs for w in level_weights(n, level)]
+
+
+@st.composite
+def abacus_configs(draw):
+    """Arbitrary configurations: any charges and partitions, n up to 5 and
+    ell up to 4.  About a quarter of them are descending."""
+    n = draw(st.integers(1, 5))
+    ell = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(ell):
+        parts = draw(st.lists(st.integers(1, 7), max_size=6))
+        rows.append(BeadRow(draw(st.integers(-8, 8)), P(sorted(parts, reverse=True))))
+    return AbacusConfig(n, ell, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +218,46 @@ def signature_oracle(string):
                 changed = True
                 break
     return "".join(s)
+
+
+def abacus_brackets_by_gap_scan(psi, i):
+    """The gap rule's tokens, probing every color-i gap of the joint window.
+
+    Gap g of a row gives "(" when slot g-1 is occupied and slot g is empty,
+    ")" when it is the other way round; gaps left to right, rows bottom to
+    top, payload (gap, row).  Outside the window every gap has both slots
+    occupied or both empty.
+    """
+    lo = min(r.bracket_window()[0] for r in psi.rows)
+    hi = max(r.bracket_window()[1] for r in psi.rows)
+    start = lo + ((i - lo) % psi.n)
+    tokens = []
+    for g in range(start, hi + 1, psi.n):
+        for r_idx, row in enumerate(psi.rows):
+            left = row.occupied(g - 1)
+            right = row.occupied(g)
+            if left and not right:
+                tokens.append(("(", (g, r_idx)))
+            elif right and not left:
+                tokens.append((")", (g, r_idx)))
+    return tokens
+
+
+def is_descending_by_bead_slots(psi):
+    """Descent bead by bead: row i's j-th bead at or right of row i+1's.
+
+    Row i + 1 is the extended row, so the top row is compared with the
+    bottom row shifted n slots to the left.
+    """
+    for i in range(psi.ell):
+        q, r = divmod(i + 1, psi.ell)
+        upper = psi.rows[r].shifted(-psi.n * q)
+        lower = psi.rows[i]
+        jmax = max(len(lower.partition), len(upper.partition)) + 1
+        for j in range(1, jmax + 1):
+            if lower.bead_slot(j) < upper.bead_slot(j):
+                return False
+    return True
 
 
 def greedy_left_push_moves(psi):

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from slncrystals.abacus import (
     AbacusConfig,
@@ -21,9 +23,10 @@ from slncrystals.abacus import (
     weight,
 )
 from slncrystals.crystal import f_abacus
-from slncrystals.partitions import Partition
+from slncrystals.partitions import BeadRow, Partition, partitions_up_to
 
 from helpers import (
+    abacus_configs,
     all_level_coeffs,
     config,
     descending_configs,
@@ -31,6 +34,7 @@ from helpers import (
     fig9,
     fig10,
     greedy_left_push_moves,
+    is_descending_by_bead_slots,
 )
 
 P = Partition
@@ -67,6 +71,23 @@ def test_descent_broken_by_one_move():
     top = psi.rows[3]
     psi = psi.replace_row(3, top.move_bead(1, 6))
     assert not is_descending(psi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_is_descending_matches_bead_slot_oracle(psi):
+    assert is_descending(psi) == is_descending_by_bead_slots(psi)
+
+
+@pytest.mark.parametrize("n,ell,charge,size", [(3, 2, 3, 3), (2, 3, 2, 2)])
+def test_is_descending_matches_bead_slot_oracle_exhaustively(n, ell, charge, size):
+    # every charge in [-charge, charge] and every partition of at most `size`
+    # on each row; the top row meets the bottom one through the wrap
+    lams = list(partitions_up_to(size))
+    for charges in itertools.product(range(-charge, charge + 1), repeat=ell):
+        for parts in itertools.product(lams, repeat=ell):
+            psi = AbacusConfig(n, ell, tuple(map(BeadRow, charges, parts)))
+            assert is_descending(psi) == is_descending_by_bead_slots(psi)
 
 
 def test_compactify_figure10():

@@ -104,6 +104,47 @@ def test_convert_malformed_path_exit_2(deviations, weight):
     assert rc == 2 and out == "" and "error" in err
 
 
+def _rows(*rows):
+    return {"n": 3, "ell": 2, "rows": [{"charge": c, "parts": p} for c, p in rows]}
+
+
+def _path(weight, deviations):
+    return {"n": 3, "ell": 2, "weight": weight, "deviations": deviations}
+
+
+@pytest.mark.parametrize(
+    "src,data",
+    [
+        ("abacus", _rows((0.7, [1.5]), (0, []))),  # used to run as charge 0, [1]
+        ("abacus", _rows((0, [1.0]), (0, []))),
+        ("abacus", _rows((True, []), (0, []))),
+        ("abacus", _rows(("1", []), (0, []))),
+        ("abacus", _rows((0, "21"), (0, []))),
+        ("abacus", dict(_rows((0, []), (0, [])), n=3.0)),
+        ("abacus", dict(_rows((0, []), (0, [])), ell=True)),
+        ("partition", [2, 1.0]),
+        ("partition", [True]),
+        ("partition", "21"),
+        ("cpp", {"n": 3, "ell": 2, "profile": [0, 0.5], "rows": [[], []]}),
+        ("cpp", {"n": 3, "ell": 2, "profile": [0, False], "rows": [[], []]}),
+        ("cpp", {"n": 3, "ell": 2, "profile": [0, 0], "rows": [[1.0], []]}),
+        ("cpp", {"n": 3, "ell": 2.0, "profile": [0, 0], "rows": [[], []]}),
+        ("path", _path([2, 0, 0.0], {})),
+        ("path", _path([2, 0, False], {})),
+        ("path", _path("200", {})),
+        ("path", _path([2, 0, 0], {"1": [0, 1.0]})),
+        ("path", _path([2, 0, 0], {"1": [0, True]})),
+        ("path", _path([2, 0, 0], {"1": "01"})),
+        ("path", _path([2, 0, 0], [[0, 1]])),  # used to raise AttributeError
+        ("path", dict(_path([2, 0, 0], {}), n=3.5)),
+    ],
+)
+def test_convert_non_integer_json_exit_2(src, data):
+    argv = ["convert", src, "abacus", "--n", "3", "--ell", "2"]
+    rc, out, err = run_cli(argv, stdin=json.dumps(data))
+    assert rc == 2 and out == "" and "error" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,6 +11,7 @@ from slncrystals.abacus import (
 )
 from slncrystals.crystal import (
     AffineWeight,
+    abacus_brackets,
     crystal_graph,
     descending_brackets,
     e_abacus,
@@ -29,6 +30,8 @@ from slncrystals.abacus import AbacusConfig, loosen
 
 from helpers import (
     FIG2,
+    abacus_brackets_by_gap_scan,
+    abacus_configs,
     all_level_coeffs,
     config,
     descending_configs,
@@ -163,8 +166,6 @@ def test_descending_rule_rejects_non_descending():
 
 def test_gap_rule_window_is_exhaustive():
     # no brackets exist outside the scanned slot window
-    from slncrystals.crystal import abacus_brackets
-
     for cfg in descending_configs(3, 2, (1, 1, 0), 4):
         lo = min(r.bracket_window()[0] for r in cfg.rows)
         hi = max(r.bracket_window()[1] for r in cfg.rows)
@@ -174,6 +175,36 @@ def test_gap_rule_window_is_exhaustive():
         for i in range(3):
             tokens = abacus_brackets(cfg, i)
             assert all(lo <= g <= hi for _, (g, _) in tokens)
+
+
+GAP_RULE_PAIRS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (3, 4)]
+
+
+def _assert_gap_rule_matches_scan(cfg):
+    for i in range(cfg.n):
+        assert abacus_brackets(cfg, i) == abacus_brackets_by_gap_scan(cfg, i)
+
+
+@pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
+def test_gap_rule_matches_scan_on_crystal_graph(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        graph = crystal_graph(highest_weight_config(coeffs, n, ell), 7)
+        for layer in graph.layers:
+            for cfg in layer:
+                _assert_gap_rule_matches_scan(cfg)
+
+
+@pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
+def test_gap_rule_matches_scan_on_descending(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, 5):
+            _assert_gap_rule_matches_scan(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_gap_rule_matches_scan_on_arbitrary_configs(cfg):
+    _assert_gap_rule_matches_scan(cfg)
 
 
 def test_f_partition_figure3():
