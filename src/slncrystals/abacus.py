@@ -147,6 +147,26 @@ def weight(psi):
     return sum(r.partition.size for r in psi.rows)
 
 
+def _fits(psi, k, m):
+    """True iff bead set k, moved m extended rows down, lies strictly right
+    of bead set k+1: the k-th bead of extended row i + m is right of the
+    (k+1)-st bead of row i, for every row i."""
+    return all(
+        psi.bead_position(i + m, k) > psi.bead_position(i, k + 1)
+        for i in range(psi.ell)
+    )
+
+
+def _shift_bead_set(psi, k, m):
+    """Move bead set k m extended rows down: row i takes the k-th bead of
+    extended row i + m (m < 0 moves it up)."""
+    rows = tuple(
+        row.move_bead(k, psi.bead_position(i + m, k) - row.bead_slot(k))
+        for i, row in enumerate(psi.rows)
+    )
+    return AbacusConfig(psi.n, psi.ell, rows)
+
+
 def tighten(psi, k):
     """Slide the k-th bead of every row down one row, or None if blocked.
 
@@ -155,36 +175,25 @@ def tighten(psi, k):
     """
     if k < 1:
         raise ValueError("bead index must be positive")
-    for i in range(psi.ell):
-        if psi.bead_position(i + 1, k) <= psi.bead_position(i, k + 1):
-            return None
-    return _set_bead_column(psi, k, [psi.bead_position(i + 1, k) for i in range(psi.ell)])
+    return _shift_bead_set(psi, k, 1) if _fits(psi, k, 1) else None
 
 
 def loosen(psi, k):
-    """Slide the k-th bead of every row up one row; inverse of tighten."""
+    """Slide the k-th bead of every row up one row; inverse of tighten.
+
+    Defined when each row's incoming bead stays strictly left of that row's
+    (k-1)-st bead, i.e. when bead set k-1 fits one row down.
+    """
     if k < 1:
         raise ValueError("bead index must be positive")
-    for i in range(psi.ell):
-        if k > 1 and psi.bead_position(i - 1, k) >= psi.bead_position(i, k - 1):
-            return None
-    return _set_bead_column(psi, k, [psi.bead_position(i - 1, k) for i in range(psi.ell)])
-
-
-def _set_bead_column(psi, k, new_slots):
-    rows = []
-    for i, row in enumerate(psi.rows):
-        delta = new_slots[i] - row.bead_slot(k)
-        rows.append(row.move_bead(k, delta))
-    return AbacusConfig(psi.n, psi.ell, tuple(rows))
+    if k > 1 and not _fits(psi, k - 1, 1):
+        return None
+    return _shift_bead_set(psi, k, -1)
 
 
 def is_tight(psi):
     """True iff no tighten(psi, k) is possible."""
-    for k in range(1, psi.max_bead_index() + 2):
-        if tighten(psi, k) is not None:
-            return False
-    return True
+    return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 2))
 
 
 def highest_weight(psi0):
@@ -227,31 +236,23 @@ def highest_weight_config(w, n, ell):
 def gamma(psi):
     """The tight configuration reached by exhausting the tightening moves.
 
-    Bead sets are processed from the vacuum end toward the rightmost bead;
-    the result is independent of the order (asserted in the test suite).
+    Bead sets are processed from the vacuum end toward the rightmost bead,
+    each moved down by its slack in one shift; the result is independent of
+    the order (asserted in the test suite).
     """
     if not is_descending(psi):
         raise ValueError("gamma needs a descending configuration")
     for k in range(psi.max_bead_index() + 1, 0, -1):
-        while True:
-            nxt = tighten(psi, k)
-            if nxt is None:
-                break
-            psi = nxt
+        psi = _shift_bead_set(psi, k, slack(psi, k))
     return psi
 
 
 def slack(psi, j):
     """How many times tighten(-, j) applies before hitting the (j+1)-st beads."""
     m = 0
-    while True:
-        ok = all(
-            psi.bead_position(i + m + 1, j) > psi.bead_position(i, j + 1)
-            for i in range(psi.ell)
-        )
-        if not ok:
-            return m
+    while _fits(psi, j, m + 1):
         m += 1
+    return m
 
 
 def lambda_part(psi):
@@ -282,10 +283,10 @@ def recombine(gamma_cfg, lam):
     lam = Partition(lam)
     psi = gamma_cfg
     for j in range(1, len(lam) + 1):
-        for _ in range(lam.part(j)):
-            psi = loosen(psi, j)
-            if psi is None:
-                raise AssertionError("loosening blocked; invalid slack partition")
+        # loosen(-, j) applies lam_j times iff set j-1 fits lam_j rows down
+        if j > 1 and not _fits(psi, j - 1, lam.part(j)):
+            raise AssertionError("loosening blocked; invalid slack partition")
+        psi = _shift_bead_set(psi, j, -lam.part(j))
     return psi
 
 

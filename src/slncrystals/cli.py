@@ -52,7 +52,7 @@ def _read_json(args):
         raise InputError("bad JSON input: %s" % err)
 
 
-def _load_model(model, data, args):
+def _load_model(model, data):
     try:
         if model == "partition":
             return Partition.from_json(data)
@@ -60,11 +60,9 @@ def _load_model(model, data, args):
             return AbacusConfig.from_json(data)
         if model == "cpp":
             return cylindric.CylindricPlanePartition.from_json(data)
-        if model == "path":
-            return kyoto.Path.from_json(data)
+        return kyoto.Path.from_json(data)
     except (KeyError, TypeError, ValueError) as err:
         raise InputError("input does not parse as %s: %s" % (model, err))
-    raise InputError("unknown model %r" % model)
 
 
 def _to_abacus_form(model, obj, args):
@@ -73,49 +71,37 @@ def _to_abacus_form(model, obj, args):
     if model == "partition":
         return AbacusConfig(args.n, args.ell, ell_quotient(obj, args.ell))
     if model == "cpp":
-        if not cylindric.is_valid_cpp(obj):
-            raise ValidationError("not a valid cylindric plane partition")
         return cylindric.to_abacus(obj)
-    if model == "path":
-        return kyoto.from_path(obj)
-    raise InputError("unknown model %r" % model)
+    return kyoto.from_path(obj)
 
 
-def _from_abacus_form(model, psi, args):
+def _from_abacus_form(model, psi):
     if model == "abacus":
         return psi.to_json()
     if model == "partition":
-        if sum(r.charge for r in psi.rows) != 0:
-            raise ValidationError("total charge nonzero; no partition image")
         return combine_quotient(psi.rows, psi.ell).to_json()
     if model == "cpp":
-        if not abacus.is_descending(psi):
-            raise ValidationError("abacus configuration is not descending")
         return cylindric.from_abacus(psi).to_json()
-    if model == "path":
-        if not (abacus.is_descending(psi) and abacus.is_tight(psi)):
-            raise ValidationError("abacus configuration is not tight descending")
-        return kyoto.to_path(psi).to_json()
-    raise InputError("unknown model %r" % model)
+    return kyoto.to_path(psi).to_json()
 
 
 def cmd_convert(args):
-    data = _read_json(args)
-    obj = _load_model(args.src, data, args)
-    psi = _to_abacus_form(args.src, obj, args)
-    if args.rotate_colors:
-        # relabel which gap carries color 0 by shifting every row
-        psi = AbacusConfig(
-            psi.n, psi.ell, tuple(r.shifted(args.rotate_colors) for r in psi.rows)
-        )
-    if args.dst == "cpp" and args.format == "text":
-        if not abacus.is_descending(psi):
-            raise ValidationError("abacus configuration is not descending")
-        sys.stdout.write(cylindric.render_text(cylindric.from_abacus(psi)))
-        return 0
-    out = _from_abacus_form(args.dst, psi, args)
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
+    obj = _load_model(args.src, _read_json(args))
+    # the library checks each conversion's precondition and raises ValueError
+    try:
+        psi = _to_abacus_form(args.src, obj, args)
+        if args.rotate_colors:
+            # relabel which gap carries color 0 by shifting every row
+            psi = AbacusConfig(
+                psi.n, psi.ell, tuple(r.shifted(args.rotate_colors) for r in psi.rows)
+            )
+        if args.dst == "cpp" and args.format == "text":
+            out = cylindric.render_text(cylindric.from_abacus(psi))
+        else:
+            out = json.dumps(_from_abacus_form(args.dst, psi)) + "\n"
+    except ValueError as err:
+        raise ValidationError(err)
+    sys.stdout.write(out)
     return 0
 
 

@@ -1,10 +1,11 @@
 """Crystal operators on partitions and abacus configurations.
 
-All three bracket rules live here: the gap rule on arbitrary abacus
-configurations, the grouped bead-set rule on descending configurations,
-and the column rule on partitions.  Each builds a string of brackets,
-cancels matched "()" pairs, and acts at the first uncanceled "(" (for a
-lowering move) or the last uncanceled ")" (for a raising move).
+All the bracket rules live here: the gap rule on arbitrary abacus
+configurations, the signature rule on bead sets (the grouped rule on
+descending configurations, and the path rule in kyoto), and the column
+rule on partitions.  Each builds a string of brackets, cancels matched "()"
+pairs, and acts at the first uncanceled "(" (for a lowering move) or the
+last uncanceled ")" (for a raising move).
 """
 
 from __future__ import annotations
@@ -135,74 +136,72 @@ def e_abacus(psi, i):
 
 
 # ---------------------------------------------------------------------------
-# grouped rule on descending configurations
-
-VIRTUAL = "tail"
+# signature rule on bead sets: descending configurations and paths
 
 
-def descending_brackets(psi, i):
-    """Tokens of the grouped rule; payload is the bead-set index k.
+def column_brackets(columns, i, n):
+    """Tokens of the signature rule on bead sets; payload is the set index k.
 
-    Block k contributes ")" for each k-th bead on a slot congruent to i and
-    "(" for each on a slot congruent to i-1, blocks listed from the vacuum
-    side in.  The infinite compact tail beyond the last displaced bead
-    collapses to a run of "(" belonging to the first untouched bead set;
-    those tokens carry the payload (VIRTUAL, k).  Widening the window by
-    whole blocks does not change the outcome (checked in the tests).
+    `columns` lists (k, residues) from the vacuum side in, each residue read
+    mod n.  Column k gives ")" for each residue congruent to i, then "(" for
+    each congruent to i-1.  The first column stands for the untouched tail
+    beyond the last displaced set.  There the ")" of each column cancel the
+    "(" of the column beyond it, so the first column gives only its "(".
+    Widening the window by whole columns does not change the outcome
+    (checked in the tests).
     """
-    n = psi.n
-    kmax = psi.max_bead_index()
-    virtual_k = kmax + 1
+    i %= n
     tokens = []
-    v = sum(
-        1
-        for r in range(psi.ell)
-        if psi.bead_position(r, virtual_k) % n == (i - 1) % n
-    )
-    tokens.extend([("(", (VIRTUAL, virtual_k))] * v)
-    for k in range(kmax, 0, -1):
-        slots = [psi.bead_position(r, k) for r in range(psi.ell)]
-        n_close = sum(1 for s in slots if s % n == i % n)
-        n_open = sum(1 for s in slots if s % n == (i - 1) % n)
-        tokens.extend([(")", k)] * n_close)
-        tokens.extend([("(", k)] * n_open)
+    for c, (k, residues) in enumerate(columns):
+        if c:
+            tokens += [(")", k)] * sum(1 for r in residues if r % n == i)
+        tokens += [("(", k)] * sum(1 for r in residues if (r + 1) % n == i)
     return tokens
 
 
-def _bead_set(psi, k):
-    """Beads of the k-th set as (slot, row), in column order bottom-up."""
-    return sorted((psi.bead_position(r, k), r) for r in range(psi.ell))
+def descending_brackets(psi, i):
+    """The grouped rule: column k holds the slots of the k-th beads, one
+    per row, for bead sets kmax+1 (the tail) down to 1."""
+    kmax = psi.max_bead_index()
+    columns = [
+        (k, [row.bead_slot(k) for row in psi.rows]) for k in range(kmax + 1, 0, -1)
+    ]
+    return column_brackets(columns, i, psi.n)
 
 
 def f_descending(psi, i):
-    """Lowering via the grouped bead-set rule (descending configurations)."""
+    """Lowering via the grouped bead-set rule (descending configurations).
+
+    Advances, in the set of the first uncanceled "(", the leftmost bead on a
+    slot of color i-1 (the bottom one of a tie).
+    """
     if not is_descending(psi):
         raise ValueError("f_descending needs a descending configuration")
-    sig = signature_reduce(descending_brackets(psi, i))
-    if sig.first_open is None:
+    k = signature_reduce(descending_brackets(psi, i)).first_open
+    if k is None:
         return None
-    k = sig.first_open
-    if isinstance(k, tuple):
-        k = k[1]
-    beads = [(s, r) for s, r in _bead_set(psi, k) if s % psi.n == (i - 1) % psi.n]
-    s, r = beads[0]
-    return _move_bead_index(psi, r, k, +1)
+    return _move_kth_bead(psi, k, i - 1, +1, min)
 
 
 def e_descending(psi, i):
-    """Raising via the grouped bead-set rule (descending configurations)."""
+    """Raising via the grouped bead-set rule (descending configurations).
+
+    Retracts, in the set of the last uncanceled ")", the rightmost bead on a
+    slot of color i (the top one of a tie).
+    """
     if not is_descending(psi):
         raise ValueError("e_descending needs a descending configuration")
-    sig = signature_reduce(descending_brackets(psi, i))
-    if sig.last_close is None:
+    k = signature_reduce(descending_brackets(psi, i)).last_close
+    if k is None:
         return None
-    k = sig.last_close
-    beads = [(s, r) for s, r in _bead_set(psi, k) if s % psi.n == i % psi.n]
-    s, r = beads[-1]
-    return _move_bead_index(psi, r, k, -1)
+    return _move_kth_bead(psi, k, i, -1, max)
 
 
-def _move_bead_index(psi, r, k, delta):
+def _move_kth_bead(psi, k, color, delta, pick):
+    """Move by delta the k-th bead that `pick` chooses by (slot, row) among
+    those on a slot of the given color."""
+    beads = [(row.bead_slot(k), r) for r, row in enumerate(psi.rows)]
+    _, r = pick(b for b in beads if (b[0] - color) % psi.n == 0)
     return psi.replace_row(r, psi.rows[r].move_bead(k, delta))
 
 

@@ -26,10 +26,6 @@ class CylindricPlanePartition:
         if len(self.profile) != self.ell or len(self.rows) != self.ell:
             raise ValueError("profile and rows must have length ell")
 
-    def defined(self, i, j):
-        q, r = divmod(i, self.ell)
-        return j + q * self.n >= self.profile[r]
-
     def entry(self, i, j):
         """The entry at diagonal i, column j (0 on defined empty cells)."""
         q, r = divmod(i, self.ell)

@@ -15,13 +15,17 @@ mod n] copies of each value v in b_k.
 
 to_path is the crystal isomorphism sending a tight descending abacus
 configuration to the path whose k-th element collects the residues of the
-k-th beads, one per row.  from_path inverts it directly, one bead set at a
-time from the vacuum in: bead set k is the weakly decreasing run of the
-integers with the residues of b_k, placed as low as tightness allows.
+k-th beads, one per row; so the tensor product rule is the bead-set rule
+crystal.column_brackets.  Its domain is the crystal of
+highest_weight_config(w): charges weakly decreasing in [0, n) from the
+bottom row up.  from_path inverts it directly, one bead set at a time from
+the vacuum in: bead set k is the weakly decreasing run of the integers with
+the residues of b_k, placed as low as tightness allows.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .abacus import (
@@ -33,7 +37,7 @@ from .abacus import (
     is_descending,
     is_tight,
 )
-from .crystal import signature_reduce
+from .crystal import column_brackets, signature_reduce
 from .partitions import BeadRow, Partition, _json_int, _json_ints
 
 
@@ -129,6 +133,8 @@ class Path:
         if not isinstance(deviations, dict):
             raise ValueError("deviations must be an object, not %r" % (deviations,))
         for k, v in deviations.items():
+            if not re.fullmatch("[0-9]+", k):
+                raise ValueError("path position %r is not a decimal integer" % k)
             k, e = int(k), PerfectElem(_json_ints(v, "a path element"))
             if k < 1 or len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
                 raise ValueError(
@@ -159,22 +165,15 @@ def ground_state_path(w, n, ell):
 
 
 def path_brackets(path, i):
-    """Bracket tokens for the signature rule, rightmost factor last.
+    """Bracket tokens of the signature rule, rightmost factor last.
 
-    The untouched ground tail collapses to a run of "(" owned by the first
-    ground position beyond the window; widening the window by whole
-    positions does not change any outcome (checked in the tests).
+    The bead-set rule read on b_{K+1}, ..., b_1 (K the last deviation):
+    b_k gives ")" per entry i and "(" per entry i-1, its eps_i and phi_i,
+    and the ground tail collapses to the "(" of b_{K+1}.
     """
     K = path.last_position()
-    n = path.n
-    tokens = []
-    eps, phi = eps_phi_perfect(path.ground(K + 1), n)
-    tokens.extend([("(", K + 1)] * phi.coeffs[i % n])
-    for k in range(K, 0, -1):
-        eps, phi = eps_phi_perfect(path.element(k), n)
-        tokens.extend([(")", k)] * eps.coeffs[i % n])
-        tokens.extend([("(", k)] * phi.coeffs[i % n])
-    return tokens
+    columns = [(k, path.element(k).entries) for k in range(K + 1, 0, -1)]
+    return column_brackets(columns, i, path.n)
 
 
 def _with_element(path, k, elem):
@@ -208,10 +207,20 @@ def eps_phi_path(path, i):
 
 
 def to_path(psi):
-    """The path whose k-th element lists the k-th bead residues of psi."""
+    """The path whose k-th element lists the k-th bead residues of psi.
+
+    psi must be tight, descending and have the charges of the
+    highest_weight_config of its weight, the configurations from_path gives.
+    """
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
     w = highest_weight(compactify(psi))
+    charges = highest_weight_config(w, psi.n, psi.ell).charges()
+    if psi.charges() != charges:
+        raise ValueError(
+            "to_path needs the charges %s of highest_weight_config(%s), not %s"
+            % (charges, w, psi.charges())
+        )
     kmax = psi.max_bead_index()
     devs = []
     for k in range(1, kmax + 1):

@@ -16,7 +16,6 @@ from slncrystals.abacus import (
     enumerate_tight,
     highest_weight_config,
 )
-from slncrystals.crystal import VIRTUAL
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_up_to
 from slncrystals.qseries import level_weights
@@ -337,7 +336,7 @@ def descending_tokens_widened(psi, i, extra):
 
     Read straight off bead_position: block k gives ")" per k-th bead on a
     slot congruent to i and "(" per one congruent to i-1; the set beyond
-    the window gives its "(" only, with the tail payload.
+    the window gives its "(" only.  The payload is k throughout.
     """
     n = psi.n
 
@@ -347,7 +346,7 @@ def descending_tokens_widened(psi, i, extra):
         )
 
     kmax = psi.max_bead_index() + extra
-    tokens = [("(", (VIRTUAL, kmax + 1))] * count(kmax + 1, i - 1)
+    tokens = [("(", kmax + 1)] * count(kmax + 1, i - 1)
     for k in range(kmax, 0, -1):
         tokens += [(")", k)] * count(k, i) + [("(", k)] * count(k, i - 1)
     return tokens

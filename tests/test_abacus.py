@@ -19,6 +19,7 @@ from slncrystals.abacus import (
     loosen,
     recombine,
     right_moves,
+    slack,
     tighten,
     weight,
 )
@@ -143,6 +144,17 @@ def test_is_tight_agrees_with_scan():
         kmax = cfg.max_bead_index() + 3
         expect = all(tighten(cfg, k) is None for k in range(1, kmax + 1))
         assert is_tight(cfg) == expect
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (3, 4)])
+def test_slack_counts_successive_tightenings(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, 5):
+            for j in range(1, cfg.max_bead_index() + 3):
+                steps, cur = 0, tighten(cfg, j)
+                while cur is not None:
+                    steps, cur = steps + 1, tighten(cur, j)
+                assert slack(cfg, j) == steps
 
 
 def test_highest_weight_figure9():

@@ -96,6 +96,10 @@ def test_convert_validation_error_exit_3():
         ({"0": [0, 1]}, [2, 0, 0]),  # positions start at 1
         ({"-2": [0, 1]}, [2, 0, 0]),
         ({}, [2, 0]),  # a weight with other than n coefficients
+        ({"1_0": [0, 1]}, [2, 0, 0]),  # int() reads these four as integers
+        ({" +3 ": [0, 1]}, [2, 0, 0]),
+        ({"+1": [0, 1]}, [2, 0, 0]),
+        ({"\u0663": [0, 1]}, [2, 0, 0]),  # an Arabic-Indic digit three
     ],
 )
 def test_convert_malformed_path_exit_2(deviations, weight):
@@ -143,6 +147,33 @@ def test_convert_non_integer_json_exit_2(src, data):
     argv = ["convert", src, "abacus", "--n", "3", "--ell", "2"]
     rc, out, err = run_cli(argv, stdin=json.dumps(data))
     assert rc == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "data,rotate",
+    [
+        (_rows((1, [1]), (-1, [1])), 0),  # charges outside [0, n)
+        (_rows((3, [1]), (0, [2, 1])), 0),
+        (fig10().to_json(), 1),  # charges 2, 1, 1, 0 rotated to 3, 2, 2, 1
+        (fig10().to_json(), 3),
+    ],
+)
+def test_convert_to_path_outside_its_domain_exit_3(data, rotate):
+    # tight descending, but not in the crystal of highest_weight_config: the
+    # path would not convert back to the same configuration
+    argv = ["convert", "abacus", "path", "--rotate-colors", str(rotate)]
+    rc, out, err = run_cli(argv, stdin=json.dumps(data))
+    assert rc == 3 and out == "" and "charges" in err
+
+
+def test_convert_to_path_rotated_roundtrip():
+    data = _rows((1, [1, 1]), (0, [1]))  # charges 1, 0 rotated to 2, 1
+    rc, out, _ = run_cli(
+        ["convert", "abacus", "path", "--rotate-colors", "1"], stdin=json.dumps(data)
+    )
+    assert rc == 0
+    rc, back, _ = run_cli(["convert", "path", "abacus"], stdin=out)
+    assert rc == 0 and json.loads(back) == _rows((2, [1, 1]), (1, [1]))
 
 
 @pytest.mark.parametrize(

@@ -146,12 +146,7 @@ def test_descending_bracket_window_stability():
             for extra in (3, 6):
                 wide = signature_reduce(descending_tokens_widened(cfg, i, extra))
                 assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
-                if base.first_open is not None:
-                    k0 = base.first_open
-                    k1 = wide.first_open
-                    k0 = k0[1] if isinstance(k0, tuple) else k0
-                    k1 = k1[1] if isinstance(k1, tuple) else k1
-                    assert k0 == k1
+                assert base.first_open == wide.first_open
                 assert base.last_close == wide.last_close
 
 

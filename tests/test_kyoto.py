@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from slncrystals.abacus import highest_weight_config, is_descending, is_tight
+from slncrystals.abacus import (
+    compactify,
+    enumerate_tight,
+    highest_weight,
+    highest_weight_config,
+    is_descending,
+    is_tight,
+)
 from slncrystals.crystal import e_abacus, f_abacus
 from slncrystals.kyoto import (
     Path,
@@ -23,6 +30,7 @@ from slncrystals.crystal import signature_reduce
 from helpers import (
     all_level_coeffs,
     all_perfect_elems,
+    config,
     fig9,
     fig10,
     path_tokens_widened,
@@ -115,6 +123,27 @@ def test_J_requires_tight():
     # figure 10 belongs to the irreducible crystal, so it is in the domain
     p = to_path(fig10())
     assert from_path(p) == fig10()
+
+
+@pytest.mark.parametrize("charges,count", [((1, -1), 41), ((3, 0), 28)])
+def test_to_path_rejects_charges_from_path_cannot_give(charges, count):
+    # tight configurations of n = 3, ell = 2 whose vacuum is not
+    # highest_weight_config's: the path of their bead residues does not
+    # lead back to them, so to_path rejects them
+    tight = list(enumerate_tight(config(3, 2, *((c, ()) for c in charges)), 5))
+    assert len(tight) == count
+    for psi in tight:
+        w = highest_weight(compactify(psi))
+        residues = {
+            str(k): sorted(psi.bead_position(r, k) % 3 for r in range(2))
+            for k in range(1, psi.max_bead_index() + 1)
+        }
+        p = Path.from_json(
+            {"n": 3, "ell": 2, "weight": list(w.coeffs), "deviations": residues}
+        )
+        assert from_path(p) != psi
+        with pytest.raises(ValueError, match="charges"):
+            to_path(psi)
 
 
 def test_path_brackets_match_descending_brackets():
