@@ -17,7 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .partitions import BeadRow, Partition, _json_int, partitions_of
+from .partitions import (
+    BeadRow,
+    Partition,
+    _json_int,
+    add_ribbon,
+    partitions_of,
+    remove_ribbon,
+)
 
 
 @dataclass(frozen=True)
@@ -206,10 +213,26 @@ def highest_weight(psi0):
         raise ValueError("configuration is not compact")
     if not is_descending(psi0):
         raise ValueError("configuration is not descending")
-    m = [0] * psi0.n
-    for r in psi0.rows:
-        m[r.charge % psi0.n] += 1
+    return _charge_weight(psi0.charges(), psi0.n)
+
+
+def _charge_weight(charges, n):
+    """The dominant weight whose m_i counts the charges congruent to i."""
+    m = [0] * n
+    for c in charges:
+        m[c % n] += 1
     return DominantWeight(tuple(m))
+
+
+def _level_coeffs(w, n, ell):
+    """The coefficients of w, a DominantWeight or a sequence, checked to be
+    n of them, of level ell."""
+    coeffs = w.coeffs if isinstance(w, DominantWeight) else tuple(w)
+    if len(coeffs) != n:
+        raise ValueError("weight has %d coefficients, expected %d" % (len(coeffs), n))
+    if sum(coeffs) != ell:
+        raise ValueError("weight level %d does not match ell=%d" % (sum(coeffs), ell))
+    return coeffs
 
 
 def highest_weight_config(w, n, ell):
@@ -218,16 +241,8 @@ def highest_weight_config(w, n, ell):
     Charges are the residues of the weight, with multiplicity, sorted in
     decreasing order from the bottom row up.
     """
-    if isinstance(w, DominantWeight):
-        coeffs = w.coeffs
-    else:
-        coeffs = tuple(w)
-    if len(coeffs) != n:
-        raise ValueError("weight has %d coefficients, expected %d" % (len(coeffs), n))
-    if sum(coeffs) != ell:
-        raise ValueError("weight level %d does not match ell=%d" % (sum(coeffs), ell))
     charges = []
-    for i, m in enumerate(coeffs):
+    for i, m in enumerate(_level_coeffs(w, n, ell)):
         charges.extend([i] * m)
     charges.sort(reverse=True)
     return AbacusConfig(n, ell, tuple(BeadRow.vacuum(c) for c in charges))
@@ -300,18 +315,12 @@ def gl_move(psi, p, direction):
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     lam = lambda_part(psi)
-    row = BeadRow(0, lam)
-    if direction == "down":
-        src, dst = p + 1, p
-    else:
-        src, dst = p, p + 1
-    if not row.occupied(src) or row.occupied(dst):
+    move = remove_ribbon if direction == "down" else add_ribbon
+    try:
+        lam = move(lam, 1, p + 1)
+    except ValueError:
         return None
-    j = 1
-    while row.bead_slot(j) != src:
-        j += 1
-    new_row = row.move_bead(j, dst - src)
-    return recombine(gamma(psi), new_row.partition)
+    return recombine(gamma(psi), lam)
 
 
 def enumerate_descending(psi0, max_weight):

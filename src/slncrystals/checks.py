@@ -98,10 +98,8 @@ def rank_level(w, nmax):
     n, ell = w.n, w.level
     if n < 2 or ell < 2:
         raise ValueError("rank-level duality needs n, ell >= 2")
-    lhs = qseries.dimq_crystal(w, n, ell, nmax) * qseries.euler_inverse(n, nmax)
     dual = cylindric.dual_weight(w, n, ell)
-    rhs = qseries.dimq_crystal(dual, ell, n, nmax) * qseries.euler_inverse(ell, nmax)
-    if lhs != rhs:
+    if qseries.Z_rep(w, n, ell, nmax) != qseries.Z_rep(dual, ell, n, nmax):
         return "rank-level duality fails for %s" % w
     return None
 
@@ -111,8 +109,7 @@ def level_one(w, nmax):
     n = w.n
     if n < 2 or w.level != 1:
         raise ValueError("the level-one identity needs n >= 2 and a level-1 weight")
-    lhs = qseries.dimq_crystal(w, n, 1, nmax) * qseries.euler_inverse(n, nmax)
-    if lhs != qseries.euler_inverse(1, nmax):
+    if qseries.Z_rep(w, n, 1, nmax) != qseries.euler_inverse(1, nmax):
         return "level-one identity fails for %s" % w
     return None
 

@@ -61,7 +61,11 @@ def _load_model(model, data):
         if model == "cpp":
             return cylindric.CylindricPlanePartition.from_json(data)
         return kyoto.Path.from_json(data)
-    except (KeyError, TypeError, ValueError) as err:
+    except KeyError as err:
+        raise InputError(
+            "input does not parse as %s: missing field %r" % (model, err.args[0])
+        )
+    except (TypeError, ValueError) as err:
         raise InputError("input does not parse as %s: %s" % (model, err))
 
 

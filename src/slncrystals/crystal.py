@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .abacus import is_descending
-from .partitions import BeadRow, Partition, add_ribbon, remove_ribbon
+from .partitions import add_ribbon, addable_ribbons, remove_ribbon, removable_ribbons
 
 
 @dataclass(frozen=True)
@@ -215,21 +215,10 @@ def partition_brackets(lam, i, n, ell):
     Boxes above column k are colored by floor(k / ell) mod n.  "(" marks an
     addable ell-ribbon with rightmost column k, ")" a removable one.
     """
-    lam = Partition(lam)
-    row = BeadRow(0, lam)
-    lo = -len(lam) - ell - 1
-    hi = lam.part(1) + ell + 1
-    tokens = []
-    for k in range(lo, hi + 1):
-        if (k // ell) % n != i % n:
-            continue
-        src = row.occupied(k - ell)
-        dst = row.occupied(k)
-        if src and not dst:
-            tokens.append(("(", k))
-        elif dst and not src:
-            tokens.append((")", k))
-    return tokens
+    tokens = [("(", k) for k in addable_ribbons(lam, ell)]
+    tokens += [(")", k) for k in removable_ribbons(lam, ell)]
+    tokens = [t for t in tokens if (t[1] // ell) % n == i % n]
+    return sorted(tokens, key=itemgetter(1))
 
 
 def f_partition(lam, i, n, ell):

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abacus import AbacusConfig, DominantWeight, is_descending
+from .abacus import (
+    AbacusConfig,
+    DominantWeight,
+    _charge_weight,
+    _level_coeffs,
+    is_descending,
+)
 from .partitions import BeadRow, Partition, _json_int, _json_ints
 
 
@@ -105,10 +111,7 @@ def to_abacus(pi):
 
 def hw_of_cpp(pi):
     """m_i counts the diagonals whose first entry lies on a column = i mod n."""
-    m = [0] * pi.n
-    for p in pi.profile:
-        m[p % pi.n] += 1
-    return DominantWeight(tuple(m))
+    return _charge_weight(pi.profile, pi.n)
 
 
 def cpp_weight(pi):
@@ -270,9 +273,7 @@ def dual_weight(w, n, ell):
     For w = sum c_i Lambda_i of level ell, the dual collects one fundamental
     weight Lambda'_{c_i + c_{i+1} + ... + c_{n-1}} per i, indices mod ell.
     """
-    coeffs = w.coeffs if isinstance(w, DominantWeight) else tuple(w)
-    if len(coeffs) != n or sum(coeffs) != ell:
-        raise ValueError("expected a level-%d weight with %d coefficients" % (ell, n))
+    coeffs = _level_coeffs(w, n, ell)
     out = [0] * ell
     for i in range(n):
         out[sum(coeffs[i:]) % ell] += 1

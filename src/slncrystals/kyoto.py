@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from .abacus import (
     AbacusConfig,
     DominantWeight,
-    compactify,
-    highest_weight,
+    _charge_weight,
+    _level_coeffs,
     highest_weight_config,
     is_descending,
     is_tight,
@@ -155,13 +155,7 @@ def _pruned_path(n, ell, w, deviations):
 
 def ground_state_path(w, n, ell):
     """The unique path with phi(b_1) = w and eps(b_k) = phi(b_{k+1})."""
-    if isinstance(w, DominantWeight):
-        coeffs = w.coeffs
-    else:
-        coeffs = tuple(w)
-    if len(coeffs) != n or sum(coeffs) != ell:
-        raise ValueError("weight needs n coefficients and level ell")
-    return Path(n, ell, DominantWeight(coeffs), ())
+    return Path(n, ell, DominantWeight(_level_coeffs(w, n, ell)), ())
 
 
 def path_brackets(path, i):
@@ -214,7 +208,7 @@ def to_path(psi):
     """
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
-    w = highest_weight(compactify(psi))
+    w = _charge_weight(psi.charges(), psi.n)
     charges = highest_weight_config(w, psi.n, psi.ell).charges()
     if psi.charges() != charges:
         raise ValueError(

@@ -9,7 +9,6 @@ and charge c occupies the slots p_j - j + c.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -129,6 +128,17 @@ class BeadRow:
                 return False
             j += 1
 
+    def beads(self, floor):
+        """The occupied slots at or above `floor`, from right to left."""
+        slots = []
+        j = 1
+        while True:
+            b = self.bead_slot(j)
+            if b < floor:
+                return slots
+            slots.append(b)
+            j += 1
+
     def shifted(self, d):
         """The same row with every bead moved d slots to the right."""
         return BeadRow(self.charge + d, self.partition)
@@ -142,12 +152,6 @@ class BeadRow:
         while parts and parts[-1] == 0:
             parts.pop()
         return BeadRow(self.charge, Partition(parts))
-
-    def bracket_window(self):
-        """A slot range [lo, hi] outside of which every gap is homogeneous."""
-        lo = self.charge - len(self.partition) - 1
-        hi = self.charge + self.partition.part(1) + 1
-        return lo, hi
 
     @classmethod
     def vacuum(cls, charge):
@@ -195,24 +199,18 @@ class BeadRow:
 
 def addable_ribbons(lam, length):
     """The rightmost column of every `length`-ribbon addable to lam."""
-    row = BeadRow(0, Partition(lam))
-    lo, hi = row.bracket_window()
-    return [
-        s + length
-        for s in range(lo - length, hi + 1)
-        if row.occupied(s) and not row.occupied(s + length)
-    ]
+    lam = Partition(lam)
+    beads = set(BeadRow(0, lam).beads(-len(lam) - length))
+    return sorted(s + length for s in beads if s + length not in beads)
 
 
 def removable_ribbons(lam, length):
     """The rightmost column of every `length`-ribbon removable from lam."""
-    row = BeadRow(0, Partition(lam))
-    lo, hi = row.bracket_window()
-    return [
-        s + length
-        for s in range(lo - length, hi + 1)
-        if not row.occupied(s) and row.occupied(s + length)
-    ]
+    lam = Partition(lam)
+    floor = -len(lam) - length
+    beads = set(BeadRow(0, lam).beads(floor))
+    # every slot below floor is occupied
+    return sorted(s for s in beads if floor <= s - length and s - length not in beads)
 
 
 def add_ribbon(lam, length, rightmost_col):
@@ -221,46 +219,30 @@ def add_ribbon(lam, length, rightmost_col):
     On the bead row this moves the bead at slot rightmost_col - length to
     slot rightmost_col.  Raises ValueError if no such ribbon can be added.
     """
-    if length < 1:
-        raise ValueError("ribbon length must be positive")
-    row = BeadRow(0, Partition(lam))
     src = rightmost_col - length
-    if not row.occupied(src) or row.occupied(rightmost_col):
-        raise ValueError(
-            "no %d-ribbon with rightmost column %d addable to %r"
-            % (length, rightmost_col, lam)
-        )
-    return _move_slot(row, src, rightmost_col).partition
+    return _ribbon_move(lam, length, src, rightmost_col, "addable to")
 
 
 def remove_ribbon(lam, length, rightmost_col):
     """Exact inverse of add_ribbon."""
+    dst = rightmost_col - length
+    return _ribbon_move(lam, length, rightmost_col, dst, "removable from")
+
+
+def _ribbon_move(lam, length, src, dst, what):
+    """Move the bead at slot src of lam's charge-0 row to the empty slot dst;
+    the ribbon between them has `length` boxes."""
     if length < 1:
         raise ValueError("ribbon length must be positive")
     row = BeadRow(0, Partition(lam))
-    src = rightmost_col - length
-    if not row.occupied(rightmost_col) or row.occupied(src):
+    floor = min(src, dst, -len(row.partition)) - 1
+    slots = set(row.beads(floor))
+    if src not in slots or dst in slots:
         raise ValueError(
-            "no %d-ribbon with rightmost column %d removable from %r"
-            % (length, rightmost_col, lam)
+            "no %d-ribbon with rightmost column %d %s %r"
+            % (length, max(src, dst), what, lam)
         )
-    return _move_slot(row, rightmost_col, src).partition
-
-
-def _move_slot(row, src, dst):
-    """Move the bead at slot src to the empty slot dst (same row)."""
-    floor = min(row.charge - len(row.partition), src, dst) - 1
-    slots = set()
-    j = 1
-    while True:
-        b = row.bead_slot(j)
-        if b < floor:
-            break
-        slots.add(b)
-        j += 1
-    slots.remove(src)
-    slots.add(dst)
-    return BeadRow.from_occupied(slots, floor)
+    return BeadRow.from_occupied(slots - {src} | {dst}, floor).partition
 
 
 def ell_quotient(lam, ell):
@@ -273,14 +255,12 @@ def ell_quotient(lam, ell):
     if ell < 1:
         raise ValueError("ell must be positive")
     lam = Partition(lam)
-    row0 = BeadRow(0, lam)
     lo = -(len(lam) + ell + 1)
-    hi = lam.part(1) + ell + 1
-    occupied = [s for s in range(lo, hi + 1) if row0.occupied(s)]
+    beads = BeadRow(0, lam).beads(lo)
     rows = []
     for j in range(ell):
         floor_b = (lo - j) // ell + 1
-        slots = [(s - j) // ell for s in occupied if (s - j) % ell == 0]
+        slots = [(s - j) // ell for s in beads if (s - j) % ell == 0]
         rows.append(BeadRow.from_occupied([b for b in slots if b >= floor_b], floor_b))
     return tuple(rows)
 
@@ -292,12 +272,7 @@ def combine_quotient(rows, ell):
     if sum(r.charge for r in rows) != 0:
         raise ValueError("row charges must sum to zero for a partition")
     floor_b = min(r.charge - len(r.partition) for r in rows) - 1
-    hi_b = max(r.charge + r.partition.part(1) for r in rows) + 1
-    slots = []
-    for j, row in enumerate(rows):
-        for b in range(floor_b, hi_b + 1):
-            if row.occupied(b):
-                slots.append(ell * b + j)
+    slots = [ell * b + j for j, row in enumerate(rows) for b in row.beads(floor_b)]
     row = BeadRow.from_occupied(slots, ell * floor_b)
     if row.charge != 0:
         raise ValueError("combined row has nonzero charge")
@@ -323,7 +298,3 @@ def partitions_of(m, max_part=None):
         for rest in partitions_of(m - first, first):
             yield Partition((first,) + rest.parts)
 
-
-def partitions_up_to(m):
-    """All partitions of size at most m."""
-    return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))

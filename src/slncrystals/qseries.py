@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .abacus import (
     DominantWeight,
+    _level_coeffs,
     highest_weight_config,
     right_moves,
     weight,
@@ -131,9 +132,7 @@ class Boundary:
 
 def boundary_of(w, n, ell):
     """Down-steps sit at the residues a + m_0 + ... + m_{a-1}, a = 1..n."""
-    coeffs = w.coeffs if isinstance(w, DominantWeight) else tuple(w)
-    if len(coeffs) != n or sum(coeffs) != ell:
-        raise ValueError("expected a level-%d weight with %d coefficients" % (ell, n))
+    coeffs = _level_coeffs(w, n, ell)
     N = n + ell
     b_positions = set()
     for a in range(1, n + 1):

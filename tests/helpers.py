@@ -5,6 +5,7 @@ are found by enumerating skew shapes, cores by stripping ribbons in every
 order, bracket strings by repeated substring deletion, and so on.
 """
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,10 +18,23 @@ from slncrystals.abacus import (
     highest_weight_config,
 )
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
-from slncrystals.partitions import BeadRow, Partition, partitions_up_to
+from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import level_weights
 
 P = Partition
+
+
+def partitions_up_to(m):
+    """All partitions of size at most m."""
+    return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))
+
+
+def bracket_window(row):
+    """A slot range [lo, hi] outside of which every gap of the bead row is
+    homogeneous: slots at or below lo are occupied, those at or above hi empty."""
+    lo = row.charge - len(row.partition) - 1
+    hi = row.charge + row.partition.part(1) + 1
+    return lo, hi
 
 
 def config(n, ell, *rows):
@@ -227,8 +241,8 @@ def abacus_brackets_by_gap_scan(psi, i):
     top, payload (gap, row).  Outside the window every gap has both slots
     occupied or both empty.
     """
-    lo = min(r.bracket_window()[0] for r in psi.rows)
-    hi = max(r.bracket_window()[1] for r in psi.rows)
+    lo = min(bracket_window(r)[0] for r in psi.rows)
+    hi = max(bracket_window(r)[1] for r in psi.rows)
     start = lo + ((i - lo) % psi.n)
     tokens = []
     for g in range(start, hi + 1, psi.n):
@@ -239,6 +253,29 @@ def abacus_brackets_by_gap_scan(psi, i):
                 tokens.append(("(", (g, r_idx)))
             elif right and not left:
                 tokens.append((")", (g, r_idx)))
+    return tokens
+
+
+def partition_brackets_by_column_scan(lam, i, n, ell):
+    """The column rule's tokens, probing both ends of every ribbon of the
+    window.
+
+    Column k, of color floor(k / ell) mod n, gives "(" when slot k - ell of
+    the charge-0 bead row is occupied and slot k is empty, ")" when it is
+    the other way round; payload k, columns left to right.
+    """
+    lam = P(lam)
+    row = BeadRow(0, lam)
+    tokens = []
+    for k in range(-len(lam) - ell - 1, lam.part(1) + ell + 2):
+        if (k // ell) % n != i % n:
+            continue
+        src = row.occupied(k - ell)
+        dst = row.occupied(k)
+        if src and not dst:
+            tokens.append(("(", k))
+        elif dst and not src:
+            tokens.append((")", k))
     return tokens
 
 
@@ -267,7 +304,7 @@ def greedy_left_push_moves(psi):
     """
     moves = 0
     for row in psi.rows:
-        lo, hi = row.bracket_window()  # every slot at or below lo is occupied
+        lo, hi = bracket_window(row)  # every slot at or below lo is occupied
         slots = {s for s in range(lo, hi + 1) if row.occupied(s)}
         while True:
             movable = [s for s in slots if s > lo and s - 1 not in slots]
@@ -283,7 +320,7 @@ def greedy_left_push_moves(psi):
 
 def slot_roundtrip(row):
     """The row rebuilt by from_occupied from its occupied slots in its window."""
-    lo, hi = row.bracket_window()
+    lo, hi = bracket_window(row)
     return BeadRow.from_occupied([s for s in range(lo, hi + 1) if row.occupied(s)], lo)
 
 

@@ -24,7 +24,7 @@ from slncrystals.abacus import (
     weight,
 )
 from slncrystals.crystal import f_abacus
-from slncrystals.partitions import BeadRow, Partition, partitions_up_to
+from slncrystals.partitions import BeadRow, Partition
 
 from helpers import (
     abacus_configs,
@@ -36,6 +36,7 @@ from helpers import (
     fig10,
     greedy_left_push_moves,
     is_descending_by_bead_slots,
+    partitions_up_to,
 )
 
 P = Partition

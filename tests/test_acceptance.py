@@ -45,7 +45,6 @@ from slncrystals.partitions import (
     Partition,
     add_ribbon,
     ell_quotient,
-    partitions_up_to,
 )
 from slncrystals.abacus import AbacusConfig
 from slncrystals.qseries import level_weights
@@ -58,6 +57,7 @@ from helpers import (
     descending_configs,
     fig9,
     fig10,
+    partitions_up_to,
     slot_roundtrip,
     tight_configs,
 )

@@ -150,6 +150,25 @@ def test_convert_non_integer_json_exit_2(src, data):
 
 
 @pytest.mark.parametrize(
+    "src,data,field",
+    [
+        ("abacus", {"n": 3, "ell": 2}, "rows"),
+        ("abacus", {"n": 3, "ell": 2, "rows": [{"parts": []}] * 2}, "charge"),
+        ("cpp", {"n": 3, "ell": 2, "rows": [[], []]}, "profile"),
+        ("path", {"n": 3, "ell": 2, "deviations": {}}, "weight"),
+    ],
+)
+def test_convert_missing_field_exit_2(src, data, field):
+    argv = ["convert", src, "abacus", "--n", "3", "--ell", "2"]
+    rc, out, err = run_cli(argv, stdin=json.dumps(data))
+    assert rc == 2 and out == ""
+    assert err == "error: input does not parse as %s: missing field %r\n" % (
+        src,
+        field,
+    )
+
+
+@pytest.mark.parametrize(
     "data,rotate",
     [
         (_rows((1, [1]), (-1, [1])), 0),  # charges outside [0, n)

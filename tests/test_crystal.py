@@ -22,10 +22,11 @@ from slncrystals.crystal import (
     f_descending,
     f_partition,
     graph_to_dot,
+    partition_brackets,
     signature_reduce,
     wt,
 )
-from slncrystals.partitions import Partition, ell_quotient, partitions_up_to
+from slncrystals.partitions import Partition, ell_quotient
 from slncrystals.abacus import AbacusConfig, loosen
 
 from helpers import (
@@ -33,12 +34,15 @@ from helpers import (
     abacus_brackets_by_gap_scan,
     abacus_configs,
     all_level_coeffs,
+    bracket_window,
     config,
     descending_configs,
     descending_tokens_widened,
     eps_phi_by_iteration,
     fig4,
     fig9,
+    partition_brackets_by_column_scan,
+    partitions_up_to,
     signature_oracle,
     tight_configs,
 )
@@ -162,8 +166,8 @@ def test_descending_rule_rejects_non_descending():
 def test_gap_rule_window_is_exhaustive():
     # no brackets exist outside the scanned slot window
     for cfg in descending_configs(3, 2, (1, 1, 0), 4):
-        lo = min(r.bracket_window()[0] for r in cfg.rows)
-        hi = max(r.bracket_window()[1] for r in cfg.rows)
+        lo = min(bracket_window(r)[0] for r in cfg.rows)
+        hi = max(bracket_window(r)[1] for r in cfg.rows)
         for g in list(range(lo - 6, lo)) + list(range(hi + 1, hi + 7)):
             for row in cfg.rows:
                 assert row.occupied(g - 1) == row.occupied(g)
@@ -215,6 +219,16 @@ def test_f_partition_on_empty():
         for i in range(1, n):
             assert f_partition(P(()), i, n, ell) is None
         assert e_partition(P(()), 0, n, ell) is None
+
+
+def test_partition_brackets_match_column_scan():
+    for lam in partitions_up_to(10):
+        for ell in range(1, 5):
+            for n in range(2, 5):
+                for i in range(n):
+                    assert partition_brackets(
+                        lam, i, n, ell
+                    ) == partition_brackets_by_column_scan(lam, i, n, ell)
 
 
 def _abacus_of(lam, n, ell):

@@ -10,7 +10,6 @@ from slncrystals.partitions import (
     ell_core,
     ell_quotient,
     partitions_of,
-    partitions_up_to,
     remove_ribbon,
 )
 
@@ -19,8 +18,10 @@ from helpers import (
     FIG1_SLOTS,
     FIG2,
     occupied_slots_oracle,
+    partitions_up_to,
     slot_roundtrip,
     ribbons_by_skew_shapes,
+    ribbons_by_skew_shapes_removals,
     strip_cores,
 )
 
@@ -185,6 +186,17 @@ def test_ribbon_move_enumeration_matches_oracle(length):
             assert add_ribbon(lam, length, col) == expected[col]
         back = removable_ribbons(add_ribbon(lam, length, cols[0]), length)
         assert cols[0] in back
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_removable_ribbons_match_oracle(length):
+    from slncrystals.partitions import removable_ribbons
+
+    for lam in partitions_up_to(7):
+        got = [remove_ribbon(lam, length, k) for k in removable_ribbons(lam, length)]
+        expected = ribbons_by_skew_shapes_removals(lam, length)
+        assert len(got) == len(expected)
+        assert set(got) == set(expected)
 
 
 def test_normalized_quotient():
