@@ -32,12 +32,13 @@ def gglemma(cfg):
 
 def tk_commute(cfg):
     """Every defined T_k commutes with e_i and f_i, zero patterns included."""
+    # T_k(cfg) does not depend on the color, so it is computed once per k
     kmax = cfg.max_bead_index() + 1
+    tightened = [(k, abacus.tighten(cfg, k)) for k in range(1, kmax + 1)]
     for i in range(cfg.n):
         fi = crystal.f_abacus(cfg, i)
         ei = crystal.e_abacus(cfg, i)
-        for k in range(1, kmax + 1):
-            tk = abacus.tighten(cfg, k)
+        for k, tk in tightened:
             if tk is None:
                 continue
             if crystal.f_abacus(tk, i) != (

@@ -12,6 +12,7 @@ validation required by the requested operation, 1 for a failed verify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -45,7 +46,14 @@ def parse_weight(text, n):
 
 
 def _read_json(args):
-    raw = sys.stdin.read() if args.input in (None, "-") else open(args.input).read()
+    try:
+        if args.input in (None, "-"):
+            raw = sys.stdin.read()
+        else:
+            with open(args.input) as f:
+                raw = f.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError("cannot read input: %s" % err)
     try:
         return json.loads(raw)
     except json.JSONDecodeError as err:
@@ -183,7 +191,10 @@ def cmd_verify(args):
     return 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and every parse returns a fresh namespace."""
     top = argparse.ArgumentParser(prog="slncrystals")
     sub = top.add_subparsers(dest="command", required=True)
 

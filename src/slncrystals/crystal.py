@@ -74,7 +74,9 @@ def abacus_brackets(psi, i):
 
     Gap g sits between slots g-1 and g and carries color g mod n.  A bead
     that can hop right across the gap contributes "(", one that can hop left
-    contributes ")".  Payload is (gap, row).
+    contributes ")".  Payload is (gap, row, bead): bead is the index j of
+    the bead that hops across the gap, counted from the right of its row as
+    in `BeadRow.bead_slot`.
 
     The tokens are read off one walk over each row's beads: a bead at slot
     b gives "(" at gap b+1 when slot b+1 is empty, and ")" at gap b when
@@ -99,22 +101,14 @@ def abacus_brackets(psi, i):
                 continue
             b = p - j + c
             if (b + 1) % n == i:
-                tokens.append(("(", (b + 1, r_idx)))
+                tokens.append(("(", (b + 1, r_idx, j)))
             if prev is not None:
                 b = prev - j + 1 + c  # bead j-1, whose left slot is empty
                 if b % n == i:
-                    tokens.append((")", (b, r_idx)))
+                    tokens.append((")", (b, r_idx, j - 1)))
             prev = p
     tokens.sort(key=itemgetter(1))
     return tokens
-
-
-def _move_on_row(psi, r_idx, src_slot, delta):
-    row = psi.rows[r_idx]
-    j = 1
-    while row.bead_slot(j) != src_slot:
-        j += 1
-    return psi.replace_row(r_idx, row.move_bead(j, delta))
 
 
 def f_abacus(psi, i):
@@ -122,8 +116,8 @@ def f_abacus(psi, i):
     sig = signature_reduce(abacus_brackets(psi, i))
     if sig.first_open is None:
         return None
-    g, r_idx = sig.first_open
-    return _move_on_row(psi, r_idx, g - 1, +1)
+    _, r_idx, j = sig.first_open
+    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, +1))
 
 
 def e_abacus(psi, i):
@@ -131,8 +125,8 @@ def e_abacus(psi, i):
     sig = signature_reduce(abacus_brackets(psi, i))
     if sig.last_close is None:
         return None
-    g, r_idx = sig.last_close
-    return _move_on_row(psi, r_idx, g, -1)
+    _, r_idx, j = sig.last_close
+    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +275,15 @@ def crystal_graph(psi0, max_degree):
     layers = [[psi0]]
     edges = []
     for _ in range(max_degree):
-        seen = {}
+        seen = {}  # key -> the first image with that key
         for node in layers[-1]:
             for i in range(psi0.n):
                 img = f_abacus(node, i)
                 if img is not None:
-                    edges.append((node, i, img))
-                    seen[img.key()] = img
+                    edges.append((node, i, seen.setdefault(img.key(), img)))
         if not seen:
             break
-        layers.append(sorted(seen.values(), key=lambda c: c.key()))
+        layers.append([seen[key] for key in sorted(seen)])
     return CrystalGraph(psi0.n, layers, edges)
 
 

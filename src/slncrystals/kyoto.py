@@ -180,6 +180,8 @@ def f_path(path, i):
     if sig.first_open is None:
         return None
     k = sig.first_open
+    # column_brackets gives column k a "(" only for an entry of b_k congruent
+    # to i-1, so f_perfect finds an entry to raise
     elem = f_perfect(path.element(k), i, path.n)
     assert elem is not None
     return _with_element(path, k, elem)
@@ -190,6 +192,8 @@ def e_path(path, i):
     if sig.last_close is None:
         return None
     k = sig.last_close
+    # column_brackets gives column k a ")" only for an entry of b_k congruent
+    # to i, so e_perfect finds an entry to lower
     elem = e_perfect(path.element(k), i, path.n)
     assert elem is not None
     return _with_element(path, k, elem)

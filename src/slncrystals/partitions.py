@@ -145,12 +145,15 @@ class BeadRow:
 
     def move_bead(self, j, delta):
         """Move the j-th bead by delta slots; the target slot must be free."""
-        parts = list(self.partition.parts)
-        while len(parts) < j:
-            parts.append(0)
-        parts[j - 1] += delta
+        if j < 1:
+            raise ValueError("bead index must be positive")
+        parts = self.partition.parts
+        if j <= len(parts):
+            parts = parts[: j - 1] + (parts[j - 1] + delta,) + parts[j:]
+        else:
+            parts += (0,) * (j - 1 - len(parts)) + (delta,)
         while parts and parts[-1] == 0:
-            parts.pop()
+            parts = parts[:-1]
         return BeadRow(self.charge, Partition(parts))
 
     @classmethod

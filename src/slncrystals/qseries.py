@@ -134,11 +134,10 @@ def boundary_of(w, n, ell):
     """Down-steps sit at the residues a + m_0 + ... + m_{a-1}, a = 1..n."""
     coeffs = _level_coeffs(w, n, ell)
     N = n + ell
-    b_positions = set()
-    for a in range(1, n + 1):
-        b_positions.add((a + sum(coeffs[:a])) % N)
+    # a + m_0 + ... + m_{a-1} rises strictly with a, from 1 + m_0 to at most
+    # n + ell = N, so the n residues are distinct mod N: n down-steps
+    b_positions = {(a + sum(coeffs[:a])) % N for a in range(1, n + 1)}
     B = tuple(1 if r in b_positions else 0 for r in range(N))
-    assert sum(B) == n
     A = tuple(1 - b for b in B)
     return Boundary(N, A, B)
 
@@ -155,8 +154,9 @@ def Z_borodin(bd, nmax):
         for j in range(N):
             if not bd.B[j]:
                 continue
+            # Boundary makes A and B complementary, so A[i] = B[j] = 1 needs
+            # i != j, and d0 lies in 1..N-1
             d0 = (i - j) % N
-            assert d0 != 0, "up- and down-steps cannot share a residue"
             for e in range(d0, nmax + 1, N):
                 s = s.times_inv_one_minus(e)
     return s

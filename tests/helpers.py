@@ -17,6 +17,7 @@ from slncrystals.abacus import (
     enumerate_tight,
     highest_weight_config,
 )
+from slncrystals.crystal import signature_reduce
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import level_weights
@@ -238,22 +239,49 @@ def abacus_brackets_by_gap_scan(psi, i):
 
     Gap g of a row gives "(" when slot g-1 is occupied and slot g is empty,
     ")" when it is the other way round; gaps left to right, rows bottom to
-    top, payload (gap, row).  Outside the window every gap has both slots
-    occupied or both empty.
+    top, payload (gap, row, bead).  The bead index of the occupied slot b is
+    1 + the number of occupied slots right of b, counted up to the window's
+    top, above which every slot is empty.  Outside the window every gap has
+    both slots occupied or both empty.
     """
     lo = min(bracket_window(r)[0] for r in psi.rows)
     hi = max(bracket_window(r)[1] for r in psi.rows)
     start = lo + ((i - lo) % psi.n)
+
+    def bead_index(row, b):
+        return 1 + sum(1 for s in range(b + 1, hi + 1) if row.occupied(s))
+
     tokens = []
     for g in range(start, hi + 1, psi.n):
         for r_idx, row in enumerate(psi.rows):
             left = row.occupied(g - 1)
             right = row.occupied(g)
             if left and not right:
-                tokens.append(("(", (g, r_idx)))
+                tokens.append(("(", (g, r_idx, bead_index(row, g - 1))))
             elif right and not left:
-                tokens.append((")", (g, r_idx)))
+                tokens.append((")", (g, r_idx, bead_index(row, g))))
     return tokens
+
+
+def gap_rule_by_slots(psi, i, raising):
+    """f_i (or e_i when raising) of the gap rule, moving a bead by slot.
+
+    Reduces the scan's tokens and moves the bead beside the acting gap g:
+    from slot g-1 to g for f, from g to g-1 for e.  The row is rebuilt from
+    its occupied slots; the bead index in the payload is not used.
+    """
+    sig = signature_reduce(abacus_brackets_by_gap_scan(psi, i))
+    token = sig.last_close if raising else sig.first_open
+    if token is None:
+        return None
+    g, r_idx, _ = token
+    src, dst = (g, g - 1) if raising else (g - 1, g)
+    row = psi.rows[r_idx]
+    lo, hi = bracket_window(row)
+    slots = set(occupied_slots_oracle(row.partition, row.charge, lo, hi))
+    assert src in slots and dst not in slots
+    moved = BeadRow.from_occupied(slots - {src} | {dst}, lo)
+    return psi.replace_row(r_idx, moved)
 
 
 def partition_brackets_by_column_scan(lam, i, n, ell):

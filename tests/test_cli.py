@@ -2,11 +2,20 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slncrystals import cli
+from slncrystals import checks, cli, cylindric, kyoto
 from slncrystals.abacus import DominantWeight
 
-from helpers import fig10, FIG12_PROFILE, FIG12_ROWS
+from helpers import (
+    FIG12_PROFILE,
+    FIG12_ROWS,
+    abacus_configs,
+    all_level_coeffs,
+    fig10,
+    tight_configs,
+)
 
 
 def run_cli(argv, stdin=""):
@@ -415,3 +424,107 @@ def test_verify_case_count_matches_borodin(which):
                 z = z.times_one_minus(e)
         expected += sum(z.coeffs)
     assert checks.run(which, n, ell, nmax) == (expected, None)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the whole front end
+
+MODELS = ["partition", "abacus", "cpp", "path"]
+JSON_KEYS = ["n", "ell", "rows", "charge", "parts", "profile", "weight",
+             "deviations", "1", "2", "x"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-2, 2)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=5),
+    max_leaves=12,
+)
+
+
+@st.composite
+def model_json(draw, model):
+    """The encoding of a valid object of `model`, or a random one."""
+    if model == "partition":
+        return sorted(draw(st.lists(st.integers(1, 6), max_size=6)), reverse=True)
+    n, ell = draw(st.sampled_from([(2, 2), (3, 2), (2, 3)]))
+    w = draw(st.sampled_from(all_level_coeffs(n, ell)))
+    cfg = draw(st.sampled_from(tight_configs(n, ell, w, 3)))
+    if model == "abacus":
+        return cfg.to_json()
+    if model == "cpp":
+        return cylindric.from_abacus(cfg).to_json()
+    return kyoto.to_path(cfg).to_json()
+
+
+@st.composite
+def weight_text(draw, n, ell):
+    """A weight of rank n, level ell most of the time, or stray text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet="L0123*+ x", max_size=8))
+    m = [0] * max(n, 1)
+    level = max(ell, 0)
+    for c in draw(st.lists(st.integers(0, len(m) - 1), min_size=level, max_size=level)):
+        m[c] += 1
+    return "+".join("%d*L%d" % (c, i) for i, c in enumerate(m) if c) or "L0"
+
+
+@st.composite
+def cli_cases(draw):
+    """(argv, stdin) for any subcommand, with --nmax and --max-degree at
+    most 3; the arguments and the input are mostly valid."""
+    command = draw(st.sampled_from(["convert", "graph", "series", "enumerate",
+                                    "verify"]))
+    argv = [command]
+    stdin = ""
+    if command == "convert":
+        src, dst = draw(st.sampled_from(MODELS)), draw(st.sampled_from(MODELS))
+        argv += [src, dst]
+        if draw(st.integers(0, 4)) == 0:
+            argv.append(draw(st.sampled_from(["-", "no-such-input.json", "."])))
+        argv += draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+        data = draw(model_json(src)) if draw(st.booleans()) else draw(st.one_of(
+            model_json(draw(st.sampled_from(MODELS))),
+            abacus_configs().map(lambda c: c.to_json()), json_values))
+        stdin = json.dumps(data)
+        if draw(st.integers(0, 9)) == 0:
+            stdin = draw(st.text(max_size=10))
+    elif command == "verify":
+        argv.append(draw(st.sampled_from(checks.SUITES)))
+    n = draw(st.integers(2, 4)) if draw(st.integers(0, 4)) else draw(st.integers(-1, 1))
+    ell = draw(st.integers(1, 3)) if draw(st.integers(0, 4)) else draw(st.integers(-1, 0))
+    argv += ["--n", str(n), "--ell", str(ell)]
+    if command != "convert" or draw(st.booleans()):
+        argv += ["--weight", draw(weight_text(n, ell))]
+    if draw(st.booleans()):
+        argv += ["--rotate-colors", str(draw(st.integers(-3, 3)))]
+    if command in ("series", "enumerate", "verify"):
+        argv += ["--nmax", str(draw(st.integers(-1, 3)))]
+    if command == "series":
+        argv += ["--kind", draw(st.sampled_from(["Z", "dimq", "borodin", "brute"]))]
+    if command == "graph":
+        argv += ["--max-degree", str(draw(st.integers(-1, 3)))]
+        argv += ["--format", draw(st.sampled_from(["dot", "json"]))]
+    if command == "enumerate" and draw(st.booleans()):
+        argv.append("--tight")
+    if draw(st.integers(0, 9)) == 0:  # a token argparse must refuse
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(["--bogus", "extra", "--n", "--nmax=x"])))
+    return argv, stdin
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_cases())
+def test_cli_fuzz_exit_codes(case):
+    # every input works or is refused with its documented exit code: 2 for
+    # unparsable input, 3 for invalid input, 1 only for a failed verify; any
+    # other exception fails the test with its traceback.  One parser serves
+    # every example, so a parse that left state in it would show here too.
+    argv, stdin = case
+    try:
+        rc, _, err = run_cli(argv, stdin)
+    except SystemExit as exc:  # argparse refusing the argv
+        rc, err = exc.code, ""
+    assert rc in (0, 1, 2, 3)
+    assert rc != 1 or argv[0] == "verify"
+    assert "Traceback" not in err

@@ -41,6 +41,7 @@ from helpers import (
     eps_phi_by_iteration,
     fig4,
     fig9,
+    gap_rule_by_slots,
     partition_brackets_by_column_scan,
     partitions_up_to,
     signature_oracle,
@@ -173,7 +174,7 @@ def test_gap_rule_window_is_exhaustive():
                 assert row.occupied(g - 1) == row.occupied(g)
         for i in range(3):
             tokens = abacus_brackets(cfg, i)
-            assert all(lo <= g <= hi for _, (g, _) in tokens)
+            assert all(lo <= g <= hi for _, (g, *_) in tokens)
 
 
 GAP_RULE_PAIRS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (3, 4)]
@@ -204,6 +205,16 @@ def test_gap_rule_matches_scan_on_descending(n, ell):
 @given(abacus_configs())
 def test_gap_rule_matches_scan_on_arbitrary_configs(cfg):
     _assert_gap_rule_matches_scan(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_gap_rule_moves_the_bead_beside_the_gap(cfg):
+    # f_abacus / e_abacus move bead j of the token; the oracle moves the
+    # bead on the slot next to the acting gap
+    for i in range(cfg.n):
+        assert f_abacus(cfg, i) == gap_rule_by_slots(cfg, i, raising=False)
+        assert e_abacus(cfg, i) == gap_rule_by_slots(cfg, i, raising=True)
 
 
 def test_f_partition_figure3():

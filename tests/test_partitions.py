@@ -94,6 +94,33 @@ def test_roundtrip_property(parts, charge):
     assert slot_roundtrip(row) == row
 
 
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(1, 6), max_size=5),
+    st.integers(-4, 4),
+    st.integers(-2, 8),
+    st.integers(-3, 3),
+)
+def test_move_bead_moves_by_slot(parts, charge, j, delta):
+    # bead j is the j-th occupied slot from the right; a move that passes no
+    # other bead gives the row of the moved slot set, any other is refused
+    row = BeadRow(charge, P(sorted(parts, reverse=True)))
+    lo = charge - len(row.partition) - 12
+    slots = set(occupied_slots_oracle(row.partition, charge, lo, charge + 12))
+    if j < 1:
+        with pytest.raises(ValueError):
+            row.move_bead(j, delta)
+        return
+    src = sorted(slots, reverse=True)[j - 1]
+    crossed = range(min(src, src + delta), max(src, src + delta) + 1)
+    if not slots.intersection(crossed) - {src}:
+        want = BeadRow.from_occupied(slots - {src} | {src + delta}, lo)
+        assert row.move_bead(j, delta) == want
+    else:
+        with pytest.raises(ValueError):
+            row.move_bead(j, delta)
+
+
 def test_figure2_ribbon():
     got = add_ribbon(FIG1, 4, 3)
     assert got == FIG2

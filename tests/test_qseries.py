@@ -70,6 +70,15 @@ def test_boundary_of_level_weights():
         assert sum(bd.B) == 3 and sum(bd.A) == 2
 
 
+def test_boundary_of_has_n_down_steps():
+    # the down-step residues of every level weight are distinct mod n + ell
+    for n in range(2, 6):
+        for ell in range(1, 5):
+            for coeffs in all_level_coeffs(n, ell):
+                bd = boundary_of(DominantWeight(coeffs), n, ell)
+                assert (sum(bd.B), sum(bd.A)) == (n, ell)
+
+
 def test_boundary_bit_patterns_pinned():
     # frozen patterns guard against silent convention drift
     expected = {
