@@ -183,7 +183,10 @@ def cmd_verify(args):
         if args.which == "level-one" and w.level != 1:
             raise ValidationError("level-one needs a level-1 weight")
         weights = [w]
-    _, failure = checks.run(args.which, args.n, args.ell, args.nmax, weights)
+    cases, failure = checks.run(args.which, args.n, args.ell, args.nmax, weights)
+    sys.stderr.write("checked %d cases\n" % cases)
+    if args.nmax == 0:
+        sys.stderr.write("vacuous: only degree 0 was checked\n")
     if failure is None:
         sys.stdout.write("ok: %s\n" % args.which)
         return 0

@@ -6,12 +6,18 @@ descending configurations, and the path rule in kyoto), and the column
 rule on partitions.  Each builds a string of brackets, cancels matched "()"
 pairs, and acts at the first uncanceled "(" (for a lowering move) or the
 last uncanceled ")" (for a raising move).
+
+The gap rule reads the tokens of all n colors off one walk over the beads
+and reduces them in one pass, a stack per color.  The n signatures are
+memoised on the configuration, so f_i, e_i, eps_i and phi_i for every color
+cost one walk; crystal_graph drops a node's memo once it has expanded it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .abacus import is_descending
 from .partitions import add_ribbon, addable_ribbons, remove_ribbon, removable_ribbons
@@ -33,8 +39,7 @@ class AffineWeight:
         return AffineWeight(tuple(out))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Result of canceling matched "()" pairs in a bracket string."""
 
     first_open: object  # payload of first uncanceled "(", or None
@@ -69,14 +74,15 @@ def signature_reduce(tokens):
 # gap rule on arbitrary abacus configurations
 
 
-def abacus_brackets(psi, i):
-    """Tokens over the color-i gaps, left to right, bottom row to top.
+def abacus_brackets(psi):
+    """Tokens over the gaps of every color, left to right, bottom row to top.
 
     Gap g sits between slots g-1 and g and carries color g mod n.  A bead
     that can hop right across the gap contributes "(", one that can hop left
     contributes ")".  Payload is (gap, row, bead): bead is the index j of
     the bead that hops across the gap, counted from the right of its row as
-    in `BeadRow.bead_slot`.
+    in `BeadRow.bead_slot`.  The tokens of color i are those whose gap is
+    congruent to i mod n.
 
     The tokens are read off one walk over each row's beads: a bead at slot
     b gives "(" at gap b+1 when slot b+1 is empty, and ")" at gap b when
@@ -87,8 +93,6 @@ def abacus_brackets(psi, i):
     occupied, so the partition's beads and that one tail bead are the only
     beads that can have one.
     """
-    n = psi.n
-    i %= n
     tokens = []
     for r_idx, row in enumerate(psi.rows):
         c = row.charge
@@ -100,32 +104,58 @@ def abacus_brackets(psi, i):
             if p == prev:
                 continue
             b = p - j + c
-            if (b + 1) % n == i:
-                tokens.append(("(", (b + 1, r_idx, j)))
+            tokens.append(("(", (b + 1, r_idx, j)))
             if prev is not None:
-                b = prev - j + 1 + c  # bead j-1, whose left slot is empty
-                if b % n == i:
-                    tokens.append((")", (b, r_idx, j - 1)))
+                # bead j-1, whose left slot is empty
+                tokens.append((")", (prev - j + 1 + c, r_idx, j - 1)))
             prev = p
     tokens.sort(key=itemgetter(1))
     return tokens
 
 
+def _signatures(psi):
+    """The gap rule's Signature of each color 0..n-1, memoised on psi.
+
+    One pass over `abacus_brackets` with a stack of open "(" per color:
+    canceling only ever pairs tokens of one color, so this is
+    `signature_reduce` of each color's tokens.
+    """
+    sigs = getattr(psi, "_gap_signatures", None)
+    if sigs is None:
+        n = psi.n
+        opens = [[] for _ in range(n)]
+        closes = [[] for _ in range(n)]
+        for char, payload in abacus_brackets(psi):
+            i = payload[0] % n
+            if char == "(":
+                opens[i].append(payload)
+            elif opens[i]:
+                opens[i].pop()
+            else:
+                closes[i].append(payload)
+        sigs = tuple(
+            Signature(o[0] if o else None, c[-1] if c else None, len(c), len(o))
+            for o, c in zip(opens, closes)
+        )
+        object.__setattr__(psi, "_gap_signatures", sigs)  # psi is frozen
+    return sigs
+
+
 def f_abacus(psi, i):
     """Advance the bead at the first uncanceled "(", or None."""
-    sig = signature_reduce(abacus_brackets(psi, i))
-    if sig.first_open is None:
+    token = _signatures(psi)[i % psi.n].first_open
+    if token is None:
         return None
-    _, r_idx, j = sig.first_open
+    _, r_idx, j = token
     return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, +1))
 
 
 def e_abacus(psi, i):
     """Retract the bead at the last uncanceled ")", or None."""
-    sig = signature_reduce(abacus_brackets(psi, i))
-    if sig.last_close is None:
+    token = _signatures(psi)[i % psi.n].last_close
+    if token is None:
         return None
-    _, r_idx, j = sig.last_close
+    _, r_idx, j = token
     return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, -1))
 
 
@@ -235,17 +265,13 @@ def e_partition(lam, i, n, ell):
 
 def eps_phi(psi, i):
     """(eps_i, phi_i) of an abacus configuration from uncanceled brackets."""
-    sig = signature_reduce(abacus_brackets(psi, i))
+    sig = _signatures(psi)[i % psi.n]
     return sig.n_close, sig.n_open
 
 
 def wt(psi):
     """phi - eps coordinatewise, as an affine weight without delta."""
-    coeffs = []
-    for i in range(psi.n):
-        eps, phi = eps_phi(psi, i)
-        coeffs.append(phi - eps)
-    return AffineWeight(tuple(coeffs))
+    return AffineWeight(tuple(s.n_open - s.n_close for s in _signatures(psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +307,7 @@ def crystal_graph(psi0, max_degree):
                 img = f_abacus(node, i)
                 if img is not None:
                     edges.append((node, i, seen.setdefault(img.key(), img)))
+            object.__delattr__(node, "_gap_signatures")  # set by f_abacus
         if not seen:
             break
         layers.append([seen[key] for key in sorted(seen)])

@@ -85,6 +85,11 @@ def eps_phi_perfect(b, n):
     return DominantWeight(eps), DominantWeight(phi)
 
 
+# The largest path position Path.from_json accepts: from_path builds one
+# bead set per position, so a position of 10^5 takes about a second.
+MAX_PATH_POSITION = 100_000
+
+
 @dataclass(frozen=True)
 class Path:
     """A path in the semi-infinite tensor power of the perfect crystal."""
@@ -136,10 +141,14 @@ class Path:
             if not re.fullmatch("[0-9]+", k):
                 raise ValueError("path position %r is not a decimal integer" % k)
             k, e = int(k), PerfectElem(_json_ints(v, "a path element"))
-            if k < 1 or len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
+            if not 1 <= k <= MAX_PATH_POSITION:
                 raise ValueError(
-                    "deviation %s at position %d: need a position >= 1 and %d "
-                    "entries in [0, %d)" % (list(e.entries), k, ell, n)
+                    "path position %d is not in [1, %d]" % (k, MAX_PATH_POSITION)
+                )
+            if len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
+                raise ValueError(
+                    "deviation %s at position %d: need %d entries in [0, %d)"
+                    % (list(e.entries), k, ell, n)
                 )
             devs.append((k, e))
         if len({k for k, _ in devs}) != len(devs):

@@ -28,6 +28,13 @@ class Partition:
                 raise ValueError("parts must weakly decrease: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 
+    @classmethod
+    def _trusted(cls, parts):
+        """A Partition of a tuple already known to be valid, unchecked."""
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
@@ -144,17 +151,24 @@ class BeadRow:
         return BeadRow(self.charge + d, self.partition)
 
     def move_bead(self, j, delta):
-        """Move the j-th bead by delta slots; the target slot must be free."""
+        """Move the j-th bead by delta slots, staying strictly between its
+        neighbours (so the target slot is free).
+
+        Only part j changes, so checking it against parts j-1 and j+1 is
+        the whole of the `Partition` check on the result.
+        """
         if j < 1:
             raise ValueError("bead index must be positive")
-        parts = self.partition.parts
+        lam = self.partition
+        p = lam.part(j) + delta
+        if p < lam.part(j + 1) or (j > 1 and p > lam.part(j - 1)):
+            raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
+        parts = lam.parts
         if j <= len(parts):
-            parts = parts[: j - 1] + (parts[j - 1] + delta,) + parts[j:]
-        else:
-            parts += (0,) * (j - 1 - len(parts)) + (delta,)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        return BeadRow(self.charge, Partition(parts))
+            parts = parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
+        elif p:
+            parts += (p,)  # p <= part(j-1), so j = len + 1
+        return BeadRow(self.charge, Partition._trusted(parts))
 
     @classmethod
     def vacuum(cls, charge):

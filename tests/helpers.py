@@ -30,6 +30,18 @@ def partitions_up_to(m):
     return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))
 
 
+def move_bead_by_constructor(row, j, delta):
+    """BeadRow.move_bead through the full Partition constructor: edit part
+    j, pad with zeros, strip trailing zeros, and let Partition validate."""
+    if j < 1:
+        raise ValueError("bead index must be positive")
+    parts = list(row.partition.parts) + [0] * j
+    parts[j - 1] += delta
+    while parts and parts[-1] == 0:
+        parts.pop()
+    return BeadRow(row.charge, Partition(parts))
+
+
 def bracket_window(row):
     """A slot range [lo, hi] outside of which every gap of the bead row is
     homogeneous: slots at or below lo are occupied, those at or above hi empty."""

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,20 @@ def test_convert_malformed_path_exit_2(deviations, weight):
     data = {"n": 3, "ell": 2, "weight": weight, "deviations": deviations}
     rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
     assert rc == 2 and out == "" and "error" in err
+
+
+def test_convert_path_position_bound():
+    data = {"n": 3, "ell": 2, "weight": [1, 1, 0], "deviations": {"1000000000": [1, 0]}}
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 2 and out == "" and "path position 1000000000" in err
+    for k, want in ((kyoto.MAX_PATH_POSITION + 1, 2), (kyoto.MAX_PATH_POSITION, 0)):
+        data["deviations"] = {str(k): [1, 0]}
+        rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+        assert rc == want
+    rows = json.loads(out)["rows"]
+    assert max(len(r["parts"]) for r in rows) >= kyoto.MAX_PATH_POSITION
 
 
 def _rows(*rows):
@@ -314,6 +329,17 @@ def test_verify_reports_first_counterexample(monkeypatch):
     rc, out, _ = run_cli(["verify", "three-way-Z", "--n", "3", "--ell", "2", "--nmax", "4"])
     assert rc == 1
     assert "q^1" in out  # mismatch reported at the lowest degree
+
+
+def test_verify_reports_case_count_on_stderr():
+    argv = ["verify", "gglemma", "--n", "3", "--ell", "2", "--nmax", "3"]
+    rc, out, err = run_cli(argv)
+    cases, _ = checks.run("gglemma", 3, 2, 3)
+    assert (rc, out, err) == (0, "ok: gglemma\n", "checked %d cases\n" % cases)
+    # at nmax 0 each of the 6 level-2 weights of rank 3 is one case
+    rc, out, err = run_cli(["verify", "kyoto", "--n", "3", "--ell", "2", "--nmax", "0"])
+    assert (rc, out) == (0, "ok: kyoto\n")
+    assert err == "checked 6 cases\nvacuous: only degree 0 was checked\n"
 
 
 def test_rotate_colors_shifts_weight():

@@ -11,6 +11,7 @@ from slncrystals.abacus import (
 )
 from slncrystals.crystal import (
     AffineWeight,
+    _signatures,
     abacus_brackets,
     crystal_graph,
     descending_brackets,
@@ -172,17 +173,19 @@ def test_gap_rule_window_is_exhaustive():
         for g in list(range(lo - 6, lo)) + list(range(hi + 1, hi + 7)):
             for row in cfg.rows:
                 assert row.occupied(g - 1) == row.occupied(g)
-        for i in range(3):
-            tokens = abacus_brackets(cfg, i)
-            assert all(lo <= g <= hi for _, (g, *_) in tokens)
+        tokens = abacus_brackets(cfg)
+        assert all(lo <= g <= hi for _, (g, *_) in tokens)
 
 
 GAP_RULE_PAIRS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (3, 4)]
 
 
 def _assert_gap_rule_matches_scan(cfg):
+    tokens = abacus_brackets(cfg)
+    assert [t[1] for t in tokens] == sorted(t[1] for t in tokens)
     for i in range(cfg.n):
-        assert abacus_brackets(cfg, i) == abacus_brackets_by_gap_scan(cfg, i)
+        own = [t for t in tokens if t[1][0] % cfg.n == i]
+        assert own == abacus_brackets_by_gap_scan(cfg, i)
 
 
 @pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
@@ -192,6 +195,39 @@ def test_gap_rule_matches_scan_on_crystal_graph(n, ell):
         for layer in graph.layers:
             for cfg in layer:
                 _assert_gap_rule_matches_scan(cfg)
+
+
+@pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
+def test_memoised_signatures_match_scan_on_crystal_graph(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        graph = crystal_graph(highest_weight_config(coeffs, n, ell), 7)
+        for layer in graph.layers:
+            for cfg in layer:
+                # crystal_graph keeps no memo past a node's expansion
+                assert not hasattr(cfg, "_gap_signatures")
+                f_abacus(cfg, 0)
+                memo = cfg._gap_signatures
+                assert _signatures(cfg) is memo
+                assert memo == tuple(
+                    signature_reduce(abacus_brackets_by_gap_scan(cfg, i))
+                    for i in range(n)
+                )
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
+def test_memo_is_not_shared_with_images(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, 4):
+            _signatures(cfg)
+            for op in (f_abacus, e_abacus):
+                for i in range(n):
+                    img = op(cfg, i)
+                    if img is None:
+                        continue
+                    fresh = AbacusConfig.from_json(img.to_json())
+                    assert img == fresh and not hasattr(img, "_gap_signatures")
+                    assert _signatures(img) == _signatures(fresh)
+                    assert _signatures(img) is not _signatures(cfg)
 
 
 @pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)

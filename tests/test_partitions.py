@@ -17,6 +17,7 @@ from helpers import (
     FIG1,
     FIG1_SLOTS,
     FIG2,
+    move_bead_by_constructor,
     occupied_slots_oracle,
     partitions_up_to,
     slot_roundtrip,
@@ -119,6 +120,23 @@ def test_move_bead_moves_by_slot(parts, charge, j, delta):
     else:
         with pytest.raises(ValueError):
             row.move_bead(j, delta)
+
+
+def test_move_bead_matches_constructor_oracle():
+    # the check of part j against its neighbours refuses exactly the moves
+    # whose result the full Partition constructor refuses
+    for lam in partitions_up_to(7):
+        for charge in (-1, 0, 2):
+            row = BeadRow(charge, lam)
+            for j in range(0, len(lam) + 3):
+                for delta in range(-3, 4):
+                    try:
+                        want = move_bead_by_constructor(row, j, delta)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            row.move_bead(j, delta)
+                    else:
+                        assert row.move_bead(j, delta) == want
 
 
 def test_figure2_ribbon():
