@@ -143,20 +143,20 @@ def _signatures(psi):
 
 def f_abacus(psi, i):
     """Advance the bead at the first uncanceled "(", or None."""
-    token = _signatures(psi)[i % psi.n].first_open
-    if token is None:
-        return None
-    _, r_idx, j = token
-    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, +1))
+    return _move_named_bead(psi, _signatures(psi)[i % psi.n].first_open, +1)
 
 
 def e_abacus(psi, i):
     """Retract the bead at the last uncanceled ")", or None."""
-    token = _signatures(psi)[i % psi.n].last_close
+    return _move_named_bead(psi, _signatures(psi)[i % psi.n].last_close, -1)
+
+
+def _move_named_bead(psi, token, delta):
+    """Move by delta the bead a gap-rule token names; None for no token."""
     if token is None:
         return None
     _, r_idx, j = token
-    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, -1))
+    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +199,7 @@ def f_descending(psi, i):
     Advances, in the set of the first uncanceled "(", the leftmost bead on a
     slot of color i-1 (the bottom one of a tie).
     """
-    if not is_descending(psi):
-        raise ValueError("f_descending needs a descending configuration")
-    k = signature_reduce(descending_brackets(psi, i)).first_open
-    if k is None:
-        return None
-    return _move_kth_bead(psi, k, i - 1, +1, min)
+    return _descending_move(psi, i, +1, "f_descending")
 
 
 def e_descending(psi, i):
@@ -213,17 +208,18 @@ def e_descending(psi, i):
     Retracts, in the set of the last uncanceled ")", the rightmost bead on a
     slot of color i (the top one of a tie).
     """
+    return _descending_move(psi, i, -1, "e_descending")
+
+
+def _descending_move(psi, i, delta, name):
+    """f_descending for delta +1, e_descending for delta -1."""
     if not is_descending(psi):
-        raise ValueError("e_descending needs a descending configuration")
-    k = signature_reduce(descending_brackets(psi, i)).last_close
+        raise ValueError("%s needs a descending configuration" % name)
+    sig = signature_reduce(descending_brackets(psi, i))
+    k = sig.first_open if delta > 0 else sig.last_close
     if k is None:
         return None
-    return _move_kth_bead(psi, k, i, -1, max)
-
-
-def _move_kth_bead(psi, k, color, delta, pick):
-    """Move by delta the k-th bead that `pick` chooses by (slot, row) among
-    those on a slot of the given color."""
+    color, pick = (i - 1, min) if delta > 0 else (i, max)
     beads = [(row.bead_slot(k), r) for r, row in enumerate(psi.rows)]
     _, r = pick(b for b in beads if (b[0] - color) % psi.n == 0)
     return psi.replace_row(r, psi.rows[r].move_bead(k, delta))

@@ -18,6 +18,7 @@ from .abacus import (
     _level_coeffs,
     is_descending,
 )
+from .crystal import signature_reduce
 from .partitions import BeadRow, Partition, _json_int, _json_ints
 
 
@@ -185,43 +186,30 @@ def cpp_brackets(pi, i):
     return tokens
 
 
-def _with_box(pi, box, delta):
-    r = box.x
-    w = box.y - pi.profile[r]
-    parts = list(pi.rows[r].parts)
-    while len(parts) <= w:
-        parts.append(0)
-    parts[w] += delta
-    while parts and parts[-1] == 0:
-        parts.pop()
-    rows = list(pi.rows)
-    rows[r] = Partition(parts)
-    return CylindricPlanePartition(pi.n, pi.ell, pi.profile, tuple(rows))
-
-
 def f_cpp(pi, i):
     """Add the box at the first uncanceled "(", or None."""
-    from .crystal import signature_reduce
-
-    sig = signature_reduce(cpp_brackets(pi, i))
-    if sig.first_open is None:
-        return None
-    out = _with_box(pi, sig.first_open, +1)
-    if not is_valid_cpp(out):
-        raise ValueError("f_cpp left the set of cylindric plane partitions")
-    return out
+    return _with_box(pi, signature_reduce(cpp_brackets(pi, i)).first_open, +1)
 
 
 def e_cpp(pi, i):
     """Remove the box at the last uncanceled ")", or None."""
-    from .crystal import signature_reduce
+    return _with_box(pi, signature_reduce(cpp_brackets(pi, i)).last_close, -1)
 
-    sig = signature_reduce(cpp_brackets(pi, i))
-    if sig.last_close is None:
+
+def _with_box(pi, box, delta):
+    """pi with the box added (delta +1) or removed (delta -1); None for no box."""
+    if box is None:
         return None
-    out = _with_box(pi, sig.last_close, -1)
+    r = box.x
+    w = box.y - pi.profile[r]
+    parts = list(pi.rows[r].parts) + [0]  # an addable box may open a part
+    parts[w] += delta
+    rows = list(pi.rows)
+    rows[r] = Partition(p for p in parts if p)
+    out = CylindricPlanePartition(pi.n, pi.ell, pi.profile, tuple(rows))
     if not is_valid_cpp(out):
-        raise ValueError("e_cpp left the set of cylindric plane partitions")
+        name = "f_cpp" if delta > 0 else "e_cpp"
+        raise ValueError("%s left the set of cylindric plane partitions" % name)
     return out
 
 

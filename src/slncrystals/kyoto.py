@@ -4,7 +4,8 @@ An element of the perfect crystal is a weakly increasing ell-tuple with
 values in {1/2, 3/2, ..., n - 1/2}, stored as the integers 0..n-1 (add 1/2
 to recover the usual entries).  A path is a semi-infinite tensor product
 ... x b_3 x b_2 x b_1 of such elements that agrees with the ground state
-path of its highest weight in all but finitely many positions.
+path of its highest weight beyond some position K.  A Path stores the dense
+tuple (b_1, ..., b_K), with K the last position off the ground state.
 
 The string functions have closed forms: f_i turns an entry i-1 into i and
 e_i an entry i into i-1, so eps_i(b) counts the entries equal to i and
@@ -53,28 +54,22 @@ class PerfectElem:
 
 
 def f_perfect(b, i, n):
-    """Raise the rightmost entry i-1 to i; for i = 0, turn an n-1 into 0."""
-    entries = list(b.entries)
-    i = i % n
-    src = (i - 1) % n
-    if src not in entries:
-        return None
-    if i == 0:
-        idx = entries.index(n - 1)
-    else:
-        idx = len(entries) - 1 - entries[::-1].index(src)
-    entries[idx] = i
-    return PerfectElem(tuple(entries))
+    """Turn one entry i-1 into i (mod n), or None."""
+    return _replace_entry(b, (i - 1) % n, i % n)
 
 
 def e_perfect(b, i, n):
-    """Inverse of f_perfect."""
+    """Inverse of f_perfect: turn one entry i into i-1 (mod n), or None."""
+    return _replace_entry(b, i % n, (i - 1) % n)
+
+
+def _replace_entry(b, old, new):
+    """b with one copy of old replaced by new; PerfectElem sorts its
+    entries, so it does not matter which copy."""
     entries = list(b.entries)
-    i = i % n
-    if i not in entries:
+    if old not in entries:
         return None
-    idx = entries.index(i)
-    entries[idx] = (i - 1) % n
+    entries[entries.index(old)] = new
     return PerfectElem(tuple(entries))
 
 
@@ -85,8 +80,8 @@ def eps_phi_perfect(b, n):
     return DominantWeight(eps), DominantWeight(phi)
 
 
-# The largest path position Path.from_json accepts: from_path builds one
-# bead set per position, so a position of 10^5 takes about a second.
+# The largest path position Path.from_json accepts: a path stores, and
+# from_path builds, one element per position; 10^5 takes about two seconds.
 MAX_PATH_POSITION = 100_000
 
 
@@ -97,7 +92,7 @@ class Path:
     n: int
     ell: int
     weight: DominantWeight
-    deviations: tuple  # sorted ((k, PerfectElem), ...), all differing from ground
+    elements: tuple  # (b_1, ..., b_K), the ground elements after b_K dropped
 
     def ground(self, k):
         """The k-th ground state element: w[(v + k) mod n] copies of each v."""
@@ -107,20 +102,19 @@ class Path:
         )
 
     def element(self, k):
-        for pos, elem in self.deviations:
-            if pos == k:
-                return elem
-        return self.ground(k)
+        return self.elements[k - 1] if 0 < k <= len(self.elements) else self.ground(k)
 
     def last_position(self):
-        return max((k for k, _ in self.deviations), default=0)
+        return len(self.elements)
 
     def to_json(self):
+        """The JSON form lists only the elements off the ground state."""
+        devs = enumerate(self.elements, 1)
         return {
             "n": self.n,
             "ell": self.ell,
             "weight": list(self.weight.coeffs),
-            "deviations": {str(k): e.to_json() for k, e in self.deviations},
+            "deviations": {str(k): e.to_json() for k, e in devs if e != self.ground(k)},
         }
 
     @classmethod
@@ -153,13 +147,18 @@ class Path:
             devs.append((k, e))
         if len({k for k, _ in devs}) != len(devs):
             raise ValueError("path positions must be distinct")
-        return _pruned_path(n, ell, w, devs)
+        return _pruned_path(n, ell, w, dict(devs))
 
 
-def _pruned_path(n, ell, w, deviations):
+def _pruned_path(n, ell, w, elements):
+    """The path with b_k = elements[k] where given and the ground element
+    elsewhere, trailing ground elements dropped."""
     ground = Path(n, ell, w, ()).ground
-    kept = tuple((k, e) for k, e in sorted(deviations) if ground(k) != e)
-    return Path(n, ell, w, kept)
+    K = max(elements, default=0)
+    dense = [elements[k] if k in elements else ground(k) for k in range(1, K + 1)]
+    while dense and dense[-1] == ground(len(dense)):
+        dense.pop()
+    return Path(n, ell, w, tuple(dense))
 
 
 def ground_state_path(w, n, ell):
@@ -180,30 +179,28 @@ def path_brackets(path, i):
 
 
 def _with_element(path, k, elem):
-    devs = tuple((p, e) for p, e in path.deviations if p != k) + ((k, elem),)
-    return _pruned_path(path.n, path.ell, path.weight, devs)
+    elements = {**dict(enumerate(path.elements, 1)), k: elem}
+    return _pruned_path(path.n, path.ell, path.weight, elements)
 
 
 def f_path(path, i):
-    sig = signature_reduce(path_brackets(path, i))
-    if sig.first_open is None:
-        return None
-    k = sig.first_open
-    # column_brackets gives column k a "(" only for an entry of b_k congruent
-    # to i-1, so f_perfect finds an entry to raise
-    elem = f_perfect(path.element(k), i, path.n)
-    assert elem is not None
-    return _with_element(path, k, elem)
+    return _path_move(path, i, +1)
 
 
 def e_path(path, i):
+    return _path_move(path, i, -1)
+
+
+def _path_move(path, i, delta):
+    """f_path for delta +1, e_path for delta -1."""
     sig = signature_reduce(path_brackets(path, i))
-    if sig.last_close is None:
+    k = sig.first_open if delta > 0 else sig.last_close
+    if k is None:
         return None
-    k = sig.last_close
-    # column_brackets gives column k a ")" only for an entry of b_k congruent
-    # to i, so e_perfect finds an entry to lower
-    elem = e_perfect(path.element(k), i, path.n)
+    # column_brackets gives column k a "(" only for an entry of b_k congruent
+    # to i-1 and a ")" only for one congruent to i, so the perfect crystal
+    # operator finds an entry to change
+    elem = (f_perfect if delta > 0 else e_perfect)(path.element(k), i, path.n)
     assert elem is not None
     return _with_element(path, k, elem)
 
@@ -228,14 +225,11 @@ def to_path(psi):
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
             % (charges, w, psi.charges())
         )
-    kmax = psi.max_bead_index()
-    devs = []
-    for k in range(1, kmax + 1):
-        elem = PerfectElem(
-            tuple(psi.bead_position(r, k) % psi.n for r in range(psi.ell))
-        )
-        devs.append((k, elem))
-    return _pruned_path(psi.n, psi.ell, w, tuple(devs))
+    elements = {
+        k: PerfectElem(tuple(psi.bead_position(r, k) % psi.n for r in range(psi.ell)))
+        for k in range(1, psi.max_bead_index() + 1)
+    }
+    return _pruned_path(psi.n, psi.ell, w, elements)
 
 
 def from_path(path):

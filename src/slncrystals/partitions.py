@@ -176,34 +176,20 @@ class BeadRow:
 
     @classmethod
     def from_occupied(cls, slots, floor):
-        """Build a row from its occupied slots at or above `floor`.
+        """Build a row from its occupied slots at or above `floor`; every
+        slot below `floor` is taken to be occupied.
 
-        Every slot below `floor` is taken to be occupied; `slots` lists the
-        occupied slots >= floor.
+        With the K slots in decreasing order s_1 > ... > s_K, the charge is
+        floor + K and part j is s_j + j - charge.  Part K is s_K - floor >= 0
+        and part j exceeds part j+1 by s_j - s_{j+1} - 1 >= 0, so every such
+        slot set is a row.
         """
-        slots = sorted(set(int(s) for s in slots))
-        if slots and slots[0] < floor:
+        slots = sorted(set(slots), reverse=True)
+        if slots and slots[-1] < floor:
             raise ValueError("slot below floor")
-        n_occ_nonneg = sum(1 for s in slots if s >= 0)
-        if floor <= 0:
-            n_empty_neg = -floor - sum(1 for s in slots if s < 0)
-        else:
-            # slots in [0, floor) are implicitly occupied
-            n_occ_nonneg += floor
-            n_empty_neg = 0
-        charge = n_occ_nonneg - n_empty_neg
-        parts = []
-        for j, slot in enumerate(reversed(slots), start=1):
-            parts.append(slot + j - charge)
-        if any(p < 0 for p in parts):
-            raise ValueError("inconsistent slot set")
-        while parts and parts[-1] == 0:
-            parts.pop()
-        row = cls(charge, Partition(parts))
-        # the implicit beads below floor must agree with the vacuum tail
-        if row.charge - len(row.partition) < floor and parts:
-            raise ValueError("slot set not eventually full below floor")
-        return row
+        charge = floor + len(slots)
+        parts = [s + j - charge for j, s in enumerate(slots, 1)]
+        return cls(charge, Partition._trusted(tuple(p for p in parts if p)))
 
     def to_json(self):
         return {"charge": self.charge, "parts": self.partition.to_json()}
@@ -290,10 +276,9 @@ def combine_quotient(rows, ell):
         raise ValueError("row charges must sum to zero for a partition")
     floor_b = min(r.charge - len(r.partition) for r in rows) - 1
     slots = [ell * b + j for j, row in enumerate(rows) for b in row.beads(floor_b)]
-    row = BeadRow.from_occupied(slots, ell * floor_b)
-    if row.charge != 0:
-        raise ValueError("combined row has nonzero charge")
-    return row.partition
+    # row j holds c_j - floor_b beads at or above floor_b, so the combined
+    # row's charge is the sum of the c_j, which is 0
+    return BeadRow.from_occupied(slots, ell * floor_b).partition
 
 
 def ell_core(lam, ell):

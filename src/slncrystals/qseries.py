@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .abacus import (
     DominantWeight,
+    _compositions,
     _level_coeffs,
     highest_weight_config,
     right_moves,
@@ -145,9 +146,7 @@ def boundary_of(w, n, ell):
 def Z_borodin(bd, nmax):
     """The boundary hook product for the cylinder partition function."""
     N = bd.N
-    s = QSeries.one(nmax)
-    for e in range(N, nmax + 1, N):
-        s = s.times_inv_one_minus(e)
+    s = euler_inverse(N, nmax)
     for i in range(N):
         if not bd.A[i]:
             continue
@@ -182,14 +181,4 @@ def Z_bruteforce(psi0, nmax):
 
 def level_weights(n, level):
     """All dominant weights of the given level, in lexicographic order."""
-    out = []
-
-    def build(prefix, remaining):
-        if len(prefix) == n - 1:
-            out.append(DominantWeight(tuple(prefix) + (remaining,)))
-            return
-        for c in range(remaining + 1):
-            build(prefix + [c], remaining - c)
-
-    build([], level)
-    return out
+    return [DominantWeight(c) for c in _compositions(level, n)]

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -50,6 +53,33 @@ def test_convert_figure10_to_cpp():
     data = json.loads(out)
     assert tuple(data["profile"]) == FIG12_PROFILE
     assert tuple(tuple(r) for r in data["rows"]) == FIG12_ROWS
+
+
+def test_convert_figure10_to_cpp_text():
+    argv = ["convert", "abacus", "cpp", "--format", "text"]
+    rc, out, _ = run_cli(argv, stdin=json.dumps(fig10().to_json()))
+    assert rc == 0
+    assert out == cylindric.render_text(cylindric.from_abacus(fig10()))
+
+
+def test_convert_reads_input_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fig10().to_json()))
+    from_stdin = run_cli(["convert", "abacus", "cpp"], stdin=path.read_text())
+    assert run_cli(["convert", "abacus", "cpp", str(path)]) == from_stdin
+    assert from_stdin[0] == 0
+
+
+def test_module_entry_point_matches_main():
+    argv = ["series", "--n", "3", "--ell", "2", "--weight", "2*L0", "--nmax", "4"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slncrystals.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(argv)[:2]
 
 
 def test_convert_roundtrip():
@@ -110,12 +140,31 @@ def test_convert_validation_error_exit_3():
         ({" +3 ": [0, 1]}, [2, 0, 0]),
         ({"+1": [0, 1]}, [2, 0, 0]),
         ({"\u0663": [0, 1]}, [2, 0, 0]),  # an Arabic-Indic digit three
+        ({"1": [0, 1], "01": [0, 1]}, [2, 0, 0]),  # two keys for one position
     ],
 )
 def test_convert_malformed_path_exit_2(deviations, weight):
     data = {"n": 3, "ell": 2, "weight": weight, "deviations": deviations}
     rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
     assert rc == 2 and out == "" and "error" in err
+
+
+def test_convert_path_needs_n_at_least_2_exit_2():
+    data = {"n": 1, "ell": 1, "weight": [1], "deviations": {}}
+    rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    assert rc == 2 and out == "" and "n >= 2" in err
+
+
+def test_convert_long_path_roundtrip_in_linear_time():
+    # [0, 0] is never a ground element of weight L0 + L1, so every one of
+    # the 30,000 positions deviates; an element lookup that scans the list
+    # of deviations makes this quadratic, about 15 s on a 2-core machine
+    data = _path([1, 1, 0], {str(k): [0, 0] for k in range(1, 30_001)})
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    rc2, back, _ = run_cli(["convert", "abacus", "path"], stdin=out)
+    assert time.perf_counter() - t0 < 5
+    assert rc == rc2 == 0 and json.loads(back) == data
 
 
 def test_convert_path_position_bound():

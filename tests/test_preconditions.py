@@ -1,0 +1,65 @@
+"""Every library precondition raises instead of computing on bad input."""
+
+import pytest
+
+from slncrystals import abacus, crystal, cylindric, partitions, qseries
+from slncrystals.abacus import AbacusConfig, DominantWeight
+from slncrystals.cylindric import CylindricPlanePartition
+from slncrystals.partitions import BeadRow, Partition
+from slncrystals.qseries import Boundary, QSeries
+
+from helpers import config, fig4, fig7, fig10
+
+# compact, but row 1 sits two slots right of row 0: not descending
+UNSORTED = config(3, 2, (0, ()), (2, ()))
+NOT_COMPACT = config(3, 2, (1, (1,)), (0, ()))
+# diagonal 1 is not dominated by diagonal 0
+BAD_CPP = CylindricPlanePartition(3, 2, (0, 0), (Partition((1,)), Partition((2,))))
+VACUUM = BeadRow.vacuum(0)
+
+# (id, a fragment of the message, the call)
+CASES = [
+    ("tighten-k0", "bead index", lambda: abacus.tighten(fig7(), 0)),
+    ("loosen-k0", "bead index", lambda: abacus.loosen(fig7(), 0)),
+    ("gamma", "gamma needs", lambda: abacus.gamma(fig4())),
+    ("lambda_part", "lambda_part needs", lambda: abacus.lambda_part(fig4())),
+    ("recombine", "tight", lambda: abacus.recombine(fig7(), Partition((1,)))),
+    ("gl_move", "direction", lambda: abacus.gl_move(fig10(), 0, "left")),
+    ("highest_weight", "not descending", lambda: abacus.highest_weight(UNSORTED)),
+    ("enumerate", "compact",
+     lambda: list(abacus.enumerate_descending(NOT_COMPACT, 2))),
+    ("crystal_graph", "compact", lambda: crystal.crystal_graph(NOT_COMPACT, 2)),
+    ("Z_bruteforce", "compact", lambda: qseries.Z_bruteforce(NOT_COMPACT, 2)),
+    ("add_ribbon", "ribbon length",
+     lambda: partitions.add_ribbon(Partition((1,)), 0, 1)),
+    ("ell_quotient", "ell must", lambda: partitions.ell_quotient(Partition((1,)), 0)),
+    ("combine_quotient", "expected 2 rows",
+     lambda: partitions.combine_quotient((VACUUM,), 2)),
+    ("from_occupied", "below floor", lambda: BeadRow.from_occupied([-3, 0], -2)),
+    ("to_abacus", "not a valid", lambda: cylindric.to_abacus(BAD_CPP)),
+    ("reflect", "reflect needs", lambda: cylindric.reflect(BAD_CPP)),
+    ("QSeries", "nmax", lambda: QSeries([1], -1)),
+    ("euler_inverse", "m >= 1", lambda: qseries.euler_inverse(0, 4)),
+    ("times_inv_one_minus", "k >= 1",
+     lambda: QSeries.one(4).times_inv_one_minus(0)),
+    ("Boundary-length", "length N", lambda: Boundary(2, (1, 0), (0, 1, 0))),
+    ("Boundary-entry", "0/1", lambda: Boundary(2, (2, 0), (0, 1))),
+    ("DominantWeight", "nonnegative", lambda: DominantWeight((2, -1))),
+    ("AbacusConfig-rows", "expected 2 rows", lambda: AbacusConfig(3, 2, (VACUUM,))),
+    ("AbacusConfig-n0", "n >= 1", lambda: AbacusConfig(0, 1, (VACUUM,))),
+]
+
+
+@pytest.mark.parametrize(
+    "match,call", [pytest.param(m, c, id=i) for i, m, c in CASES]
+)
+def test_precondition_raises_value_error(match, call):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_coeff_beyond_truncation_raises_index_error():
+    s = QSeries.one(3)
+    for k in (4, -1):
+        with pytest.raises(IndexError):
+            s.coeff(k)
