@@ -248,47 +248,72 @@ def highest_weight_config(w, n, ell):
     return AbacusConfig(n, ell, tuple(BeadRow.vacuum(c) for c in charges))
 
 
+def _residues(psi):
+    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row."""
+    rows, sets = range(psi.ell), range(1, psi.max_bead_index() + 1)
+    return [tuple(psi.bead_position(r, k) % psi.n for r in rows) for k in sets]
+
+
+def _tight_from_residues(n, charges, residues):
+    """The tight configuration with these row charges whose bead set k has
+    the residues residues[k - 1], and is the vacuum beyond len(residues).
+
+    From the vacuum in, bead set k, read along the extended rows, is the
+    weakly decreasing run of the integers with its residues, as low as it
+    can go while each row's bead stays strictly right of its bead in set k+1.
+    """
+    ell, K = len(charges), len(residues)
+    below = [c - K - 1 for c in charges]  # bead set k+1, row by row
+    columns = []
+    for res in reversed(residues):
+        # the run: slot t is res[j] - a*n for t = a*ell + j, weakly decreasing
+        res = sorted(res, reverse=True)
+        # the largest start s, so the lowest run, with slot s + i > below[i]
+        # on every row i
+        s = min(
+            max((res[j] - below[i] - 1) // n * ell + j for j in range(ell)) - i
+            for i in range(ell)
+        )
+        below = [res[t % ell] - t // ell * n for t in range(s, s + ell)]
+        columns.append(below)
+    columns.reverse()  # columns[k - 1] is bead set k
+    rows = []
+    for i, c in enumerate(charges):
+        parts = [col[i] - c + k for k, col in enumerate(columns, start=1)]
+        rows.append(BeadRow(c, Partition(p for p in parts if p > 0)))
+    return AbacusConfig(n, ell, tuple(rows))
+
+
+def _decompose(psi, name):
+    """gamma(psi) and lambda_part(psi) from one placement; name goes in the error."""
+    if not is_descending(psi):
+        raise ValueError("%s needs a descending configuration" % name)
+    g = _tight_from_residues(psi.n, psi.charges(), _residues(psi))
+    drops = (
+        sum(r.partition.part(k) for r in psi.rows)
+        - sum(r.partition.part(k) for r in g.rows)
+        for k in range(1, psi.max_bead_index() + 1)
+    )
+    return g, Partition(d // psi.n for d in drops if d)
+
+
 def gamma(psi):
     """The tight configuration reached by exhausting the tightening moves.
 
-    Bead sets are processed from the vacuum end toward the rightmost bead,
-    each moved down by its slack in one shift; the result is independent of
-    the order (asserted in the test suite).
+    Tightening keeps the charges and the residues of every bead set, and a
+    tight configuration is fixed by those, each bead set as low as tightness
+    allows; so gamma(psi) is that placement of psi's charges and residues.
     """
-    if not is_descending(psi):
-        raise ValueError("gamma needs a descending configuration")
-    for k in range(psi.max_bead_index() + 1, 0, -1):
-        psi = _shift_bead_set(psi, k, slack(psi, k))
-    return psi
-
-
-def slack(psi, j):
-    """How many times tighten(-, j) applies before hitting the (j+1)-st beads."""
-    m = 0
-    while _fits(psi, j, m + 1):
-        m += 1
-    return m
+    return _decompose(psi, "gamma")[0]
 
 
 def lambda_part(psi):
-    """The partition of tightening slack.
-
-    Part j is the total number of tightening moves the j-th bead set absorbs
-    when the configuration is tightened, i.e. the slack at all bead sets at
-    or beyond j.
+    """The partition of tightening slack: part k is the number of rows the
+    k-th bead set moves down in gamma(psi).  A set moved down one row gives
+    up n, so part k is the drop in the sum of the k-th parts from psi to
+    gamma(psi), divided by n.
     """
-    if not is_descending(psi):
-        raise ValueError("lambda_part needs a descending configuration")
-    kmax = psi.max_bead_index() + 1
-    slacks = [slack(psi, j) for j in range(1, kmax + 1)]
-    parts = []
-    total = sum(slacks)
-    for w in slacks:
-        if total == 0:
-            break
-        parts.append(total)
-        total -= w
-    return Partition(parts)
+    return _decompose(psi, "lambda_part")[1]
 
 
 def recombine(gamma_cfg, lam):
@@ -314,13 +339,13 @@ def gl_move(psi, p, direction):
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    lam = lambda_part(psi)
+    g, lam = _decompose(psi, "lambda_part")
     move = remove_ribbon if direction == "down" else add_ribbon
     try:
         lam = move(lam, 1, p + 1)
     except ValueError:
         return None
-    return recombine(gamma(psi), lam)
+    return recombine(g, lam)
 
 
 def enumerate_descending(psi0, max_weight):

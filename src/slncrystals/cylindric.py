@@ -143,47 +143,39 @@ def _t_key(box, n, ell):
     return n * box.x + ell * (box.y - box.z)
 
 
+def _box_tokens(pi, i):
+    """Color-i addable boxes as "(" and removable ones as ")", diagonal by
+    diagonal: a part that differs from the part before it has an addable
+    box on top, and the part before it has a removable one."""
+    tokens = []
+    for x, parts in enumerate(pi.rows):
+        prev = None
+        for y, cur in enumerate(parts.parts + (0,), start=pi.profile[x]):
+            if cur != prev:
+                tokens.append(("(", Box(x, y, cur + 1)))
+                if prev is not None:
+                    tokens.append((")", Box(x, y - 1, prev)))
+            prev = cur
+    return [t for t in tokens if box_color(t[1], pi.n) == i % pi.n]
+
+
 def addable_boxes(pi, i):
     """Color-i boxes addable so that every diagonal stays a partition."""
-    out = []
-    for r in range(pi.ell):
-        parts = pi.rows[r]
-        p = pi.profile[r]
-        for w in range(len(parts) + 1):
-            cur = parts.part(w + 1)
-            if w > 0 and parts.part(w) <= cur:
-                continue
-            box = Box(r, p + w, cur + 1)
-            if box_color(box, pi.n) == i % pi.n:
-                out.append(box)
-    return out
+    return [box for kind, box in _box_tokens(pi, i) if kind == "("]
 
 
 def removable_boxes(pi, i):
     """Color-i boxes removable so that every diagonal stays a partition."""
-    out = []
-    for r in range(pi.ell):
-        parts = pi.rows[r]
-        p = pi.profile[r]
-        for w in range(len(parts)):
-            cur = parts.part(w + 1)
-            if parts.part(w + 2) >= cur:
-                continue
-            box = Box(r, p + w, cur)
-            if box_color(box, pi.n) == i % pi.n:
-                out.append(box)
-    return out
+    return [box for kind, box in _box_tokens(pi, i) if kind == ")"]
 
 
 def cpp_brackets(pi, i):
     """"(" per addable box and ")" per removable box, ordered by t."""
-    tokens = [("(", b) for b in addable_boxes(pi, i)]
-    tokens += [(")", b) for b in removable_boxes(pi, i)]
-    keys = [_t_key(t[1], pi.n, pi.ell) for t in tokens]
-    if len(set(keys)) != len(keys):
+    tokens = _box_tokens(pi, i)
+    keyed = {_t_key(t[1], pi.n, pi.ell): t for t in tokens}
+    if len(keyed) != len(tokens):
         raise AssertionError("t values collide on addable/removable boxes")
-    tokens.sort(key=lambda t: _t_key(t[1], pi.n, pi.ell))
-    return tokens
+    return [keyed[k] for k in sorted(keyed)]
 
 
 def f_cpp(pi, i):

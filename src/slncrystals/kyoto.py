@@ -19,9 +19,11 @@ configuration to the path whose k-th element collects the residues of the
 k-th beads, one per row; so the tensor product rule is the bead-set rule
 crystal.column_brackets.  Its domain is the crystal of
 highest_weight_config(w): charges weakly decreasing in [0, n) from the
-bottom row up.  from_path inverts it directly, one bead set at a time from
-the vacuum in: bead set k is the weakly decreasing run of the integers with
-the residues of b_k, placed as low as tightness allows.
+bottom row up.  A tight configuration is fixed by its charges and the
+residues of its bead sets, so from_path inverts to_path with the abacus
+placement (abacus._tight_from_residues): bead set k is the weakly
+decreasing run of the integers with the residues of b_k, placed as low as
+tightness allows.
 """
 
 from __future__ import annotations
@@ -30,16 +32,17 @@ import re
 from dataclasses import dataclass
 
 from .abacus import (
-    AbacusConfig,
     DominantWeight,
     _charge_weight,
     _level_coeffs,
+    _residues,
+    _tight_from_residues,
     highest_weight_config,
     is_descending,
     is_tight,
 )
 from .crystal import column_brackets, signature_reduce
-from .partitions import BeadRow, Partition, _json_int, _json_ints
+from .partitions import _json_int, _json_ints
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,8 @@ def eps_phi_perfect(b, n):
     return DominantWeight(eps), DominantWeight(phi)
 
 
-# The largest path position Path.from_json accepts: a path stores, and
-# from_path builds, one element per position; 10^5 takes about two seconds.
+# The largest position, n and ell Path.from_json accepts: from_path builds one
+# bead set per position and ell rows; 10^5 positions take about two seconds.
 MAX_PATH_POSITION = 100_000
 
 
@@ -122,6 +125,9 @@ class Path:
         n, ell = _json_int(data["n"], "n"), _json_int(data["ell"], "ell")
         if n < 2 or ell < 1:
             raise ValueError("a path needs n >= 2 and ell >= 1")
+        for name, v in (("n", n), ("ell", ell)):
+            if v > MAX_PATH_POSITION:
+                raise ValueError("path %s %d exceeds %d" % (name, v, MAX_PATH_POSITION))
         w = DominantWeight(_json_ints(data["weight"], "weight"))
         if w.n != n or w.level != ell:
             raise ValueError(
@@ -225,41 +231,13 @@ def to_path(psi):
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
             % (charges, w, psi.charges())
         )
-    elements = {
-        k: PerfectElem(tuple(psi.bead_position(r, k) % psi.n for r in range(psi.ell)))
-        for k in range(1, psi.max_bead_index() + 1)
-    }
+    elements = {k: PerfectElem(res) for k, res in enumerate(_residues(psi), 1)}
     return _pruned_path(psi.n, psi.ell, w, elements)
 
 
 def from_path(path):
-    """Inverse of to_path, built one bead set at a time from the vacuum in.
-
-    Bead set K+1 (K the last deviation) is the vacuum of the highest weight
-    configuration.  For k = K, ..., 1, read along the extended rows, bead set
-    k is the weakly decreasing run of the integers whose residues are the
-    entries of b_k; tightness puts it as low as it can go while each row's
-    bead stays strictly right of that row's bead in set k+1.
-    """
-    n, ell = path.n, path.ell
-    charges = highest_weight_config(path.weight, n, ell).charges()
-    K = path.last_position()
-    below = [c - K - 1 for c in charges]  # bead set k+1, row by row
-    columns = []
-    for k in range(K, 0, -1):
-        # the run: slot t is res[j] - a*n for t = a*ell + j, weakly decreasing
-        res = sorted(path.element(k).entries, reverse=True)
-        # the largest start s, so the lowest run, with slot s + i > below[i]
-        # on every row i
-        s = min(
-            max((res[j] - below[i] - 1) // n * ell + j for j in range(ell)) - i
-            for i in range(ell)
-        )
-        below = [res[t % ell] - t // ell * n for t in range(s, s + ell)]
-        columns.append(below)
-    columns.reverse()  # columns[k - 1] is bead set k
-    rows = []
-    for i, c in enumerate(charges):
-        parts = [col[i] - c + k for k, col in enumerate(columns, start=1)]
-        rows.append(BeadRow(c, Partition(p for p in parts if p > 0)))
-    return AbacusConfig(n, ell, tuple(rows))
+    """Inverse of to_path: the tight configuration with the charges of
+    highest_weight_config(path.weight) whose k-th bead set has the residues
+    b_k, placed as low as tightness allows (abacus._tight_from_residues)."""
+    charges = highest_weight_config(path.weight, path.n, path.ell).charges()
+    return _tight_from_residues(path.n, charges, [b.entries for b in path.elements])

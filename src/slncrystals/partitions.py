@@ -259,13 +259,12 @@ def ell_quotient(lam, ell):
         raise ValueError("ell must be positive")
     lam = Partition(lam)
     lo = -(len(lam) + ell + 1)
-    beads = BeadRow(0, lam).beads(lo)
-    rows = []
-    for j in range(ell):
-        floor_b = (lo - j) // ell + 1
-        slots = [(s - j) // ell for s in beads if (s - j) % ell == 0]
-        rows.append(BeadRow.from_occupied([b for b in slots if b >= floor_b], floor_b))
-    return tuple(rows)
+    strands = [[] for _ in range(ell)]
+    for s in BeadRow(0, lam).beads(lo):
+        strands[s % ell].append(s // ell)
+    # the ell + 1 slots from lo to -len(lam) - 1 are occupied, as is every
+    # slot below, so each strand is full below its lowest slot listed here
+    return tuple(BeadRow.from_occupied(slots, slots[-1]) for slots in strands)
 
 
 def combine_quotient(rows, ell):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from slncrystals.abacus import (
     AbacusConfig,
+    _fits,
+    _shift_bead_set,
     enumerate_descending,
     enumerate_tight,
     highest_weight_config,
@@ -448,6 +450,36 @@ def path_tokens_widened(path, i, extra):
 def t_value(box, n, ell):
     """The box ordering function n*x/ell + y - z, exact."""
     return Fraction(n * box.x, ell) + box.y - box.z
+
+
+def slack(psi, j):
+    """How many times tighten(-, j) applies before hitting the (j+1)-st beads."""
+    m = 0
+    while _fits(psi, j, m + 1):
+        m += 1
+    return m
+
+
+def gamma_by_slacks(psi):
+    """gamma by moving each bead set down by its slack, from the vacuum end
+    toward the rightmost bead."""
+    for k in range(psi.max_bead_index() + 1, 0, -1):
+        psi = _shift_bead_set(psi, k, slack(psi, k))
+    return psi
+
+
+def lambda_by_slack_sums(psi):
+    """The slack partition as suffix sums: part j is the slack of psi at
+    all bead sets at or beyond j."""
+    slacks = [slack(psi, j) for j in range(1, psi.max_bead_index() + 2)]
+    parts = []
+    total = sum(slacks)
+    for w in slacks:
+        if total == 0:
+            break
+        parts.append(total)
+        total -= w
+    return P(parts)
 
 
 def cpp_by_white_beads(psi):

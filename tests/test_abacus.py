@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from slncrystals.abacus import (
     AbacusConfig,
@@ -19,7 +19,6 @@ from slncrystals.abacus import (
     loosen,
     recombine,
     right_moves,
-    slack,
     tighten,
     weight,
 )
@@ -34,9 +33,12 @@ from helpers import (
     fig7,
     fig9,
     fig10,
+    gamma_by_slacks,
     greedy_left_push_moves,
     is_descending_by_bead_slots,
+    lambda_by_slack_sums,
     partitions_up_to,
+    slack,
 )
 
 P = Partition
@@ -256,6 +258,42 @@ def test_recombine_roundtrip():
             key = (g.key(), lam.parts)
             assert key not in seen
             seen[key] = cfg
+
+
+# (n, ell, charges, max weight): every level weight of five pairs, then
+# charges outside [0, n), which highest_weight_config never gives
+DECOMPOSITION_CASES = [
+    (n, ell, highest_weight_config(c, n, ell).charges(), w)
+    for n, ell, w in ((3, 2, 6), (2, 3, 6), (4, 2, 5), (3, 3, 5), (2, 1, 6))
+    for c in all_level_coeffs(n, ell)
+] + [(3, 2, (5, 3), 6), (4, 2, (1, -1), 5), (2, 3, (4, 3, 2), 6), (3, 3, (7, 6, 4), 5)]
+
+
+def _check_decomposition(psi):
+    g, lam = gamma(psi), lambda_part(psi)
+    assert g == gamma_by_slacks(psi)
+    assert lam == lambda_by_slack_sums(psi)
+    assert recombine(g, lam) == psi
+
+
+@pytest.mark.parametrize(
+    "n,ell,charges,max_weight",
+    DECOMPOSITION_CASES,
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_decomposition_matches_slack_oracles(n, ell, charges, max_weight):
+    psi0 = config(n, ell, *((c, ()) for c in charges))
+    cfgs = list(enumerate_descending(psi0, max_weight))
+    assert any(weight(cfg) == max_weight for cfg in cfgs)
+    for cfg in cfgs:
+        _check_decomposition(cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_decomposition_matches_slack_oracles_on_random_configs(psi):
+    assume(is_descending(psi))
+    _check_decomposition(psi)
 
 
 def test_recombine_trivial():

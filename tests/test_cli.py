@@ -181,6 +181,42 @@ def test_convert_path_position_bound():
     assert max(len(r["parts"]) for r in rows) >= kyoto.MAX_PATH_POSITION
 
 
+def test_convert_path_n_and_ell_bound():
+    # 51 bytes that would describe a million rows
+    big = kyoto.MAX_PATH_POSITION + 1
+    cases = [
+        ({"n": 3, "ell": 1_000_000, "weight": [1_000_000, 0, 0]}, "ell 1000000"),
+        ({"n": 3, "ell": big, "weight": [big, 0, 0]}, "ell %d" % big),
+        ({"n": big, "ell": 1, "weight": [1] + [0] * (big - 1)}, "n %d" % big),
+    ]
+    for data, field in cases:
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+        assert time.perf_counter() - t0 < 0.5
+        assert rc == 2 and out == "" and field in err
+    top = kyoto.MAX_PATH_POSITION
+    for data in (
+        {"n": 3, "ell": top, "weight": [top, 0, 0]},
+        {"n": top, "ell": 1, "weight": [1] + [0] * (top - 1)},
+    ):
+        rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+        assert rc == 0 and len(json.loads(out)["rows"]) == data["ell"]
+
+
+def test_convert_partition_to_abacus_linear_in_ell():
+    # each of the ell strands rescanning every bead makes this quadratic in
+    # ell, about 65 s on a 2-core machine
+    ell = 32_000
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(
+        ["convert", "partition", "abacus", "--n", "3", "--ell", str(ell)], stdin="[]"
+    )
+    assert time.perf_counter() - t0 < 5
+    rows = json.loads(out)["rows"]
+    assert rc == 0 and len(rows) == ell
+    assert sum(r["charge"] for r in rows) == 0 and not any(r["parts"] for r in rows)
+
+
 def _rows(*rows):
     return {"n": 3, "ell": 2, "rows": [{"charge": c, "parts": p} for c, p in rows]}
 
