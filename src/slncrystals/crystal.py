@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .abacus import is_descending
+from .abacus import is_descending, weight
 from .partitions import add_ribbon, addable_ribbons, remove_ribbon, removable_ribbons
 
 
@@ -290,8 +290,6 @@ def crystal_graph(psi0, max_degree):
     Layer d holds the configurations of principal degree d; every f_i edge
     raises the degree by one.
     """
-    from .abacus import weight
-
     if weight(psi0) != 0 or not is_descending(psi0):
         raise ValueError("crystal_graph needs a compact descending generator")
     layers = [[psi0]]

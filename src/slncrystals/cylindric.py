@@ -62,18 +62,28 @@ class CylindricPlanePartition:
         )
 
 
+def _profile_ext(pi, i):
+    """The first column of diagonal i of the periodic array, any integer i."""
+    q, r = divmod(i, pi.ell)
+    return pi.profile[r] - q * pi.n
+
+
 def is_valid_cpp(pi):
-    """Check the defining conditions: nested boundary and double monotonicity."""
-    ell, n = pi.ell, pi.n
-    for i in range(ell):
-        p_here = pi.profile[i]
-        p_next = pi.profile[(i + 1) % ell] - (n if i + 1 == ell else 0)
-        if p_here < p_next:
+    """The interlacing rule between neighbouring diagonals.
+
+    For each i let d = profile[i] - profile[i + 1], where the wrap pair's
+    profile[ell] is profile[0] - n.  On column profile[i] + w diagonal i
+    holds its part w + 1 and diagonal i + 1 its part w + d + 1 (zero past
+    the end).  So pi is valid iff every d >= 0 and diagonal i + 1 from part
+    d + 1 on is no longer than diagonal i and at most it part by part.
+    """
+    for i, row in enumerate(pi.rows):
+        d = pi.profile[i] - _profile_ext(pi, i + 1)
+        if d < 0:
             return False
-        jmax = max(p_here + len(pi.rows[i]), p_next + len(pi.rows[(i + 1) % ell])) + 1
-        for j in range(p_here, jmax + 1):
-            if pi.entry(i, j) < pi.entry(i + 1, j):
-                return False
+        tail = pi.rows[(i + 1) % pi.ell].parts[d:]
+        if len(tail) > len(row) or any(a < b for a, b in zip(row.parts, tail)):
+            return False
     return True
 
 
@@ -159,16 +169,6 @@ def _box_tokens(pi, i):
     return [t for t in tokens if box_color(t[1], pi.n) == i % pi.n]
 
 
-def addable_boxes(pi, i):
-    """Color-i boxes addable so that every diagonal stays a partition."""
-    return [box for kind, box in _box_tokens(pi, i) if kind == "("]
-
-
-def removable_boxes(pi, i):
-    """Color-i boxes removable so that every diagonal stays a partition."""
-    return [box for kind, box in _box_tokens(pi, i) if kind == ")"]
-
-
 def cpp_brackets(pi, i):
     """"(" per addable box and ")" per removable box, ordered by t."""
     tokens = _box_tokens(pi, i)
@@ -207,11 +207,6 @@ def _with_box(pi, box, delta):
 
 # ---------------------------------------------------------------------------
 # reflection and rank-level duality
-
-
-def _profile_ext(pi, i):
-    q, r = divmod(i, pi.ell)
-    return pi.profile[r] - q * pi.n
 
 
 def reflect(pi):
@@ -261,11 +256,9 @@ def dual_weight(w, n, ell):
 
 
 def render_text(pi):
-    """Plain-text grid: one line per diagonal, entries starting at its column."""
-    lo = min(pi.profile)
+    """Plain text: one line per diagonal, its first column, then its entries."""
     lines = []
     for i in range(pi.ell):
-        pad = "  . " * (pi.profile[i] - lo)
         cells = "".join("%4d" % v for v in pi.rows[i].parts)
-        lines.append("pi_%d |%s%s" % (i, pad, cells))
+        lines.append("pi_%d @%d |%s" % (i, pi.profile[i], cells))
     return "\n".join(lines) + "\n"

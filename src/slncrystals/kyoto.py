@@ -76,13 +76,6 @@ def _replace_entry(b, old, new):
     return PerfectElem(tuple(entries))
 
 
-def eps_phi_perfect(b, n):
-    """(eps, phi) as dominant weights: eps_i counts entries i, phi_i entries i-1."""
-    eps = tuple(b.entries.count(i) for i in range(n))
-    phi = eps[-1:] + eps[:-1]  # phi_i = eps_{i-1}
-    return DominantWeight(eps), DominantWeight(phi)
-
-
 # The largest position, n and ell Path.from_json accepts: from_path builds one
 # bead set per position and ell rows; 10^5 positions take about two seconds.
 MAX_PATH_POSITION = 100_000
@@ -209,11 +202,6 @@ def _path_move(path, i, delta):
     elem = (f_perfect if delta > 0 else e_perfect)(path.element(k), i, path.n)
     assert elem is not None
     return _with_element(path, k, elem)
-
-
-def eps_phi_path(path, i):
-    sig = signature_reduce(path_brackets(path, i))
-    return sig.n_close, sig.n_open
 
 
 def to_path(psi):

@@ -47,19 +47,12 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self):
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for c in range(p):
-                cols[c] += 1
-        return Partition(cols)
-
-    def cells(self):
-        """Iterate over cells (row, col), both 1-indexed."""
-        for r, p in enumerate(self.parts, start=1):
-            for c in range(1, p + 1):
-                yield (r, c)
+        """Column c has one cell per part >= c, so the part(j) - part(j + 1)
+        columns that end at part j have j cells each."""
+        cols = []
+        for j in range(len(self.parts), 0, -1):
+            cols += [j] * (self.part(j) - self.part(j + 1))
+        return Partition._trusted(tuple(cols))
 
     def __len__(self):
         return len(self.parts)

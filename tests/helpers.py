@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from slncrystals.abacus import (
     AbacusConfig,
+    DominantWeight,
     _fits,
     _shift_bead_set,
     enumerate_descending,
@@ -20,7 +21,8 @@ from slncrystals.abacus import (
     highest_weight_config,
 )
 from slncrystals.crystal import signature_reduce
-from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
+from slncrystals.cylindric import CylindricPlanePartition, _box_tokens
+from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect, path_brackets
 from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import level_weights
 
@@ -87,8 +89,6 @@ FIG12_ROWS = ((3, 1), (3, 2), (2, 1), (4, 2))
 
 
 def fig8():
-    from slncrystals.cylindric import CylindricPlanePartition
-
     return CylindricPlanePartition(
         3,
         6,
@@ -130,6 +130,13 @@ def abacus_configs(draw):
 # independent oracles
 
 
+def cells_of(lam):
+    """Iterate over the cells (row, col) of lam, both 1-indexed."""
+    for r, p in enumerate(lam.parts, start=1):
+        for c in range(1, p + 1):
+            yield (r, c)
+
+
 def occupied_slots_oracle(lam, charge, lo, hi):
     """Occupied slots of the bead row, straight from the defining formula."""
     lam = P(lam)
@@ -154,7 +161,7 @@ def ribbons_by_skew_shapes(lam, length):
     out = {}
     rows = len(lam) + length
     for mu in _partitions_containing(lam, length, rows):
-        cells = set(mu.cells()) - set(lam.cells())
+        cells = set(cells_of(mu)) - set(cells_of(lam))
         if len(cells) != length:
             continue
         diagonals = [c - r for (r, c) in cells]
@@ -227,7 +234,7 @@ def ribbons_by_skew_shapes_removals(lam, length):
             continue
         if any(mu.part(r) > lam.part(r) for r in range(1, len(mu) + 1)):
             continue
-        cells = set(lam.cells()) - set(mu.cells())
+        cells = set(cells_of(lam)) - set(cells_of(mu))
         diagonals = [c - r for (r, c) in cells]
         if len(set(diagonals)) == length and _connected(cells):
             out.append(mu)
@@ -488,8 +495,6 @@ def cpp_by_white_beads(psi):
     Entry (i, p_i + w - 1) is the number of beads to the right of the w-th
     empty slot of row i, counting empty slots from the left.
     """
-    from slncrystals.cylindric import CylindricPlanePartition
-
     profile = []
     rows = []
     for row in psi.rows:
@@ -506,3 +511,43 @@ def cpp_by_white_beads(psi):
             parts.append(count)
         rows.append(P(parts))
     return CylindricPlanePartition(psi.n, psi.ell, tuple(profile), tuple(rows))
+
+
+def eps_phi_perfect(b, n):
+    """(eps, phi) as dominant weights: eps_i counts entries i, phi_i entries i-1."""
+    eps = tuple(b.entries.count(i) for i in range(n))
+    phi = eps[-1:] + eps[:-1]  # phi_i = eps_{i-1}
+    return DominantWeight(eps), DominantWeight(phi)
+
+
+def eps_phi_path(path, i):
+    """(eps_i, phi_i) of a path from its reduced bracket string."""
+    sig = signature_reduce(path_brackets(path, i))
+    return sig.n_close, sig.n_open
+
+
+def addable_boxes(pi, i):
+    """Color-i boxes addable so that every diagonal stays a partition."""
+    return [box for kind, box in _box_tokens(pi, i) if kind == "("]
+
+
+def removable_boxes(pi, i):
+    """Color-i boxes removable so that every diagonal stays a partition."""
+    return [box for kind, box in _box_tokens(pi, i) if kind == ")"]
+
+
+def is_valid_cpp_by_cells(pi):
+    """The defining conditions cell by cell: nested boundary and double
+    monotonicity, comparing entries (i, j) and (i + 1, j) on every column j
+    from diagonal i's first one to past the end of both diagonals."""
+    ell, n = pi.ell, pi.n
+    for i in range(ell):
+        p_here = pi.profile[i]
+        p_next = pi.profile[(i + 1) % ell] - (n if i + 1 == ell else 0)
+        if p_here < p_next:
+            return False
+        jmax = max(p_here + len(pi.rows[i]), p_next + len(pi.rows[(i + 1) % ell])) + 1
+        for j in range(p_here, jmax + 1):
+            if pi.entry(i, j) < pi.entry(i + 1, j):
+                return False
+    return True

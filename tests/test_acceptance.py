@@ -39,7 +39,7 @@ from slncrystals.cylindric import (
     from_abacus,
     hw_of_cpp,
 )
-from slncrystals.kyoto import e_path, eps_phi_perfect, ground_state_path, to_path
+from slncrystals.kyoto import e_path, ground_state_path, to_path
 from slncrystals.partitions import (
     BeadRow,
     Partition,
@@ -55,6 +55,7 @@ from helpers import (
     FIG2,
     all_level_coeffs,
     descending_configs,
+    eps_phi_perfect,
     fig9,
     fig10,
     partitions_up_to,

@@ -167,6 +167,17 @@ def test_convert_long_path_roundtrip_in_linear_time():
     assert rc == rc2 == 0 and json.loads(back) == data
 
 
+
+def test_convert_long_path_through_cpp_roundtrip():
+    # the 20,000 positions give parts up to 40,000; conjugating the rows
+    # or checking the cylinder cell by cell takes about two minutes
+    data = _path([1, 1, 0], {str(k): [0, 0] for k in range(1, 20_001)})
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(["convert", "path", "cpp"], stdin=json.dumps(data))
+    rc2, back, _ = run_cli(["convert", "cpp", "path"], stdin=out)
+    assert time.perf_counter() - t0 < 10
+    assert rc == rc2 == 0 and json.loads(back) == data
+
 def test_convert_path_position_bound():
     data = {"n": 3, "ell": 2, "weight": [1, 1, 0], "deviations": {"1000000000": [1, 0]}}
     t0 = time.perf_counter()

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from slncrystals.abacus import DominantWeight, is_descending, weight
@@ -5,7 +7,6 @@ from slncrystals.crystal import e_descending, f_descending
 from slncrystals.cylindric import (
     Box,
     CylindricPlanePartition,
-    addable_boxes,
     box_color,
     cpp_brackets,
     cpp_weight,
@@ -16,7 +17,6 @@ from slncrystals.cylindric import (
     hw_of_cpp,
     is_valid_cpp,
     reflect,
-    removable_boxes,
     render_text,
     to_abacus,
 )
@@ -25,12 +25,15 @@ from slncrystals.partitions import Partition
 from helpers import (
     FIG12_PROFILE,
     FIG12_ROWS,
+    addable_boxes,
     all_level_coeffs,
     cpp_by_white_beads,
     descending_configs,
     fig8,
     fig9,
     fig10,
+    is_valid_cpp_by_cells,
+    removable_boxes,
     t_value,
 )
 
@@ -62,6 +65,31 @@ def test_single_violation_detected():
     with pytest.raises(ValueError):
         P((1, 4))
 
+
+
+def test_is_valid_cpp_matches_cell_scan():
+    rng = random.Random(11)
+    seen = dict.fromkeys(("valid", "invalid", "ell=1", "negative step", "empty"), 0)
+    seen["wrap pair alone"] = 0  # invalid, but valid once its shift n is large
+    for _ in range(4000):
+        n, ell = rng.randint(1, 5), rng.randint(1, 4)
+        profile = tuple(rng.randint(-3, 5) for _ in range(ell))
+        rows = tuple(
+            P(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 5))), reverse=True))
+            for _ in range(ell)
+        )
+        pi = CylindricPlanePartition(n, ell, profile, rows)
+        valid = is_valid_cpp(pi)
+        assert valid == is_valid_cpp_by_cells(pi), pi
+        seen["valid" if valid else "invalid"] += 1
+        seen["ell=1"] += ell == 1
+        seen["negative step"] += any(a < b for a, b in zip(profile, profile[1:]))
+        seen["empty"] += any(not r for r in rows)
+        if not valid and ell > 1:
+            # with n + 20 the wrap pair's d exceeds every diagonal's length
+            wide = CylindricPlanePartition(n + 20, ell, profile, rows)
+            seen["wrap pair alone"] += is_valid_cpp_by_cells(wide)
+    assert all(seen.values()), seen
 
 def test_from_abacus_figure10():
     pi = from_abacus(fig10())

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+public function it defines is used somewhere in the library.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals other than the package's __init__.py with the stdlib ast
@@ -36,3 +37,44 @@ def test_unused_imports_finds_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unreferenced_functions(sources, init_source):
+    """The public top-level functions of `sources` (module name -> source)
+    that no module reads by name or attribute and `init_source` does not
+    re-export, as "module.name"."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    for node in ast.walk(ast.parse(init_source)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.asname or alias.name for alias in node.names)
+    return sorted(
+        "%s.%s" % (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+    )
+
+
+def test_unreferenced_functions_finds_an_unused_function():
+    sources = {
+        "a": "def kept():\n    pass\ndef lost():\n    pass\ndef _private():\n    pass\n",
+        "b": "from . import a\ndef called():\n    a.kept()\ndef exported():\n    pass\n",
+        "c": "class C:\n    def method(self):\n        called()\n",
+    }
+    init = "from .b import exported\n"
+    assert unreferenced_functions(sources, init) == ["a.lost"]
+
+
+def test_every_public_function_is_used_or_exported():
+    sources = {module[:-3]: (SRC / module).read_text() for module in MODULES}
+    init = (SRC / "__init__.py").read_text()
+    assert unreferenced_functions(sources, init) == []

@@ -16,8 +16,6 @@ from slncrystals.kyoto import (
     PerfectElem,
     e_path,
     e_perfect,
-    eps_phi_path,
-    eps_phi_perfect,
     f_path,
     f_perfect,
     from_path,
@@ -31,6 +29,8 @@ from helpers import (
     all_level_coeffs,
     all_perfect_elems,
     config,
+    eps_phi_path,
+    eps_phi_perfect,
     fig9,
     fig10,
     path_tokens_widened,

@@ -38,6 +38,16 @@ def test_partition_validation():
     assert P((3, 1)).conjugate() == P((2, 1, 1))
 
 
+
+def test_conjugate_counts_parts_per_column():
+    for lam in partitions_up_to(12):
+        cols = [sum(1 for p in lam if p >= c) for c in range(1, lam.part(1) + 1)]
+        assert lam.conjugate() == P(cols)
+        assert lam.conjugate().conjugate() == lam
+    big = P((10**6,))
+    assert big.conjugate() == P((1,) * 10**6)
+    assert big.conjugate().conjugate() == big
+
 def test_figure1_bead_positions():
     row = BeadRow(0, FIG1)
     got = [b for b in range(-13, 12) if row.occupied(b)]
