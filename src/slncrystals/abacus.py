@@ -241,11 +241,14 @@ def highest_weight_config(w, n, ell):
     Charges are the residues of the weight, with multiplicity, sorted in
     decreasing order from the bottom row up.
     """
-    charges = []
-    for i, m in enumerate(_level_coeffs(w, n, ell)):
-        charges.extend([i] * m)
-    charges.sort(reverse=True)
+    charges = _highest_weight_charges(_level_coeffs(w, n, ell))
     return AbacusConfig(n, ell, tuple(BeadRow.vacuum(c) for c in charges))
+
+
+def _highest_weight_charges(coeffs):
+    """The row charges of highest_weight_config: each residue i, coeffs[i]
+    times, in decreasing order from the bottom row up."""
+    return tuple(i for i in range(len(coeffs) - 1, -1, -1) for _ in range(coeffs[i]))
 
 
 def _residues(psi):

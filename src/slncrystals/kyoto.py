@@ -24,24 +24,30 @@ residues of its bead sets, so from_path inverts to_path with the abacus
 placement (abacus._tight_from_residues): bead set k is the weakly
 decreasing run of the integers with the residues of b_k, placed as low as
 tightness allows.
+
+The path rule reads the tokens of every color in one pass, and the n
+signatures are memoised on the Path, as the gap rule's are on a
+configuration.  A Path also keeps the ground elements it has built, one per
+residue class of the position.
 """
 
 from __future__ import annotations
 
+import bisect
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .abacus import (
     DominantWeight,
     _charge_weight,
+    _highest_weight_charges,
     _level_coeffs,
     _residues,
     _tight_from_residues,
-    highest_weight_config,
     is_descending,
     is_tight,
 )
-from .crystal import column_brackets, signature_reduce
+from .crystal import _column_signatures, column_brackets
 from .partitions import _json_int, _json_ints
 
 
@@ -51,6 +57,13 @@ class PerfectElem:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(sorted(int(e) for e in self.entries)))
+
+    @classmethod
+    def _trusted(cls, entries):
+        """A PerfectElem of a tuple of ints already sorted, unchecked."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "entries", entries)
+        return b
 
     def to_json(self):
         return list(self.entries)
@@ -67,13 +80,13 @@ def e_perfect(b, i, n):
 
 
 def _replace_entry(b, old, new):
-    """b with one copy of old replaced by new; PerfectElem sorts its
-    entries, so it does not matter which copy."""
+    """b with one copy of old replaced by new, or None if b has no old."""
     entries = list(b.entries)
     if old not in entries:
         return None
-    entries[entries.index(old)] = new
-    return PerfectElem(tuple(entries))
+    entries.remove(old)
+    bisect.insort(entries, new)
+    return PerfectElem._trusted(tuple(entries))
 
 
 # The largest position, n and ell Path.from_json accepts: from_path builds one
@@ -89,13 +102,27 @@ class Path:
     ell: int
     weight: DominantWeight
     elements: tuple  # (b_1, ..., b_K), the ground elements after b_K dropped
+    # ground elements by residue class of the position, built on first use
+    _grounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ground(self, k):
-        """The k-th ground state element: w[(v + k) mod n] copies of each v."""
-        w = self.weight.coeffs
-        return PerfectElem(
-            tuple(v for v in range(self.n) for _ in range(w[(v + k) % self.n]))
-        )
+        """The k-th ground state element: w[(v + k) mod n] copies of each v.
+
+        It depends on k mod n only, and is built once per residue class:
+        b_n lists each v w[v] times, and b_k is b_n with k subtracted from
+        every entry, so only b_n costs O(n).
+        """
+        r = k % self.n
+        b = self._grounds.get(r)
+        if b is None:
+            if r:
+                base = self.ground(0).entries
+                entries = tuple(sorted((v - r) % self.n for v in base))
+            else:
+                w = self.weight.coeffs
+                entries = tuple(v for v in range(self.n) for _ in range(w[v]))
+            b = self._grounds[r] = PerfectElem._trusted(entries)
+        return b
 
     def element(self, k):
         return self.elements[k - 1] if 0 < k <= len(self.elements) else self.ground(k)
@@ -144,20 +171,23 @@ class Path:
                     % (list(e.entries), k, ell, n)
                 )
             devs.append((k, e))
-        if len({k for k, _ in devs}) != len(devs):
+        elements = dict(devs)
+        if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
-        return _pruned_path(n, ell, w, dict(devs))
+        base = Path(n, ell, w, ())
+        dense = [
+            elements[k] if k in elements else base.ground(k)
+            for k in range(1, max(elements, default=0) + 1)
+        ]
+        return _pruned_path(base, dense)
 
 
-def _pruned_path(n, ell, w, elements):
-    """The path with b_k = elements[k] where given and the ground element
-    elsewhere, trailing ground elements dropped."""
-    ground = Path(n, ell, w, ()).ground
-    K = max(elements, default=0)
-    dense = [elements[k] if k in elements else ground(k) for k in range(1, K + 1)]
-    while dense and dense[-1] == ground(len(dense)):
-        dense.pop()
-    return Path(n, ell, w, tuple(dense))
+def _pruned_path(path, elements):
+    """The path of path's weight with b_k = elements[k - 1], trailing ground
+    elements dropped."""
+    while elements and elements[-1] == path.ground(len(elements)):
+        elements.pop()
+    return Path(path.n, path.ell, path.weight, tuple(elements))
 
 
 def ground_state_path(w, n, ell):
@@ -165,21 +195,23 @@ def ground_state_path(w, n, ell):
     return Path(n, ell, DominantWeight(_level_coeffs(w, n, ell)), ())
 
 
-def path_brackets(path, i):
-    """Bracket tokens of the signature rule, rightmost factor last.
+def path_brackets(path):
+    """Bracket tokens of the signature rule, every color, rightmost factor
+    last; the payload is (k, color).
 
     The bead-set rule read on b_{K+1}, ..., b_1 (K the last deviation):
-    b_k gives ")" per entry i and "(" per entry i-1, its eps_i and phi_i,
-    and the ground tail collapses to the "(" of b_{K+1}.
+    b_k gives ")" of color i per entry i and "(" of color i per entry i-1,
+    its eps_i and phi_i, and the ground tail collapses to the "(" of
+    b_{K+1}.
     """
     K = path.last_position()
     columns = [(k, path.element(k).entries) for k in range(K + 1, 0, -1)]
-    return column_brackets(columns, i, path.n)
+    return column_brackets(columns, path.n)
 
 
 def _with_element(path, k, elem):
-    elements = {**dict(enumerate(path.elements, 1)), k: elem}
-    return _pruned_path(path.n, path.ell, path.weight, elements)
+    """path with b_k replaced by elem, for 1 <= k <= K + 1."""
+    return _pruned_path(path, [*path.elements[: k - 1], elem, *path.elements[k:]])
 
 
 def f_path(path, i):
@@ -191,14 +223,22 @@ def e_path(path, i):
 
 
 def _path_move(path, i, delta):
-    """f_path for delta +1, e_path for delta -1."""
-    sig = signature_reduce(path_brackets(path, i))
-    k = sig.first_open if delta > 0 else sig.last_close
-    if k is None:
+    """f_path for delta +1, e_path for delta -1.
+
+    The n signatures of the path rule are memoised on the path.
+    """
+    sigs = getattr(path, "_signatures", None)
+    if sigs is None:
+        sigs = _column_signatures(path_brackets(path), path.n)
+        object.__setattr__(path, "_signatures", sigs)  # path is frozen
+    sig = sigs[i % path.n]
+    token = sig.first_open if delta > 0 else sig.last_close
+    if token is None:
         return None
-    # column_brackets gives column k a "(" only for an entry of b_k congruent
-    # to i-1 and a ")" only for one congruent to i, so the perfect crystal
-    # operator finds an entry to change
+    k = token[0]
+    # column_brackets gives column k a "(" of color i only for an entry of b_k
+    # congruent to i-1 and a ")" only for one congruent to i, so the perfect
+    # crystal operator finds an entry to change
     elem = (f_perfect if delta > 0 else e_perfect)(path.element(k), i, path.n)
     assert elem is not None
     return _with_element(path, k, elem)
@@ -213,19 +253,19 @@ def to_path(psi):
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
     w = _charge_weight(psi.charges(), psi.n)
-    charges = highest_weight_config(w, psi.n, psi.ell).charges()
+    charges = _highest_weight_charges(w.coeffs)
     if psi.charges() != charges:
         raise ValueError(
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
             % (charges, w, psi.charges())
         )
-    elements = {k: PerfectElem(res) for k, res in enumerate(_residues(psi), 1)}
-    return _pruned_path(psi.n, psi.ell, w, elements)
+    elements = [PerfectElem._trusted(tuple(sorted(res))) for res in _residues(psi)]
+    return _pruned_path(Path(psi.n, psi.ell, w, ()), elements)
 
 
 def from_path(path):
     """Inverse of to_path: the tight configuration with the charges of
     highest_weight_config(path.weight) whose k-th bead set has the residues
     b_k, placed as low as tightness allows (abacus._tight_from_residues)."""
-    charges = highest_weight_config(path.weight, path.n, path.ell).charges()
+    charges = _highest_weight_charges(_level_coeffs(path.weight, path.n, path.ell))
     return _tight_from_residues(path.n, charges, [b.entries for b in path.elements])

@@ -522,8 +522,14 @@ def eps_phi_perfect(b, n):
 
 def eps_phi_path(path, i):
     """(eps_i, phi_i) of a path from its reduced bracket string."""
-    sig = signature_reduce(path_brackets(path, i))
+    sig = signature_reduce(tokens_of_color(path_brackets(path), i, path.n))
     return sig.n_close, sig.n_open
+
+
+def tokens_of_color(tokens, i, n):
+    """The color-i tokens of a bead-set rule's all-color string, with the
+    set index k as payload, as the per-color oracles give them."""
+    return [(char, k) for char, (k, color) in tokens if color == i % n]
 
 
 def addable_boxes(pi, i):

@@ -167,6 +167,19 @@ def test_convert_long_path_roundtrip_in_linear_time():
     assert rc == rc2 == 0 and json.loads(back) == data
 
 
+def test_convert_path_of_rank_bound_at_last_position():
+    # the positions before the deviation hold ground elements of 100,000
+    # residue classes mod n; building each from the weight, O(n) apiece,
+    # takes about half an hour on a 2-core machine (300 positions take 5 s)
+    top = kyoto.MAX_PATH_POSITION
+    weight = [1] + [0] * (top - 1)
+    data = {"n": top, "ell": 1, "weight": weight, "deviations": {str(top): [5]}}
+    t0 = time.perf_counter()
+    rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    rc2, back, _ = run_cli(["convert", "abacus", "path"], stdin=out)
+    assert time.perf_counter() - t0 < 5
+    assert rc == rc2 == 0 and json.loads(back) == data
+
 
 def test_convert_long_path_through_cpp_roundtrip():
     # the 20,000 positions give parts up to 40,000; conjugating the rows
@@ -205,12 +218,16 @@ def test_convert_path_n_and_ell_bound():
         rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
         assert time.perf_counter() - t0 < 0.5
         assert rc == 2 and out == "" and field in err
+    # the accepted maxima take well under a second; 5 s catches a build of
+    # the ground elements quadratic in n or ell
     top = kyoto.MAX_PATH_POSITION
     for data in (
         {"n": 3, "ell": top, "weight": [top, 0, 0]},
         {"n": top, "ell": 1, "weight": [1] + [0] * (top - 1)},
     ):
+        t0 = time.perf_counter()
         rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+        assert time.perf_counter() - t0 < 5
         assert rc == 0 and len(json.loads(out)["rows"]) == data["ell"]
 
 

@@ -47,6 +47,7 @@ from helpers import (
     partitions_up_to,
     signature_oracle,
     tight_configs,
+    tokens_of_color,
 )
 
 P = Partition
@@ -146,9 +147,11 @@ def test_descending_rule_preserves_descent():
 
 def test_descending_bracket_window_stability():
     for cfg in descending_configs(3, 2, (2, 0, 0), 4):
+        tokens = descending_brackets(cfg)
         for i in range(3):
-            assert descending_tokens_widened(cfg, i, 0) == descending_brackets(cfg, i)
-            base = signature_reduce(descending_brackets(cfg, i))
+            own = tokens_of_color(tokens, i, 3)
+            assert descending_tokens_widened(cfg, i, 0) == own
+            base = signature_reduce(own)
             for extra in (3, 6):
                 wide = signature_reduce(descending_tokens_widened(cfg, i, extra))
                 assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
@@ -228,6 +231,37 @@ def test_memo_is_not_shared_with_images(n, ell):
                     assert img == fresh and not hasattr(img, "_gap_signatures")
                     assert _signatures(img) == _signatures(fresh)
                     assert _signatures(img) is not _signatures(cfg)
+
+
+@pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
+def test_memoised_grouped_signatures_match_widened_tokens(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, 5):
+            f_descending(cfg, 0)
+            memo = cfg._set_signatures
+            e_descending(cfg, n - 1)
+            assert cfg._set_signatures is memo
+            for i in range(n):
+                # the widened oracle's payload is k; the memo's is (k, i)
+                own = [(c, (k, i)) for c, k in descending_tokens_widened(cfg, i, 0)]
+                assert memo[i] == signature_reduce(own)
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
+def test_grouped_memo_is_not_shared_with_images(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, 4):
+            f_descending(cfg, 0)
+            for op in (f_descending, e_descending):
+                for i in range(n):
+                    img = op(cfg, i)
+                    if img is None:
+                        continue
+                    fresh = AbacusConfig.from_json(img.to_json())
+                    assert img == fresh and not hasattr(img, "_set_signatures")
+                    assert op(img, i) == op(fresh, i)
+                    assert img._set_signatures == fresh._set_signatures
+                    assert img._set_signatures is not cfg._set_signatures
 
 
 @pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)

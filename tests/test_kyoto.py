@@ -36,6 +36,7 @@ from helpers import (
     path_tokens_widened,
     perfect_eps_phi_by_iteration,
     tight_configs,
+    tokens_of_color,
 )
 
 
@@ -155,8 +156,9 @@ def test_path_brackets_match_descending_brackets():
         for cfg in tight_configs(3, 2, coeffs, 5):
             p = to_path(cfg)
             for i in range(3):
-                assert path_tokens_widened(p, i, 0) == path_brackets(p, i)
-                ab = [c for c, _ in descending_brackets(cfg, i)]
+                own = tokens_of_color(path_brackets(p), i, 3)
+                assert path_tokens_widened(p, i, 0) == own
+                ab = [c for c, _ in tokens_of_color(descending_brackets(cfg), i, 3)]
                 extra = cfg.max_bead_index() - p.last_position()
                 pa = [c for c, _ in path_tokens_widened(p, i, extra)]
                 assert "".join(pa) == "".join(ab)
@@ -167,7 +169,7 @@ def test_path_window_stability():
         for cfg in tight_configs(3, 2, coeffs, 4):
             p = to_path(cfg)
             for i in range(3):
-                base = signature_reduce(path_brackets(p, i))
+                base = signature_reduce(tokens_of_color(path_brackets(p), i, 3))
                 for extra in (2, 5):
                     wide = signature_reduce(path_tokens_widened(p, i, extra))
                     assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
@@ -183,6 +185,39 @@ def _f_path_widened(path, i, extra):
     from slncrystals.kyoto import _with_element
 
     return _with_element(path, k, elem)
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_memoised_path_signatures_match_widened_tokens(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in tight_configs(n, ell, coeffs, 5):
+            p = to_path(cfg)
+            f_path(p, 0)
+            memo = p._signatures
+            e_path(p, n - 1)
+            assert p._signatures is memo
+            for i in range(n):
+                # the widened oracle's payload is k; the memo's is (k, i)
+                own = [(c, (k, i)) for c, k in path_tokens_widened(p, i, 0)]
+                assert memo[i] == signature_reduce(own)
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
+def test_path_memo_is_not_shared_with_images(n, ell):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in tight_configs(n, ell, coeffs, 4):
+            p = to_path(cfg)
+            f_path(p, 0)
+            for op in (f_path, e_path):
+                for i in range(n):
+                    img = op(p, i)
+                    if img is None:
+                        continue
+                    fresh = Path.from_json(img.to_json())
+                    assert img == fresh and not hasattr(img, "_signatures")
+                    assert op(img, i) == op(fresh, i)
+                    assert img._signatures == fresh._signatures
+                    assert img._signatures is not p._signatures
 
 
 @pytest.mark.parametrize("n,ell", [(2, 2), (3, 2)])

@@ -29,6 +29,10 @@ CASES = [
     ("enumerate", "compact",
      lambda: list(abacus.enumerate_descending(NOT_COMPACT, 2))),
     ("crystal_graph", "compact", lambda: crystal.crystal_graph(NOT_COMPACT, 2)),
+    ("f_descending", "f_descending needs",
+     lambda: crystal.f_descending(UNSORTED, 1)),
+    ("e_descending", "e_descending needs",
+     lambda: crystal.e_descending(UNSORTED, 1)),
     ("Z_bruteforce", "compact", lambda: qseries.Z_bruteforce(NOT_COMPACT, 2)),
     ("add_ribbon", "ribbon length",
      lambda: partitions.add_ribbon(Partition((1,)), 0, 1)),
@@ -56,6 +60,16 @@ CASES = [
 def test_precondition_raises_value_error(match, call):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_rejected_configuration_keeps_no_memo():
+    # the descent check runs before the grouped rule's memo is made, so a
+    # second call on the same configuration is checked again
+    for op in (crystal.f_descending, crystal.e_descending):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="needs a descending"):
+                op(UNSORTED, 0)
+    assert not hasattr(UNSORTED, "_set_signatures")
 
 
 def test_coeff_beyond_truncation_raises_index_error():
