@@ -15,6 +15,7 @@ tightening at all, form the irreducible highest weight crystal.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .partitions import (
@@ -264,20 +265,21 @@ def _tight_from_residues(n, charges, residues):
     From the vacuum in, bead set k, read along the extended rows, is the
     weakly decreasing run of the integers with its residues, as low as it
     can go while each row's bead stays strictly right of its bead in set k+1.
+    With res the residues sorted decreasing, each in [0, n), slot t of the
+    run, res[t mod ell] - n*floor(t/ell), exceeds b iff t < T(b) = #{j :
+    res[j] >= (b+1) mod n} - ell*floor((b+1)/n).  So the start is the closed
+    form min over rows i of T(b_i) - 1 - i (b_i the row's bead in set k+1).
     """
     ell, K = len(charges), len(residues)
     below = [c - K - 1 for c in charges]  # bead set k+1, row by row
     columns = []
     for res in reversed(residues):
-        # the run: slot t is res[j] - a*n for t = a*ell + j, weakly decreasing
-        res = sorted(res, reverse=True)
-        # the largest start s, so the lowest run, with slot s + i > below[i]
-        # on every row i
+        up = sorted(res)
         s = min(
-            max((res[j] - below[i] - 1) // n * ell + j for j in range(ell)) - i
-            for i in range(ell)
+            -ell * ((b + 1) // n) + ell - bisect_left(up, (b + 1) % n) - 1 - i
+            for i, b in enumerate(below)
         )
-        below = [res[t % ell] - t // ell * n for t in range(s, s + ell)]
+        below = [up[-1 - t % ell] - t // ell * n for t in range(s, s + ell)]
         columns.append(below)
     columns.reverse()  # columns[k - 1] is bead set k
     rows = []

@@ -8,13 +8,13 @@ pairs, and acts at the first uncanceled "(" (for a lowering move) or the
 last uncanceled ")" (for a raising move).
 
 Each bracket rule on configurations and paths reads the tokens of all n
-colors in one walk and reduces them in one pass, a stack per color, so the
-operators of every color cost one walk.  The n signatures are memoised on
-the object they describe: the gap rule's on the abacus configuration
-(crystal_graph drops a node's memo once it has expanded it), the grouped
-bead-set rule's on the descending configuration, and the path rule's on
-the Path (in kyoto).  The column rule on partitions, partition_brackets,
-stays per color: no benchmark workload uses it.
+colors in one walk, and the gap, grouped and path rules reduce them with
+one all-color reducer, so the operators of every color cost one walk.  The
+n signatures are memoised on the object they describe: the gap rule's on
+the abacus configuration (crystal_graph drops a node's memo once it has
+expanded it), the grouped bead-set rule's on the descending configuration,
+and the path rule's on the Path (in kyoto).  The column rule on partitions,
+partition_brackets, stays per color: no benchmark workload uses it.
 """
 
 from __future__ import annotations
@@ -74,6 +74,27 @@ def signature_reduce(tokens):
     )
 
 
+def _reduce_colors(tokens, n, at):
+    """`signature_reduce` of the tokens of each color 0..n-1, in one pass
+    with a stack per color.  The color is payload[at] % n, read inline, as a
+    call per token would cost the BFS about 10%: `at` is 0 for the gap
+    rule's (gap, row, bead) and 1 for the bead-set rule's (k, color)."""
+    opens = [[] for _ in range(n)]
+    closes = [[] for _ in range(n)]
+    for char, payload in tokens:
+        i = payload[at] % n
+        if char == "(":
+            opens[i].append(payload)
+        elif opens[i]:
+            opens[i].pop()
+        else:
+            closes[i].append(payload)
+    return tuple(
+        Signature(o[0] if o else None, c[-1] if c else None, len(c), len(o))
+        for o, c in zip(opens, closes)
+    )
+
+
 # ---------------------------------------------------------------------------
 # gap rule on arbitrary abacus configurations
 
@@ -118,29 +139,10 @@ def abacus_brackets(psi):
 
 
 def _signatures(psi):
-    """The gap rule's Signature of each color 0..n-1, memoised on psi.
-
-    One pass over `abacus_brackets` with a stack of open "(" per color:
-    canceling only ever pairs tokens of one color, so this is
-    `signature_reduce` of each color's tokens.
-    """
+    """The gap rule's Signature of each color 0..n-1, memoised on psi."""
     sigs = getattr(psi, "_gap_signatures", None)
     if sigs is None:
-        n = psi.n
-        opens = [[] for _ in range(n)]
-        closes = [[] for _ in range(n)]
-        for char, payload in abacus_brackets(psi):
-            i = payload[0] % n
-            if char == "(":
-                opens[i].append(payload)
-            elif opens[i]:
-                opens[i].pop()
-            else:
-                closes[i].append(payload)
-        sigs = tuple(
-            Signature(o[0] if o else None, c[-1] if c else None, len(c), len(o))
-            for o, c in zip(opens, closes)
-        )
+        sigs = _reduce_colors(abacus_brackets(psi), psi.n, 0)
         object.__setattr__(psi, "_gap_signatures", sigs)  # psi is frozen
     return sigs
 
@@ -187,30 +189,6 @@ def column_brackets(columns, n):
     return tokens
 
 
-def _column_signatures(tokens, n):
-    """The Signature of each color 0..n-1 of `column_brackets` tokens.
-
-    The one pass of `_signatures`, reading the color off the payload.  The
-    gap rule keeps its own copy of the loop: calling a shared reducer from
-    `_signatures` costs the crystal_graph BFS one more call per node, which
-    made graded-series 0.5% slower on a 2-core machine.
-    """
-    opens = [[] for _ in range(n)]
-    closes = [[] for _ in range(n)]
-    for char, payload in tokens:
-        i = payload[1]
-        if char == "(":
-            opens[i].append(payload)
-        elif opens[i]:
-            opens[i].pop()
-        else:
-            closes[i].append(payload)
-    return tuple(
-        Signature(o[0] if o else None, c[-1] if c else None, len(c), len(o))
-        for o, c in zip(opens, closes)
-    )
-
-
 def descending_brackets(psi):
     """The grouped rule: column k holds the slots of the k-th beads, one
     per row, for bead sets kmax+1 (the tail) down to 1."""
@@ -249,7 +227,7 @@ def _descending_move(psi, i, delta, name):
     if sigs is None:
         if not is_descending(psi):
             raise ValueError("%s needs a descending configuration" % name)
-        sigs = _column_signatures(descending_brackets(psi), psi.n)
+        sigs = _reduce_colors(descending_brackets(psi), psi.n, 1)
         object.__setattr__(psi, "_set_signatures", sigs)  # psi is frozen
     sig = sigs[i % psi.n]
     token = sig.first_open if delta > 0 else sig.last_close

@@ -47,7 +47,7 @@ from .abacus import (
     is_descending,
     is_tight,
 )
-from .crystal import _column_signatures, column_brackets
+from .crystal import _reduce_colors, column_brackets
 from .partitions import _json_int, _json_ints
 
 
@@ -229,7 +229,7 @@ def _path_move(path, i, delta):
     """
     sigs = getattr(path, "_signatures", None)
     if sigs is None:
-        sigs = _column_signatures(path_brackets(path), path.n)
+        sigs = _reduce_colors(path_brackets(path), path.n, 1)
         object.__setattr__(path, "_signatures", sigs)  # path is frozen
     sig = sigs[i % path.n]
     token = sig.first_open if delta > 0 else sig.last_close

@@ -218,12 +218,14 @@ def test_convert_path_n_and_ell_bound():
         rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
         assert time.perf_counter() - t0 < 0.5
         assert rc == 2 and out == "" and field in err
-    # the accepted maxima take well under a second; 5 s catches a build of
-    # the ground elements quadratic in n or ell
+    # the accepted maxima take a few seconds at most; 5 s catches a build of
+    # the ground elements or a tight placement quadratic in n or ell
     top = kyoto.MAX_PATH_POSITION
     for data in (
         {"n": 3, "ell": top, "weight": [top, 0, 0]},
         {"n": top, "ell": 1, "weight": [1] + [0] * (top - 1)},
+        # one deviation, so a placement quadratic in ell shows
+        {"n": 3, "ell": top, "weight": [top, 0, 0], "deviations": {"7": [1] * top}},
     ):
         t0 = time.perf_counter()
         rc, out, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))

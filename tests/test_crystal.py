@@ -11,6 +11,7 @@ from slncrystals.abacus import (
 )
 from slncrystals.crystal import (
     AffineWeight,
+    _reduce_colors,
     _signatures,
     abacus_brackets,
     crystal_graph,
@@ -81,6 +82,23 @@ def test_signature_against_deletion_oracle(s):
         assert s[sig.first_open] == "("
     if sig.n_close:
         assert s[sig.last_close] == ")"
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([0, 1]),
+    st.lists(st.tuples(st.sampled_from("()"), st.integers(-12, 12)), max_size=30),
+)
+def test_reduce_colors_matches_per_color_reduce(n, at, chars):
+    # the color-bearing integer at index `at`, the token's index at the other
+    tokens = [
+        (char, (x, j) if at == 0 else (j, x)) for j, (char, x) in enumerate(chars)
+    ]
+    sigs = _reduce_colors(tokens, n, at)
+    assert len(sigs) == n
+    for c in range(n):
+        assert sigs[c] == signature_reduce([t for t in tokens if t[1][at] % n == c])
 
 
 @settings(max_examples=200)

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and every
-public function it defines is used somewhere in the library.
+top-level function it defines, public or private, is used somewhere in the
+library.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals other than the package's __init__.py with the stdlib ast
@@ -40,9 +41,9 @@ def test_module_has_no_unused_import(module):
 
 
 def unreferenced_functions(sources, init_source):
-    """The public top-level functions of `sources` (module name -> source)
-    that no module reads by name or attribute and `init_source` does not
-    re-export, as "module.name"."""
+    """The top-level functions of `sources` (module name -> source), public
+    or private, that no module reads by name or attribute and `init_source`
+    does not re-export, as "module.name"."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = set()
     for tree in trees.values():
@@ -59,7 +60,6 @@ def unreferenced_functions(sources, init_source):
         for name, tree in trees.items()
         for node in tree.body
         if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
         and node.name not in used
     )
 
@@ -71,7 +71,7 @@ def test_unreferenced_functions_finds_an_unused_function():
         "c": "class C:\n    def method(self):\n        called()\n",
     }
     init = "from .b import exported\n"
-    assert unreferenced_functions(sources, init) == ["a.lost"]
+    assert unreferenced_functions(sources, init) == ["a._private", "a.lost"]
 
 
 def test_every_public_function_is_used_or_exported():
