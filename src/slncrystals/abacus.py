@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import ge
 
 from .partitions import (
     BeadRow,
@@ -85,9 +86,20 @@ class AbacusConfig:
         return self.rows[r].bead_slot(j) - self.n * q
 
     def replace_row(self, r, new_row):
+        """The configuration with rows[r] = new_row, r a list index.
+
+        n, ell and the row count do not change, so the result skips the
+        checks of __post_init__.  Its fields are set one by one, as the
+        frozen dataclass's own __init__ sets them: filling its __dict__
+        instead made every later attribute read slower.
+        """
         rows = list(self.rows)
         rows[r] = new_row
-        return AbacusConfig(self.n, self.ell, tuple(rows))
+        psi = object.__new__(AbacusConfig)
+        object.__setattr__(psi, "n", self.n)  # psi is frozen
+        object.__setattr__(psi, "ell", self.ell)
+        object.__setattr__(psi, "rows", tuple(rows))
+        return psi
 
     def charges(self):
         return tuple(r.charge for r in self.rows)
@@ -200,8 +212,26 @@ def loosen(psi, k):
 
 
 def is_tight(psi):
-    """True iff no tighten(psi, k) is possible."""
-    return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 2))
+    """True iff no tighten(psi, k) is possible.
+
+    Bead k of row i sits at slot part(k) - k + c_i, so `_fits(psi, k, 1)`
+    says that, for every row i, part k plus the charge of extended row
+    i + 1 (the bottom row, n slots left, for the top row) is at least part
+    k + 1 plus the charge of row i.  Beyond max_bead_index() every part is
+    0, and no set fits: the charges around the rows would have to rise,
+    but they drop by n.  So the rows' parts, padded with zeros to
+    max_bead_index() + 1, decide it.
+    """
+    m, n = psi.max_bead_index(), psi.n
+    rows = []
+    for row in psi.rows:
+        c, parts = row.charge, row.partition.parts
+        rows.append([p + c for p in parts + (0,) * (m + 1 - len(parts))])
+    rows.append([a - n for a in rows[0]])  # extended row ell
+    # sets[k - 1][i] is part k plus the charge of extended row i, i <= ell;
+    # map stops after the ell entries of sets[k - 1][1:]
+    sets = list(zip(*rows))
+    return not any(all(map(ge, sets[k - 1][1:], sets[k])) for k in range(1, m + 1))
 
 
 def highest_weight(psi0):
@@ -253,9 +283,15 @@ def _highest_weight_charges(coeffs):
 
 
 def _residues(psi):
-    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row."""
-    rows, sets = range(psi.ell), range(1, psi.max_bead_index() + 1)
-    return [tuple(psi.bead_position(r, k) % psi.n for r in rows) for k in sets]
+    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row,
+    read off the rows' parts padded with zeros to max_bead_index()."""
+    m, n = psi.max_bead_index(), psi.n
+    rows = []
+    for row in psi.rows:
+        c, parts = row.charge, row.partition.parts
+        padded = parts + (0,) * (m - len(parts))
+        rows.append([(p - k + c) % n for k, p in enumerate(padded, 1)])
+    return list(zip(*rows))
 
 
 def _tight_from_residues(n, charges, residues):

@@ -304,19 +304,34 @@ def crystal_graph(psi0, max_degree):
 
     Layer d holds the configurations of principal degree d; every f_i edge
     raises the degree by one.
+
+    An image is keyed by its rows' parts before it is built: the gap rule's
+    first uncanceled "(" of color i names the bead (row r, index j) that
+    f_i moves, so the image's parts are the node's with part j of row r
+    raised by one.  f keeps every charge, so these keys sort as `key()`
+    does.  `f_abacus` builds each node once, for the first edge into it,
+    and every later edge reuses that node.
     """
     if weight(psi0) != 0 or not is_descending(psi0):
         raise ValueError("crystal_graph needs a compact descending generator")
     layers = [[psi0]]
     edges = []
     for _ in range(max_degree):
-        seen = {}  # key -> the first image with that key
+        seen = {}  # the rows' parts -> the node built for them
         for node in layers[-1]:
-            for i in range(psi0.n):
-                img = f_abacus(node, i)
-                if img is not None:
-                    edges.append((node, i, seen.setdefault(img.key(), img)))
-            object.__delattr__(node, "_gap_signatures")  # set by f_abacus
+            parts = [row.partition.parts for row in node.rows]
+            for i, sig in enumerate(_signatures(node)):
+                if sig.first_open is None:
+                    continue
+                _, r, j = sig.first_open
+                parts[r], old = node.rows[r].moved_parts(j, 1), parts[r]
+                key = tuple(parts)
+                parts[r] = old
+                img = seen.get(key)
+                if img is None:
+                    img = seen[key] = f_abacus(node, i)
+                edges.append((node, i, img))
+            object.__delattr__(node, "_gap_signatures")  # set by _signatures
         if not seen:
             break
         layers.append([seen[key] for key in sorted(seen)])

@@ -240,7 +240,10 @@ def _path_move(path, i, delta):
     # congruent to i-1 and a ")" only for one congruent to i, so the perfect
     # crystal operator finds an entry to change
     elem = (f_perfect if delta > 0 else e_perfect)(path.element(k), i, path.n)
-    assert elem is not None
+    if elem is None:
+        raise AssertionError(
+            "color %d brackets name b_%d, which has no entry to change" % (i, k)
+        )
     return _with_element(path, k, elem)
 
 

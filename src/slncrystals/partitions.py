@@ -145,7 +145,11 @@ class BeadRow:
 
     def move_bead(self, j, delta):
         """Move the j-th bead by delta slots, staying strictly between its
-        neighbours (so the target slot is free).
+        neighbours (so the target slot is free)."""
+        return BeadRow(self.charge, Partition._trusted(self.moved_parts(j, delta)))
+
+    def moved_parts(self, j, delta):
+        """The parts of move_bead(j, delta): part j raised by delta.
 
         Only part j changes, so checking it against parts j-1 and j+1 is
         the whole of the `Partition` check on the result.
@@ -158,10 +162,8 @@ class BeadRow:
             raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
         parts = lam.parts
         if j <= len(parts):
-            parts = parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
-        elif p:
-            parts += (p,)  # p <= part(j-1), so j = len + 1
-        return BeadRow(self.charge, Partition._trusted(parts))
+            return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
+        return parts + (p,) if p else parts  # p <= part(j-1), so j = len + 1
 
     @classmethod
     def vacuum(cls, charge):

@@ -34,6 +34,19 @@ def partitions_up_to(m):
     return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))
 
 
+def is_tight_by_fits(psi):
+    """True iff no bead set fits one row down, read bead by bead through
+    `_fits` for every set up to max_bead_index() + 1."""
+    return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 2))
+
+
+def residues_by_bead_position(psi):
+    """The residues mod n of bead sets 1..max_bead_index(), row by row,
+    read through `AbacusConfig.bead_position`."""
+    rows, sets = range(psi.ell), range(1, psi.max_bead_index() + 1)
+    return [tuple(psi.bead_position(r, k) % psi.n for r in rows) for k in sets]
+
+
 def move_bead_by_constructor(row, j, delta):
     """BeadRow.move_bead through the full Partition constructor: edit part
     j, pad with zeros, strip trailing zeros, and let Partition validate."""

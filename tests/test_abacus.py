@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from slncrystals.abacus import (
     AbacusConfig,
     DominantWeight,
+    _residues,
     compactify,
     enumerate_descending,
     gamma,
@@ -36,8 +37,10 @@ from helpers import (
     gamma_by_slacks,
     greedy_left_push_moves,
     is_descending_by_bead_slots,
+    is_tight_by_fits,
     lambda_by_slack_sums,
     partitions_up_to,
+    residues_by_bead_position,
     slack,
 )
 
@@ -147,6 +150,41 @@ def test_is_tight_agrees_with_scan():
         kmax = cfg.max_bead_index() + 3
         expect = all(tighten(cfg, k) is None for k in range(1, kmax + 1))
         assert is_tight(cfg) == expect
+
+
+@pytest.mark.parametrize("n,ell,nmax", [(3, 2, 7), (2, 3, 6), (4, 2, 6), (3, 3, 5)])
+def test_parts_reads_match_bead_reads(n, ell, nmax):
+    # is_tight and _residues read padded parts; the oracles read each bead
+    # through bead_position, on every descending configuration, tight or not
+    tight = total = 0
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, nmax):
+            assert is_tight(cfg) == is_tight_by_fits(cfg)
+            assert _residues(cfg) == residues_by_bead_position(cfg)
+            tight += is_tight(cfg)
+            total += 1
+    assert 0 < tight < total
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_parts_reads_match_bead_reads_on_arbitrary_configs(cfg):
+    assert is_tight(cfg) == is_tight_by_fits(cfg)
+    assert _residues(cfg) == residues_by_bead_position(cfg)
+
+
+def test_replace_row_indexes_like_a_list():
+    psi = fig9()
+    row = BeadRow(psi.rows[-1].charge, Partition((3,)))
+    for r in range(-psi.ell, psi.ell):
+        got = psi.replace_row(r, row)
+        rows = list(psi.rows)
+        rows[r] = row
+        want = AbacusConfig(psi.n, psi.ell, tuple(rows))
+        assert got == want and hash(got) == hash(want) and got.key() == want.key()
+    for r in (psi.ell, -psi.ell - 1):
+        with pytest.raises(IndexError):
+            psi.replace_row(r, row)
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (3, 4)])

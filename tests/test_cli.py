@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -377,6 +378,27 @@ def test_graph_deterministic_and_layered():
 
     dims = dimq_crystal(DominantWeight((1, 0, 0)), 3, 1, 5)
     assert [len(l) for l in layers] == dims.coeffs
+
+
+# sha256 of the graph output at two weights, pinning the layers, the edges
+# and their order; taken from the BFS that called f_abacus on every edge
+GRAPH_GOLDEN = [
+    (["--n", "3", "--ell", "2", "--weight", "L0+L1"], "dot",
+     "073efbf87f07461922603bc99e46afa08572a3a9222abed0003832db9a8fcf68"),
+    (["--n", "3", "--ell", "2", "--weight", "L0+L1"], "json",
+     "73dd9fb2cb9d0575451a9834d630e27b797ec78eb35b15ea773ab9f7a7d50ecb"),
+    (["--n", "2", "--ell", "3", "--weight", "2*L0+L1"], "dot",
+     "74240ac68d681059f8bc004b9c9da92fed734a6fb828ba07ce88ea512c7b8036"),
+    (["--n", "2", "--ell", "3", "--weight", "2*L0+L1"], "json",
+     "f9aa63ff6e8d6419598fb049159d0702fd7a18355359de194db27d650957c320"),
+]
+
+
+@pytest.mark.parametrize("args,fmt,digest", GRAPH_GOLDEN)
+def test_graph_output_matches_golden_digest(args, fmt, digest):
+    rc, out, err = run_cli(["graph"] + args + ["--max-degree", "8", "--format", fmt])
+    assert rc == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_series_output_format():

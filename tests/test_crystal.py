@@ -235,6 +235,32 @@ def test_memoised_signatures_match_scan_on_crystal_graph(n, ell):
                 )
 
 
+@pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
+def test_crystal_graph_edges_are_f_abacus(n, ell):
+    # the BFS keys an image by its parts before f_abacus builds it; its
+    # edges are still every f_abacus image of the expanded layers, in layer
+    # and color order, each the very node that the next layer holds
+    degree = 7
+    for coeffs in all_level_coeffs(n, ell):
+        graph = crystal_graph(highest_weight_config(coeffs, n, ell), degree)
+        nodes = [cfg for layer in graph.layers for cfg in layer]
+        assert not any(hasattr(cfg, "_gap_signatures") for cfg in nodes)
+        want = []
+        for layer in graph.layers[:degree]:
+            for x in layer:
+                for i in range(n):
+                    img = f_abacus(x, i)
+                    if img is not None:
+                        want.append((x, i, img))
+        assert graph.edges == want
+        assert all(got[0] is x for got, (x, _, _) in zip(graph.edges, want))
+        for d, layer in enumerate(graph.layers[1:]):
+            held = {cfg.key(): cfg for cfg in layer}
+            targets = [t for s, _, t in graph.edges if weight(s) == d]
+            assert all(held[t.key()] is t for t in targets)
+            assert {t.key() for t in targets} == set(held)
+
+
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
 def test_memo_is_not_shared_with_images(n, ell):
     for coeffs in all_level_coeffs(n, ell):

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 top-level function it defines, public or private, is used somewhere in the
-library.
+library, and no module has an `assert` statement (`python -O` drops them;
+an invariant check raises AssertionError explicitly).
 
 No linter ships with the project, so this reads each module of
 src/slncrystals other than the package's __init__.py with the stdlib ast
@@ -78,3 +79,18 @@ def test_every_public_function_is_used_or_exported():
     sources = {module[:-3]: (SRC / module).read_text() for module in MODULES}
     init = (SRC / "__init__.py").read_text()
     assert unreferenced_functions(sources, init) == []
+
+
+def assert_lines(source):
+    """The line numbers of the assert statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_lines_finds_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'pos'\n    raise AssertionError('no')\n"
+    assert assert_lines(source) == [3]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_has_no_assert_statement(module):
+    assert assert_lines((SRC / module).read_text()) == []

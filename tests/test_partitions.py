@@ -134,7 +134,8 @@ def test_move_bead_moves_by_slot(parts, charge, j, delta):
 
 def test_move_bead_matches_constructor_oracle():
     # the check of part j against its neighbours refuses exactly the moves
-    # whose result the full Partition constructor refuses
+    # whose result the full Partition constructor refuses, in move_bead and
+    # in moved_parts
     for lam in partitions_up_to(7):
         for charge in (-1, 0, 2):
             row = BeadRow(charge, lam)
@@ -145,8 +146,11 @@ def test_move_bead_matches_constructor_oracle():
                     except ValueError:
                         with pytest.raises(ValueError):
                             row.move_bead(j, delta)
+                        with pytest.raises(ValueError):
+                            row.moved_parts(j, delta)
                     else:
                         assert row.move_bead(j, delta) == want
+                        assert row.moved_parts(j, delta) == want.partition.parts
 
 
 def test_figure2_ribbon():
