@@ -33,7 +33,6 @@ from .abacus import (
     weight,
 )
 from .crystal import (
-    AffineWeight,
     crystal_graph,
     e_abacus,
     e_descending,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import ge
+from operator import ge, index
 
 from .partitions import (
     BeadRow,
@@ -36,7 +36,7 @@ class DominantWeight:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
         if any(c < 0 for c in self.coeffs):
             raise ValueError("dominant weight needs nonnegative coefficients")
 

@@ -22,11 +22,14 @@ from . import kyoto as paths
 
 def gglemma(cfg):
     """The grouped bead-set rule agrees with the gap rule (descending cfg)."""
+    rules = (
+        ("f", crystal.f_descending, crystal.f_abacus),
+        ("e", crystal.e_descending, crystal.e_abacus),
+    )
     for i in range(cfg.n):
-        if crystal.f_descending(cfg, i) != crystal.f_abacus(cfg, i):
-            return "f rules disagree at %s color %d" % (cfg.label(), i)
-        if crystal.e_descending(cfg, i) != crystal.e_abacus(cfg, i):
-            return "e rules disagree at %s color %d" % (cfg.label(), i)
+        for name, grouped, gap in rules:
+            if grouped(cfg, i) != gap(cfg, i):
+                return "%s rules disagree at %s color %d" % (name, cfg.label(), i)
     return None
 
 
@@ -35,20 +38,15 @@ def tk_commute(cfg):
     # T_k(cfg) does not depend on the color, so it is computed once per k
     kmax = cfg.max_bead_index() + 1
     tightened = [(k, abacus.tighten(cfg, k)) for k in range(1, kmax + 1)]
+    ops = (("f", crystal.f_abacus), ("e", crystal.e_abacus))
     for i in range(cfg.n):
-        fi = crystal.f_abacus(cfg, i)
-        ei = crystal.e_abacus(cfg, i)
+        images = [(name, op, op(cfg, i)) for name, op in ops]
         for k, tk in tightened:
             if tk is None:
                 continue
-            if crystal.f_abacus(tk, i) != (
-                abacus.tighten(fi, k) if fi is not None else None
-            ):
-                return "T_%d and f_%d disagree at %s" % (k, i, cfg.label())
-            if crystal.e_abacus(tk, i) != (
-                abacus.tighten(ei, k) if ei is not None else None
-            ):
-                return "T_%d and e_%d disagree at %s" % (k, i, cfg.label())
+            for name, op, img in images:
+                if op(tk, i) != (abacus.tighten(img, k) if img is not None else None):
+                    return "T_%d and %s_%d disagree at %s" % (k, name, i, cfg.label())
     return None
 
 

@@ -129,12 +129,8 @@ def _weight(args):
     return w
 
 
-def _generator_config(args):
-    return abacus.highest_weight_config(_weight(args), args.n, args.ell)
-
-
 def cmd_graph(args):
-    psi0 = _generator_config(args)
+    psi0 = abacus.highest_weight_config(_weight(args), args.n, args.ell)
     graph = crystal.crystal_graph(psi0, args.max_degree)
     if args.format == "dot":
         sys.stdout.write(crystal.graph_to_dot(graph))
@@ -166,7 +162,7 @@ def cmd_series(args):
 
 
 def cmd_enumerate(args):
-    psi0 = _generator_config(args)
+    psi0 = abacus.highest_weight_config(_weight(args), args.n, args.ell)
     gen = abacus.enumerate_tight if args.tight else abacus.enumerate_descending
     items = sorted(gen(psi0, args.nmax), key=lambda c: (abacus.weight(c), c.key()))
     for cfg in items:
@@ -213,7 +209,7 @@ def build_parser():
     p.add_argument("dst", choices=["partition", "abacus", "cpp", "path"])
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.add_argument("--format", choices=["json", "text"], default="json")
-    common(p)
+    common(p, weight=False)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("graph", help="graded crystal graph")

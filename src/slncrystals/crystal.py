@@ -27,22 +27,6 @@ from .abacus import is_descending, weight
 from .partitions import add_ribbon, addable_ribbons, remove_ribbon, removable_ribbons
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    """Integer coefficients of Lambda_0..Lambda_{n-1}; delta is not tracked."""
-
-    coeffs: tuple
-
-    def minus_simple_root(self, i):
-        """Subtract alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1}."""
-        n = len(self.coeffs)
-        out = list(self.coeffs)
-        out[i % n] -= 2
-        out[(i - 1) % n] += 1
-        out[(i + 1) % n] += 1
-        return AffineWeight(tuple(out))
-
-
 class Signature(NamedTuple):
     """Result of canceling matched "()" pairs in a bracket string."""
 
@@ -281,8 +265,8 @@ def eps_phi(psi, i):
 
 
 def wt(psi):
-    """phi - eps coordinatewise, as an affine weight without delta."""
-    return AffineWeight(tuple(s.n_open - s.n_close for s in _signatures(psi)))
+    """phi - eps coordinatewise: the weight's tuple of Lambda_i coefficients."""
+    return tuple(s.n_open - s.n_close for s in _signatures(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +275,6 @@ def wt(psi):
 
 @dataclass
 class CrystalGraph:
-    n: int
     layers: list  # layers[d] = sorted list of AbacusConfig at principal degree d
     edges: list  # (source config, color i, target config)
 
@@ -335,7 +318,7 @@ def crystal_graph(psi0, max_degree):
         if not seen:
             break
         layers.append([seen[key] for key in sorted(seen)])
-    return CrystalGraph(psi0.n, layers, edges)
+    return CrystalGraph(layers, edges)
 
 
 def graph_to_dot(graph):

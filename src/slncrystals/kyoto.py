@@ -36,6 +36,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field
+from operator import index
 
 from .abacus import (
     DominantWeight,
@@ -56,7 +57,7 @@ class PerfectElem:
     entries: tuple  # sorted, each in [0, n)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(int(e) for e in self.entries)))
+        object.__setattr__(self, "entries", tuple(sorted(map(index, self.entries))))
 
     @classmethod
     def _trusted(cls, entries):

@@ -10,6 +10,7 @@ and charge c occupies the slots p_j - j + c.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 class Partition:
@@ -20,7 +21,7 @@ class Partition:
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("parts must be positive: %r" % (parts,))
@@ -60,17 +61,11 @@ class Partition:
     def __iter__(self):
         return iter(self.parts)
 
-    def __bool__(self):
-        return bool(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
         return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
@@ -157,11 +152,17 @@ class BeadRow:
         if j < 1:
             raise ValueError("bead index must be positive")
         lam = self.partition
-        p = lam.part(j) + delta
-        if p < lam.part(j + 1) or (j > 1 and p > lam.part(j - 1)):
-            raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
         parts = lam.parts
-        if j <= len(parts):
+        m = len(parts)
+        # parts j-1, j and j+1 read as zero beyond the last part
+        if j <= m:
+            p = parts[j - 1] + delta
+            below = parts[j] if j < m else 0
+        else:
+            p, below = delta, 0
+        if p < below or (j > 1 and p > (parts[j - 2] if j <= m + 1 else 0)):
+            raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
+        if j <= m:
             return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
         return parts + (p,) if p else parts  # p <= part(j-1), so j = len + 1
 

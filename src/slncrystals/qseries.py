@@ -10,6 +10,7 @@ agreement is the central consistency check of the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .abacus import (
     DominantWeight,
@@ -28,7 +29,7 @@ class QSeries:
     __slots__ = ("nmax", "coeffs")
 
     def __init__(self, coeffs, nmax=None):
-        coeffs = list(int(c) for c in coeffs)
+        coeffs = list(map(index, coeffs))
         if nmax is None:
             nmax = len(coeffs) - 1
         if nmax < 0:

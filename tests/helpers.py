@@ -401,6 +401,17 @@ def eps_phi_by_iteration(x, i, apply_e, apply_f):
     return eps, phi
 
 
+def minus_simple_root(coeffs, i):
+    """Subtract alpha_i = 2 Lambda_i - Lambda_{i-1} - Lambda_{i+1} from the
+    coefficients of Lambda_0..Lambda_{n-1}."""
+    n = len(coeffs)
+    out = list(coeffs)
+    out[i % n] -= 2
+    out[(i - 1) % n] += 1
+    out[(i + 1) % n] += 1
+    return tuple(out)
+
+
 def all_perfect_elems(n, ell):
     """Every weakly increasing ell-tuple over 0..n-1: the perfect crystal."""
     out = []

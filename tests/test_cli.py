@@ -118,6 +118,16 @@ def test_convert_parse_error_exit_2():
     assert rc == 2 and "error" in err
 
 
+def test_convert_takes_no_weight_exit_2():
+    # convert reads no weight, so argparse refuses the option
+    with pytest.raises(SystemExit) as exc:
+        run_cli(
+            ["convert", "abacus", "path", "--weight", "L0"],
+            stdin=json.dumps(fig10().to_json()),
+        )
+    assert exc.value.code == 2
+
+
 def test_convert_validation_error_exit_3():
     bad = {
         "n": 3,
@@ -515,6 +525,12 @@ def _broken_gglemma(monkeypatch):
     monkeypatch.setattr(crystal, "f_descending", lambda psi, i: None)
 
 
+def _broken_gglemma_e(monkeypatch):
+    from slncrystals import crystal
+
+    monkeypatch.setattr(crystal, "e_descending", lambda psi, i: None)
+
+
 def _broken_tk_commute(monkeypatch):
     from slncrystals import abacus
 
@@ -522,6 +538,16 @@ def _broken_tk_commute(monkeypatch):
     # T_k now kills every configuration of odd weight
     monkeypatch.setattr(
         abacus, "tighten", lambda psi, k: None if abacus.weight(psi) % 2 else real(psi, k)
+    )
+
+
+def _broken_tk_commute_e(monkeypatch):
+    from slncrystals import abacus, crystal
+
+    real = crystal.e_abacus
+    # e_i now kills every configuration of odd weight, f_i is untouched
+    monkeypatch.setattr(
+        crystal, "e_abacus", lambda psi, i: None if abacus.weight(psi) % 2 else real(psi, i)
     )
 
 
@@ -553,23 +579,29 @@ def _broken_dimq(monkeypatch):
     monkeypatch.setattr(qseries, "dimq_crystal", broken)
 
 
-# suite -> a monkeypatch that breaks one side of its identity
-BREAKERS = {
-    "gglemma": _broken_gglemma,
-    "tk-commute": _broken_tk_commute,
-    "bijection": _broken_bijection,
-    "kyoto": _broken_kyoto,
-    "rank-level": _broken_dimq,
-    "level-one": _broken_dimq,
-}
+# (id, suite, a monkeypatch that breaks one side of its identity, a fragment
+# of the failure that names that side)
+BREAKERS = [
+    ("bijection", "bijection", _broken_bijection, "weight mismatch"),
+    ("gglemma", "gglemma", _broken_gglemma, "f rules disagree"),
+    ("gglemma-e", "gglemma", _broken_gglemma_e, "e rules disagree"),
+    ("kyoto", "kyoto", _broken_kyoto, "path model disagrees"),
+    ("level-one", "level-one", _broken_dimq, "level-one identity fails"),
+    ("rank-level", "rank-level", _broken_dimq, "rank-level duality fails"),
+    ("tk-commute", "tk-commute", _broken_tk_commute, "and f_"),
+    ("tk-commute-e", "tk-commute", _broken_tk_commute_e, "and e_"),
+]
 
 
-@pytest.mark.parametrize("which", sorted(BREAKERS))
-def test_verify_suite_reports_counterexample(monkeypatch, which):
-    BREAKERS[which](monkeypatch)
+@pytest.mark.parametrize(
+    "which,breaker,fragment", [pytest.param(*case[1:], id=case[0]) for case in BREAKERS]
+)
+def test_verify_suite_reports_counterexample(monkeypatch, which, breaker, fragment):
+    breaker(monkeypatch)
     rc, out, _ = run_cli(["verify", which, "--n", "3", "--ell", "2", "--nmax", "4"])
     assert rc == 1
     assert out.startswith("FAIL: %s:" % which)
+    assert fragment in out
 
 
 @pytest.mark.parametrize("which", ["gglemma", "tk-commute", "bijection", "kyoto"])
@@ -657,7 +689,7 @@ def cli_cases(draw):
     n = draw(st.integers(2, 4)) if draw(st.integers(0, 4)) else draw(st.integers(-1, 1))
     ell = draw(st.integers(1, 3)) if draw(st.integers(0, 4)) else draw(st.integers(-1, 0))
     argv += ["--n", str(n), "--ell", str(ell)]
-    if command != "convert" or draw(st.booleans()):
+    if command != "convert":  # convert takes no weight
         argv += ["--weight", draw(weight_text(n, ell))]
     if draw(st.booleans()):
         argv += ["--rotate-colors", str(draw(st.integers(-3, 3)))]

@@ -10,7 +10,6 @@ from slncrystals.abacus import (
     weight,
 )
 from slncrystals.crystal import (
-    AffineWeight,
     _reduce_colors,
     _signatures,
     abacus_brackets,
@@ -44,6 +43,7 @@ from helpers import (
     fig4,
     fig9,
     gap_rule_by_slots,
+    minus_simple_root,
     partition_brackets_by_column_scan,
     partitions_up_to,
     signature_oracle,
@@ -386,7 +386,7 @@ def test_eps_phi_matches_iteration():
 def test_wt_of_generator_is_highest_weight():
     for coeffs in all_level_coeffs(3, 2):
         psi0 = highest_weight_config(coeffs, 3, 2)
-        assert wt(psi0) == AffineWeight(coeffs)
+        assert wt(psi0) == coeffs
 
 
 def test_wt_drops_by_simple_root():
@@ -395,7 +395,7 @@ def test_wt_drops_by_simple_root():
         for i in range(3):
             img = f_abacus(cfg, i)
             if img is not None:
-                assert wt(img) == before.minus_simple_root(i)
+                assert wt(img) == minus_simple_root(before, i)
 
 
 def test_tight_closed_under_f():

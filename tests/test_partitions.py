@@ -36,6 +36,8 @@ def test_partition_validation():
         P((2, 0))
     assert P(()).size == 0
     assert P((3, 1)).conjugate() == P((2, 1, 1))
+    assert bool(P(())) is False
+    assert bool(P((1,))) is True
 
 
 
@@ -139,7 +141,7 @@ def test_move_bead_matches_constructor_oracle():
     for lam in partitions_up_to(7):
         for charge in (-1, 0, 2):
             row = BeadRow(charge, lam)
-            for j in range(0, len(lam) + 3):
+            for j in range(0, len(lam) + 5):
                 for delta in range(-3, 4):
                     try:
                         want = move_bead_by_constructor(row, j, delta)

@@ -5,6 +5,7 @@ import pytest
 from slncrystals import abacus, crystal, cylindric, partitions, qseries
 from slncrystals.abacus import AbacusConfig, DominantWeight
 from slncrystals.cylindric import CylindricPlanePartition
+from slncrystals.kyoto import PerfectElem
 from slncrystals.partitions import BeadRow, Partition
 from slncrystals.qseries import Boundary, QSeries
 
@@ -70,6 +71,27 @@ def test_rejected_configuration_keeps_no_memo():
             with pytest.raises(ValueError, match="needs a descending"):
                 op(UNSORTED, 0)
     assert not hasattr(UNSORTED, "_set_signatures")
+
+
+# (id, constructor, arguments of which one is not an integer)
+NON_INTEGER_CASES = [
+    ("Partition", Partition, (2.7, 1)),
+    ("DominantWeight", DominantWeight, (1.5, 0.6, 0)),
+    ("PerfectElem", PerfectElem, (0, 1.0)),
+    ("QSeries", QSeries, (1, 2.5)),
+    ("Partition-str", Partition, ("2", 1)),
+    ("DominantWeight-str", DominantWeight, (1, "1", 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,values", [pytest.param(c, v, id=i) for i, c, v in NON_INTEGER_CASES]
+)
+def test_constructor_refuses_non_integers(cls, values):
+    # a float or a string is refused rather than truncated by int()
+    with pytest.raises(TypeError):
+        cls(values)
+    cls(tuple(int(v) for v in values))  # the integers alone are accepted
 
 
 def test_coeff_beyond_truncation_raises_index_error():
