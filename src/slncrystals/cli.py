@@ -250,8 +250,31 @@ def _check_domain(args):
         raise ValidationError("rank-level duality needs --ell >= 2")
 
 
+def _parse_args(argv=None):
+    """Parse argv, taking `convert`'s input file after its options too.
+
+    argparse binds the optional positional `input` right after `src` and
+    `dst`, so a file named after an option is left over.  Exactly one such
+    leftover that is not an option becomes the input; any other leftover
+    is refused, as argparse refuses it, with exit code 2.
+    (parse_intermixed_args does not take a parser with subcommands.)
+    """
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if (
+        args.command == "convert"
+        and args.input is None
+        and len(extras) == 1
+        and (extras[0] == "-" or not extras[0].startswith("-"))
+    ):
+        args.input, extras = extras[0], []
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         _check_domain(args)
         return args.func(args)

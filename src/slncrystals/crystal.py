@@ -8,13 +8,18 @@ pairs, and acts at the first uncanceled "(" (for a lowering move) or the
 last uncanceled ")" (for a raising move).
 
 Each bracket rule on configurations and paths reads the tokens of all n
-colors in one walk, and the gap, grouped and path rules reduce them with
-one all-color reducer, so the operators of every color cost one walk.  The
-n signatures are memoised on the object they describe: the gap rule's on
-the abacus configuration (crystal_graph drops a node's memo once it has
-expanded it), the grouped bead-set rule's on the descending configuration,
-and the path rule's on the Path (in kyoto).  The column rule on partitions,
-partition_brackets, stays per color: no benchmark workload uses it.
+colors in one walk, so the operators of every color cost one walk.  The gap
+rule builds no token list: `_gap_signatures` files each token as one
+integer under its color, sorts and cancels each color's integers, and
+decodes only the acting tokens to their (gap, row, bead) payloads.  Its
+token-list oracle is `tests/helpers.abacus_brackets`.  The grouped and path
+rules build (k, color) token lists and reduce them with one all-color
+reducer, `_reduce_colors`.  The n signatures are memoised on the object
+they describe: the gap rule's on the abacus configuration (crystal_graph
+drops a node's memo once it has expanded it), the grouped bead-set rule's
+on the descending configuration, and the path rule's on the Path (in
+kyoto).  The column rule on partitions, partition_brackets, stays per
+color: no benchmark workload uses it.
 """
 
 from __future__ import annotations
@@ -58,15 +63,14 @@ def signature_reduce(tokens):
     )
 
 
-def _reduce_colors(tokens, n, at):
+def _reduce_colors(tokens, n):
     """`signature_reduce` of the tokens of each color 0..n-1, in one pass
-    with a stack per color.  The color is payload[at] % n, read inline, as a
-    call per token would cost the BFS about 10%: `at` is 0 for the gap
-    rule's (gap, row, bead) and 1 for the bead-set rule's (k, color)."""
+    with a stack per color.  The payloads are the bead-set rules' (k, color),
+    with color in 0..n-1 as `column_brackets` gives it."""
     opens = [[] for _ in range(n)]
     closes = [[] for _ in range(n)]
     for char, payload in tokens:
-        i = payload[at] % n
+        i = payload[1]
         if char == "(":
             opens[i].append(payload)
         elif opens[i]:
@@ -83,17 +87,26 @@ def _reduce_colors(tokens, n, at):
 # gap rule on arbitrary abacus configurations
 
 
-def abacus_brackets(psi):
-    """Tokens over the gaps of every color, left to right, bottom row to top.
+def _signatures(psi):
+    """The gap rule's Signature of each color 0..n-1, memoised on psi."""
+    sigs = getattr(psi, "_gap_signatures", None)
+    if sigs is None:
+        sigs = _gap_signatures(psi)
+        object.__setattr__(psi, "_gap_signatures", sigs)  # psi is frozen
+    return sigs
+
+
+def _gap_signatures(psi):
+    """The gap rule's tokens of every color, reduced in one pass per color.
 
     Gap g sits between slots g-1 and g and carries color g mod n.  A bead
-    that can hop right across the gap contributes "(", one that can hop left
-    contributes ")".  Payload is (gap, row, bead): bead is the index j of
-    the bead that hops across the gap, counted from the right of its row as
-    in `BeadRow.bead_slot`.  The tokens of color i are those whose gap is
-    congruent to i mod n.
+    that can hop right across the gap gives "(", one that can hop left gives
+    ")".  Payload is (gap, row, bead): bead is the index j of the bead that
+    hops across the gap, counted from the right of its row as in
+    `BeadRow.bead_slot`.  Each color reads its tokens in payload order: gaps
+    left to right, rows bottom to top.
 
-    The tokens are read off one walk over each row's beads: a bead at slot
+    The tokens are read off one walk over each row's parts: a bead at slot
     b gives "(" at gap b+1 when slot b+1 is empty, and ")" at gap b when
     slot b-1 is empty.  A gap carries a token only when exactly one of its
     two slots holds a bead, so every token belongs to a bead with an empty
@@ -101,34 +114,66 @@ def abacus_brackets(psi):
     below the first bead of the compact tail (slot charge - len - 1) is
     occupied, so the partition's beads and that one tail bead are the only
     beads that can have one.
+
+    Each token is one integer, ((gap*ell + row) << S) | (bead << 1) | is_open,
+    appended to its color's bucket; S leaves room for the largest bead index,
+    len(parts) + 1.  A gap holds a "(" or a ")" of a row, never both, so a
+    sorted bucket is in payload order.  One pass cancels each bucket with a
+    stack kept as its depth and its bottom "(", and only the first
+    uncanceled "(" and the last uncanceled ")" are decoded to payloads.  The
+    token list itself is built only by the test oracle
+    `tests/helpers.abacus_brackets`.
     """
-    tokens = []
-    for r_idx, row in enumerate(psi.rows):
-        c = row.charge
+    n, ell, rows = psi.n, psi.ell, psi.rows
+    shift = (max([len(row.partition.parts) for row in rows]) + 1).bit_length() + 1
+    unit = ell << shift  # key = gap*unit + (row << shift) + 2*bead + is_open
+    buckets = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        c = row.charge + 1  # the gap right of bead j is part(j) - j + c
+        low = (r << shift) + 1  # a "(" key is g*unit + low + 2j
         prev = None  # part of the bead to the right, None for the first bead
-        # bead j sits at slot part(j) - j + c; bead j-1 is one slot to its
-        # right exactly when the two parts are equal, so only a change of
+        j = 0
+        # bead j sits at slot part(j) - j + charge; bead j-1 is one slot to
+        # its right exactly when the two parts are equal, so only a change of
         # part opens an empty slot between neighbouring beads
-        for j, p in enumerate(row.partition.parts + (0,), 1):
+        for p in row.partition.parts + (0,):
+            j += 1
             if p == prev:
                 continue
-            b = p - j + c
-            tokens.append(("(", (b + 1, r_idx, j)))
+            g = p - j + c  # "(" of bead j
+            buckets[g % n].append(g * unit + low + 2 * j)
             if prev is not None:
-                # bead j-1, whose left slot is empty
-                tokens.append((")", (prev - j + 1 + c, r_idx, j - 1)))
+                # ")" of bead j-1, whose left slot is empty: 2*(j-1), no is_open
+                g = prev - j + c
+                buckets[g % n].append(g * unit + low + 2 * j - 3)
             prev = p
-    tokens.sort(key=itemgetter(1))
-    return tokens
-
-
-def _signatures(psi):
-    """The gap rule's Signature of each color 0..n-1, memoised on psi."""
-    sigs = getattr(psi, "_gap_signatures", None)
-    if sigs is None:
-        sigs = _reduce_colors(abacus_brackets(psi), psi.n, 0)
-        object.__setattr__(psi, "_gap_signatures", sigs)  # psi is frozen
-    return sigs
+    mask = (1 << shift) - 1
+    sigs = []
+    for bucket in buckets:
+        bucket.sort()
+        depth = n_close = 0
+        first = last = None
+        for key in bucket:
+            if key & 1:
+                if not depth:
+                    first = key
+                depth += 1
+            elif depth:
+                depth -= 1
+            else:
+                n_close += 1
+                last = key
+        if depth:
+            g, rest = divmod(first, unit)
+            first = (g, rest >> shift, (rest & mask) >> 1)
+        else:
+            first = None
+        if n_close:
+            g, rest = divmod(last, unit)
+            last = (g, rest >> shift, (rest & mask) >> 1)
+        # tuple.__new__ skips the NamedTuple's argument binding (~8% of this rule)
+        sigs.append(tuple.__new__(Signature, (first, last, n_close, depth)))
+    return tuple(sigs)
 
 
 def f_abacus(psi, i):
@@ -211,7 +256,7 @@ def _descending_move(psi, i, delta, name):
     if sigs is None:
         if not is_descending(psi):
             raise ValueError("%s needs a descending configuration" % name)
-        sigs = _reduce_colors(descending_brackets(psi), psi.n, 1)
+        sigs = _reduce_colors(descending_brackets(psi), psi.n)
         object.__setattr__(psi, "_set_signatures", sigs)  # psi is frozen
     sig = sigs[i % psi.n]
     token = sig.first_open if delta > 0 else sig.last_close

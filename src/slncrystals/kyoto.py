@@ -28,12 +28,15 @@ tightness allows.
 The path rule reads the tokens of every color in one pass, and the n
 signatures are memoised on the Path, as the gap rule's are on a
 configuration.  A Path also keeps the ground elements it has built, one per
-residue class of the position.
+residue class of the position.  The table depends on n and the weight only,
+so every path derived from another (an f_path or e_path image, a pruned
+path) shares it, and to_path starts from one deviation-free path per weight.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import re
 from dataclasses import dataclass, field
 from operator import index
@@ -175,7 +178,7 @@ class Path:
         elements = dict(devs)
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
-        base = Path(n, ell, w, ())
+        base = _empty_path(n, ell, w)
         dense = [
             elements[k] if k in elements else base.ground(k)
             for k in range(1, max(elements, default=0) + 1)
@@ -185,10 +188,19 @@ class Path:
 
 def _pruned_path(path, elements):
     """The path of path's weight with b_k = elements[k - 1], trailing ground
-    elements dropped."""
+    elements dropped.  It shares path's table of ground elements."""
     while elements and elements[-1] == path.ground(len(elements)):
         elements.pop()
-    return Path(path.n, path.ell, path.weight, tuple(elements))
+    out = Path(path.n, path.ell, path.weight, tuple(elements))
+    object.__setattr__(out, "_grounds", path._grounds)  # out is frozen
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _empty_path(n, ell, w):
+    """The path of weight w with no deviation, one per (n, ell, w): the
+    paths pruned from it share its ground elements."""
+    return Path(n, ell, w, ())
 
 
 def ground_state_path(w, n, ell):
@@ -230,7 +242,7 @@ def _path_move(path, i, delta):
     """
     sigs = getattr(path, "_signatures", None)
     if sigs is None:
-        sigs = _reduce_colors(path_brackets(path), path.n, 1)
+        sigs = _reduce_colors(path_brackets(path), path.n)
         object.__setattr__(path, "_signatures", sigs)  # path is frozen
     sig = sigs[i % path.n]
     token = sig.first_open if delta > 0 else sig.last_close
@@ -264,7 +276,7 @@ def to_path(psi):
             % (charges, w, psi.charges())
         )
     elements = [PerfectElem._trusted(tuple(sorted(res))) for res in _residues(psi)]
-    return _pruned_path(Path(psi.n, psi.ell, w, ()), elements)
+    return _pruned_path(_empty_path(psi.n, psi.ell, w), elements)
 
 
 def from_path(path):

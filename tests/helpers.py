@@ -268,6 +268,31 @@ def signature_oracle(string):
     return "".join(s)
 
 
+def abacus_brackets(psi):
+    """The gap rule's tokens of every color as ("(" | ")", (gap, row, bead))
+    pairs, sorted by payload: gaps left to right, rows bottom to top.
+
+    A token-list oracle for `crystal._gap_signatures`, which files the same
+    tokens as integers.  A bead at slot b gives "(" at gap b+1 when slot
+    b+1 is empty, and ")" at gap b when slot b-1 is empty; only the beads of
+    the partition and the first bead of the compact tail can have an empty
+    neighbour.
+    """
+    tokens = []
+    for r_idx, row in enumerate(psi.rows):
+        c = row.charge
+        prev = None  # part of the bead to the right, None for the first bead
+        for j, p in enumerate(row.partition.parts + (0,), 1):
+            if p == prev:
+                continue
+            tokens.append(("(", (p - j + c + 1, r_idx, j)))
+            if prev is not None:
+                tokens.append((")", (prev - j + 1 + c, r_idx, j - 1)))
+            prev = p
+    tokens.sort(key=lambda t: t[1])
+    return tokens
+
+
 def abacus_brackets_by_gap_scan(psi, i):
     """The gap rule's tokens, probing every color-i gap of the joint window.
 

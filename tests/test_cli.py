@@ -71,6 +71,41 @@ def test_convert_reads_input_file(tmp_path):
     assert from_stdin[0] == 0
 
 
+def test_convert_takes_input_file_before_or_after_options(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fig10().to_json()))
+    before = run_cli(["convert", "abacus", "cpp", str(path), "--format", "text"])
+    after = run_cli(["convert", "abacus", "cpp", "--format", "text", str(path)])
+    assert before[0] == 0 and after == before
+    between = ["convert", "abacus", "cpp", "--n", "3", str(path), "--format", "text"]
+    assert run_cli(between) == before
+    stdin = run_cli(["convert", "abacus", "cpp", "--format", "text", "-"],
+                    stdin=path.read_text())
+    assert stdin == before
+
+
+@pytest.mark.parametrize("tail", [
+    ["FILE", "extra"],
+    ["--format", "text", "FILE", "extra"],
+    ["--format", "text", "FILE", "--bogus"],
+    ["FILE", "--format", "text", "--bogus"],
+    ["--format", "text", "--bogus"],
+])
+def test_convert_refuses_stray_arguments_exit_2(tmp_path, tail):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fig10().to_json()))
+    argv = ["convert", "abacus", "cpp"] + [str(path) if t == "FILE" else t for t in tail]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, stdin=path.read_text())
+    assert exc.value.code == 2
+
+
+def test_only_convert_takes_a_late_positional():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["series", "--n", "3", "--weight", "2*L0", "extra"])
+    assert exc.value.code == 2
+
+
 def test_module_entry_point_matches_main():
     argv = ["series", "--n", "3", "--ell", "2", "--weight", "2*L0", "--nmax", "4"]
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -675,9 +710,11 @@ def cli_cases(draw):
     if command == "convert":
         src, dst = draw(st.sampled_from(MODELS)), draw(st.sampled_from(MODELS))
         argv += [src, dst]
-        if draw(st.integers(0, 4)) == 0:
-            argv.append(draw(st.sampled_from(["-", "no-such-input.json", "."])))
-        argv += draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+        options = draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+        if draw(st.integers(0, 4)) == 0:  # an input file, before or after the options
+            name = draw(st.sampled_from(["-", "no-such-input.json", "."]))
+            options.insert(draw(st.sampled_from([0, len(options)])), name)
+        argv += options
         data = draw(model_json(src)) if draw(st.booleans()) else draw(st.one_of(
             model_json(draw(st.sampled_from(MODELS))),
             abacus_configs().map(lambda c: c.to_json()), json_values))

@@ -12,7 +12,6 @@ from slncrystals.abacus import (
 from slncrystals.crystal import (
     _reduce_colors,
     _signatures,
-    abacus_brackets,
     crystal_graph,
     descending_brackets,
     e_abacus,
@@ -32,6 +31,7 @@ from slncrystals.abacus import AbacusConfig, loosen
 
 from helpers import (
     FIG2,
+    abacus_brackets,
     abacus_brackets_by_gap_scan,
     abacus_configs,
     all_level_coeffs,
@@ -87,18 +87,16 @@ def test_signature_against_deletion_oracle(s):
 @settings(max_examples=300)
 @given(
     st.integers(1, 5),
-    st.sampled_from([0, 1]),
-    st.lists(st.tuples(st.sampled_from("()"), st.integers(-12, 12)), max_size=30),
+    st.lists(st.tuples(st.sampled_from("()"), st.integers(0, 12)), max_size=30),
 )
-def test_reduce_colors_matches_per_color_reduce(n, at, chars):
-    # the color-bearing integer at index `at`, the token's index at the other
-    tokens = [
-        (char, (x, j) if at == 0 else (j, x)) for j, (char, x) in enumerate(chars)
-    ]
-    sigs = _reduce_colors(tokens, n, at)
+def test_reduce_colors_matches_per_color_reduce(n, chars):
+    # payload (token index, color), the color reduced mod n as
+    # column_brackets gives it
+    tokens = [(char, (j, x % n)) for j, (char, x) in enumerate(chars)]
+    sigs = _reduce_colors(tokens, n)
     assert len(sigs) == n
     for c in range(n):
-        assert sigs[c] == signature_reduce([t for t in tokens if t[1][at] % n == c])
+        assert sigs[c] == signature_reduce([t for t in tokens if t[1][1] == c])
 
 
 @settings(max_examples=200)
@@ -202,11 +200,16 @@ GAP_RULE_PAIRS = [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (3, 4)]
 
 
 def _assert_gap_rule_matches_scan(cfg):
+    # the integer-keyed kernel against the gap scan, color by color; the
+    # token-list oracle lists the same tokens as the scan
     tokens = abacus_brackets(cfg)
     assert [t[1] for t in tokens] == sorted(t[1] for t in tokens)
+    sigs = _signatures(cfg)
+    assert len(sigs) == cfg.n
     for i in range(cfg.n):
-        own = [t for t in tokens if t[1][0] % cfg.n == i]
-        assert own == abacus_brackets_by_gap_scan(cfg, i)
+        scan = abacus_brackets_by_gap_scan(cfg, i)
+        assert sigs[i] == signature_reduce(scan)
+        assert [t for t in tokens if t[1][0] % cfg.n == i] == scan
 
 
 @pytest.mark.parametrize("n,ell", GAP_RULE_PAIRS)
@@ -319,6 +322,59 @@ def test_gap_rule_matches_scan_on_descending(n, ell):
 @given(abacus_configs())
 def test_gap_rule_matches_scan_on_arbitrary_configs(cfg):
     _assert_gap_rule_matches_scan(cfg)
+
+
+def _staircase(length):
+    """Distinct parts length, ..., 1: every bead has an empty neighbour,
+    so bead indices 1..length+1 all name tokens."""
+    return tuple(range(length, 0, -1))
+
+
+# the largest len(parts) + 2 just below, at and just above a power of two
+SHIFT_EDGE_LENGTHS = [m + d - 2 for m in (4, 8, 16, 32) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("length", SHIFT_EDGE_LENGTHS)
+@pytest.mark.parametrize("n,ell", [(1, 1), (3, 2), (2, 3)])
+def test_gap_rule_matches_scan_at_bead_index_width_edges(length, n, ell):
+    # the key leaves room for bead index length + 1; the widest row sets it,
+    # and shorter rows share it
+    rows = [(1 - r, _staircase(length if r == 0 else r)) for r in range(ell)]
+    _assert_gap_rule_matches_scan(config(n, ell, *rows))
+    rows = [(r, _staircase(max(length - r, 0))) for r in range(ell)]
+    _assert_gap_rule_matches_scan(config(n, ell, *rows))
+
+
+@pytest.mark.parametrize("base", [-(2**45) - 3, -(10**15), 2**40 + 1, 3 * 2**50])
+@pytest.mark.parametrize("n,ell", [(1, 2), (3, 2), (5, 3)])
+def test_gap_rule_matches_scan_at_far_gaps(base, n, ell):
+    rows = [(base + 2 * r, _staircase(3 + r)) for r in range(ell)]
+    _assert_gap_rule_matches_scan(config(n, ell, *rows))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gap_rule_matches_token_oracle_across_far_apart_rows(n):
+    # rows too far apart for the window scan: reduce the token-list oracle
+    cfg = config(n, 3, (-(2**41), (4, 4, 1)), (7, (2, 1)), (2**41 + 5, (3,)))
+    tokens = abacus_brackets(cfg)
+    for i in range(n):
+        own = [t for t in tokens if t[1][0] % n == i]
+        assert _signatures(cfg)[i] == signature_reduce(own)
+
+
+def test_gap_rule_with_one_color():
+    # n = 1: every gap has color 0.  Row 0 holds slots 1, -2, -3, ... and
+    # row 1 slots -1, -2, ...: gaps -1, 0, 1, 2 read "(()(", and the ")" of
+    # gap 1 cancels the "(" of gap 0
+    cfg = config(1, 2, (0, (2,)), (0, ()))
+    sig = _signatures(cfg)[0]
+    tokens = abacus_brackets(cfg)
+    assert sig == signature_reduce(tokens)
+    assert [c for c, _ in tokens] == ["(", "(", ")", "("]
+    assert sig == ((-1, 0, 2), None, 0, 2)
+    for i in range(3):
+        assert f_abacus(cfg, i) == gap_rule_by_slots(cfg, 0, raising=False)
+        assert e_abacus(cfg, i) == gap_rule_by_slots(cfg, 0, raising=True)
 
 
 @settings(max_examples=300, deadline=None)

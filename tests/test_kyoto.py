@@ -220,6 +220,32 @@ def test_path_memo_is_not_shared_with_images(n, ell):
                     assert img._signatures is not p._signatures
 
 
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
+def test_derived_paths_share_ground_elements(n, ell):
+    # the ground-element table depends on n and the weight only: paths of
+    # one weight share it, and it gives what a fresh path builds
+    for coeffs in all_level_coeffs(n, ell):
+        tables = set()
+        for cfg in tight_configs(n, ell, coeffs, 4):
+            p = to_path(cfg)
+            tables.add(id(p._grounds))
+            for op in (f_path, e_path):
+                for i in range(n):
+                    img = op(p, i)
+                    if img is not None:
+                        assert img._grounds is p._grounds
+            fresh = Path(n, ell, p.weight, ())
+            for k in range(1, 2 * n + 1):
+                assert p.ground(k) == fresh.ground(k)
+        assert len(tables) == 1
+        assert Path.from_json(p.to_json())._grounds is p._grounds
+    weights = {to_path(highest_weight_config(c, n, ell)).weight: c
+               for c in all_level_coeffs(n, ell)}
+    tables = {id(to_path(highest_weight_config(c, n, ell))._grounds)
+              for c in weights.values()}
+    assert len(tables) == len(weights)
+
+
 @pytest.mark.parametrize("n,ell", [(2, 2), (3, 2)])
 def test_J_intertwines(n, ell):
     for coeffs in all_level_coeffs(n, ell):
