@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import ge, index
 
 from .partitions import (
     BeadRow,
     Partition,
+    _bead_row,
     _json_int,
     add_ribbon,
     partitions_of,
@@ -65,11 +66,15 @@ class DominantWeight:
         return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbacusConfig:
     n: int
     ell: int
     rows: tuple  # of BeadRow, index 0 = bottom
+    # the bracket rules' memos (see crystal): unset until a rule sets one,
+    # and no part of ==, hash or repr
+    _gap_signatures: tuple = field(init=False, repr=False, compare=False)
+    _set_signatures: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.ell < 1:
@@ -89,17 +94,11 @@ class AbacusConfig:
         """The configuration with rows[r] = new_row, r a list index.
 
         n, ell and the row count do not change, so the result skips the
-        checks of __post_init__.  Its fields are set one by one, as the
-        frozen dataclass's own __init__ sets them: filling its __dict__
-        instead made every later attribute read slower.
+        checks of __post_init__.
         """
         rows = list(self.rows)
         rows[r] = new_row
-        psi = object.__new__(AbacusConfig)
-        object.__setattr__(psi, "n", self.n)  # psi is frozen
-        object.__setattr__(psi, "ell", self.ell)
-        object.__setattr__(psi, "rows", tuple(rows))
-        return psi
+        return _config(self.n, self.ell, tuple(rows))
 
     def charges(self):
         return tuple(r.charge for r in self.rows)
@@ -130,6 +129,22 @@ class AbacusConfig:
             _json_int(data["ell"], "ell"),
             tuple(BeadRow.from_json(r) for r in data["rows"]),
         )
+
+
+_set_n = AbacusConfig.n.__set__
+_set_ell = AbacusConfig.ell.__set__
+_set_rows = AbacusConfig.rows.__set__
+
+
+def _config(n, ell, rows):
+    """An AbacusConfig built unchecked: its slots are set directly, past
+    the frozen dataclass's __init__ and __post_init__, for configurations
+    that are valid by construction (ell rows, n and ell positive)."""
+    psi = object.__new__(AbacusConfig)
+    _set_n(psi, n)
+    _set_ell(psi, ell)
+    _set_rows(psi, rows)
+    return psi
 
 
 def is_descending(psi):
@@ -184,7 +199,7 @@ def _shift_bead_set(psi, k, m):
         row.move_bead(k, psi.bead_position(i + m, k) - row.bead_slot(k))
         for i, row in enumerate(psi.rows)
     )
-    return AbacusConfig(psi.n, psi.ell, rows)
+    return _config(psi.n, psi.ell, rows)
 
 
 def tighten(psi, k):
@@ -393,19 +408,24 @@ def enumerate_descending(psi0, max_weight):
     """All descending configurations with the given compactification.
 
     Yields configurations of weight at most max_weight, grouped by weight in
-    increasing order.  psi0 must be compact.
+    increasing order.  psi0 must be compact.  Each candidate is a product of
+    one row of each charge and size; the rows are built once per call and
+    shared by every candidate that holds them.
     """
     if weight(psi0) != 0:
         raise ValueError("enumeration starts from a compact configuration")
     charges = psi0.charges()
     ell, n = psi0.ell, psi0.n
     parts_by_size = [list(partitions_of(s)) for s in range(max_weight + 1)]
+    rows_by_size = {
+        c: [[_bead_row(c, lam) for lam in lams] for lams in parts_by_size]
+        for c in set(charges)
+    }
     for w in range(max_weight + 1):
         for sizes in _compositions(w, ell):
-            for lams in itertools.product(*(parts_by_size[s] for s in sizes)):
-                cfg = AbacusConfig(
-                    n, ell, tuple(BeadRow(c, lam) for c, lam in zip(charges, lams))
-                )
+            choices = (rows_by_size[c][s] for c, s in zip(charges, sizes))
+            for rows in itertools.product(*choices):
+                cfg = _config(n, ell, rows)
                 if is_descending(cfg):
                     yield cfg
 

@@ -34,7 +34,7 @@ def parse_weight(text, n):
     """Parse weights written like "2*L0+3*L1+L2"."""
     coeffs = [0] * n
     for term in text.replace(" ", "").split("+"):
-        m = re.fullmatch(r"(?:(\d+)\*)?L(\d+)", term)
+        m = re.fullmatch(r"(?:([0-9]+)\*)?L([0-9]+)", term)
         if not m:
             raise InputError("cannot parse weight term %r" % term)
         mult = int(m.group(1)) if m.group(1) else 1

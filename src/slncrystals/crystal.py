@@ -18,7 +18,9 @@ reducer, `_reduce_colors`.  The n signatures are memoised on the object
 they describe: the gap rule's on the abacus configuration (crystal_graph
 drops a node's memo once it has expanded it), the grouped bead-set rule's
 on the descending configuration, and the path rule's on the Path (in
-kyoto).  The column rule on partitions, partition_brackets, stays per
+kyoto).  The two configuration memos are slots that AbacusConfig declares,
+`_gap_signatures` and `_set_signatures`: unset until set here, and no part
+of ==, hash or repr.  The column rule on partitions, partition_brackets, stays per
 color: no benchmark workload uses it.
 """
 

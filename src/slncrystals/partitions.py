@@ -33,7 +33,7 @@ class Partition:
     def _trusted(cls, parts):
         """A Partition of a tuple already known to be valid, unchecked."""
         lam = object.__new__(cls)
-        object.__setattr__(lam, "parts", parts)
+        _set_parts(lam, parts)
         return lam
 
     def __setattr__(self, name, value):
@@ -78,6 +78,8 @@ class Partition:
         return cls(_json_ints(data, "parts"))
 
 
+_set_parts = Partition.parts.__set__  # the slot itself, past __setattr__
+
 EMPTY = Partition()
 
 
@@ -95,7 +97,7 @@ def _json_ints(values, what):
     return tuple(_json_int(v, "an entry of " + what) for v in values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeadRow:
     """One row of beads, stored canonically as (charge, partition).
 
@@ -141,7 +143,7 @@ class BeadRow:
     def move_bead(self, j, delta):
         """Move the j-th bead by delta slots, staying strictly between its
         neighbours (so the target slot is free)."""
-        return BeadRow(self.charge, Partition._trusted(self.moved_parts(j, delta)))
+        return _bead_row(self.charge, Partition._trusted(self.moved_parts(j, delta)))
 
     def moved_parts(self, j, delta):
         """The parts of move_bead(j, delta): part j raised by delta.
@@ -194,6 +196,20 @@ class BeadRow:
     def from_json(cls, data):
         charge = _json_int(data["charge"], "charge")
         return cls(charge, Partition.from_json(data["parts"]))
+
+
+_set_charge = BeadRow.charge.__set__
+_set_partition = BeadRow.partition.__set__
+
+
+def _bead_row(charge, partition):
+    """A BeadRow built unchecked, as `Partition._trusted` builds a
+    Partition: its slots are set directly, past the frozen dataclass's
+    __init__, for rows that are valid by construction."""
+    row = object.__new__(BeadRow)
+    _set_charge(row, charge)
+    _set_partition(row, partition)
+    return row
 
 
 def addable_ribbons(lam, length):

@@ -21,7 +21,7 @@ from slncrystals.abacus import (
     highest_weight_config,
 )
 from slncrystals.crystal import signature_reduce
-from slncrystals.cylindric import CylindricPlanePartition, _box_tokens
+from slncrystals.cylindric import CylindricPlanePartition, _box_tokens, hw_of_cpp
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect, path_brackets
 from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import level_weights
@@ -57,6 +57,39 @@ def move_bead_by_constructor(row, j, delta):
     while parts and parts[-1] == 0:
         parts.pop()
     return BeadRow(row.charge, Partition(parts))
+
+
+def validated(x):
+    """A BeadRow or AbacusConfig built again through the validating
+    constructors, from fresh tuples of its parts."""
+    if isinstance(x, AbacusConfig):
+        return AbacusConfig(x.n, x.ell, tuple(validated(r) for r in x.rows))
+    return BeadRow(x.charge, Partition(list(x.partition.parts)))
+
+
+def assert_same_as_validated(x):
+    """x compares, hashes and reprs equal to `validated(x)`."""
+    want = validated(x)
+    assert type(x) is type(want)
+    assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+
+
+def descending_by_validated_product(psi0, max_weight):
+    """The sequence `enumerate_descending` yields, each candidate built
+    through the validating constructors: weights in increasing order, row
+    sizes in lexicographic order within a weight, then the product of each
+    row's partitions of its size, largest part first; a candidate is kept
+    when it is descending bead by bead."""
+    n, ell, charges = psi0.n, psi0.ell, psi0.charges()
+    for w in range(max_weight + 1):
+        for sizes in itertools.product(range(w + 1), repeat=ell):
+            if sum(sizes) != w:
+                continue
+            for lams in itertools.product(*(partitions_of(s) for s in sizes)):
+                rows = (BeadRow(c, Partition(lam.parts)) for c, lam in zip(charges, lams))
+                cfg = AbacusConfig(n, ell, tuple(rows))
+                if is_descending_by_bead_slots(cfg):
+                    yield cfg
 
 
 def bracket_window(row):
@@ -108,6 +141,43 @@ def fig8():
         (4, 4, 3, 3, 2, 1),
         (P((4, 4, 1)), P((4, 1)), P((5, 3)), P((3, 3)), P((7, 3)), P((6, 5, 1))),
     )
+
+
+def reindexed(pi, s):
+    """The same periodic array as pi, with diagonal i of the result
+    diagonal i + s of pi."""
+    n, ell = pi.n, pi.ell
+    shifted = [divmod(i + s, ell) for i in range(ell)]
+    return CylindricPlanePartition(
+        n,
+        ell,
+        tuple(pi.profile[r] - q * n for q, r in shifted),
+        tuple(pi.rows[r] for _, r in shifted),
+    )
+
+
+def profile_offset(pi):
+    """The s with profile[i] = c(i + s) for every i, where c is the row
+    charges of the highest-weight configuration of pi's labels, extended by
+    c(i + ell) = c(i) - n.  The charges span less than n and drop by n every
+    ell rows, so profile[0] = c(s) puts s within 2 ell of ell * (c(0) -
+    profile[0]) / n; exactly one s in that window fits the whole profile."""
+    n, ell = pi.n, pi.ell
+    c = highest_weight_config(hw_of_cpp(pi), n, ell).charges()
+
+    def ext(i):
+        q, r = divmod(i, ell)
+        return c[r] - q * n
+
+    base = ell * (c[0] - pi.profile[0]) // n
+    fits = [
+        s
+        for s in range(base - 2 * ell, base + 2 * ell + 1)
+        if all(ext(i + s) == p for i, p in enumerate(pi.profile))
+    ]
+    if len(fits) != 1:
+        raise ValueError("profile %r is no window of the charges" % (pi.profile,))
+    return fits[0]
 
 
 @lru_cache(maxsize=None)

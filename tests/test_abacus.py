@@ -23,13 +23,15 @@ from slncrystals.abacus import (
     tighten,
     weight,
 )
-from slncrystals.crystal import f_abacus
+from slncrystals.crystal import f_abacus, f_descending
 from slncrystals.partitions import BeadRow, Partition
 
 from helpers import (
     abacus_configs,
     all_level_coeffs,
+    assert_same_as_validated,
     config,
+    descending_by_validated_product,
     descending_configs,
     fig7,
     fig9,
@@ -182,9 +184,55 @@ def test_replace_row_indexes_like_a_list():
         rows[r] = row
         want = AbacusConfig(psi.n, psi.ell, tuple(rows))
         assert got == want and hash(got) == hash(want) and got.key() == want.key()
+        assert repr(got) == repr(want)
     for r in (psi.ell, -psi.ell - 1):
         with pytest.raises(IndexError):
             psi.replace_row(r, row)
+
+
+def test_unchecked_builders_match_validating_constructors():
+    # replace_row, _shift_bead_set (tighten, loosen, recombine) and
+    # enumerate_descending build configurations unchecked, through
+    # abacus._config; each is the configuration the validating
+    # constructors build
+    built = 0
+    for cfg in descending_configs(3, 2, (1, 1, 0), 5):
+        assert_same_as_validated(cfg)
+        for moved in right_moves(cfg):
+            assert_same_as_validated(moved)
+            built += 1
+        for k in range(1, cfg.max_bead_index() + 2):
+            for out in (tighten(cfg, k), loosen(cfg, k)):
+                if out is not None:
+                    assert_same_as_validated(out)
+                    built += 1
+        assert_same_as_validated(recombine(gamma(cfg), lambda_part(cfg)))
+    assert built > 0
+
+
+def test_memos_take_no_part_in_eq_hash_repr():
+    psi = fig10()
+    plain = config(3, 4, *((r.charge, r.partition.parts) for r in psi.rows))
+    f_abacus(psi, 0)
+    f_descending(psi, 0)
+    assert hasattr(psi, "_gap_signatures") and hasattr(psi, "_set_signatures")
+    assert not hasattr(plain, "_gap_signatures")
+    assert not hasattr(plain, "_set_signatures")
+    assert psi == plain and hash(psi) == hash(plain) and repr(psi) == repr(plain)
+    assert not hasattr(psi, "__dict__")
+
+
+@pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (4, 2), (3, 3)])
+def test_enumeration_matches_validated_product(n, ell):
+    # the rows enumerate_descending shares between candidates change
+    # neither the candidates kept nor their order
+    for coeffs in all_level_coeffs(n, ell):
+        psi0 = highest_weight_config(coeffs, n, ell)
+        got = list(enumerate_descending(psi0, 5))
+        want = list(descending_by_validated_product(psi0, 5))
+        assert got == want
+        assert list(map(hash, got)) == list(map(hash, want))
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (3, 4)])

@@ -44,6 +44,17 @@ def test_parse_weight():
         cli.parse_weight("L5", 3)
     with pytest.raises(cli.InputError):
         cli.parse_weight("2L0", 3)
+    # int() reads Arabic-Indic digits; a weight takes ASCII digits only
+    for text in ("L\u0660+L\u0661", "\u0662*L0"):
+        with pytest.raises(cli.InputError):
+            cli.parse_weight(text, 3)
+
+
+def test_non_ascii_weight_digits_exit_2():
+    argv = ["series", "--n", "3", "--ell", "2", "--weight", "L\u0660+L\u0661",
+            "--nmax", "2"]
+    rc, out, err = run_cli(argv)
+    assert rc == 2 and out == "" and "cannot parse weight term" in err
 
 
 def test_convert_figure10_to_cpp():

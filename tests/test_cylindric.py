@@ -33,6 +33,8 @@ from helpers import (
     fig9,
     fig10,
     is_valid_cpp_by_cells,
+    profile_offset,
+    reindexed,
     removable_boxes,
     t_value,
 )
@@ -207,10 +209,13 @@ def test_reflect_figure8():
     r = reflect(fig8())
     assert (r.n, r.ell) == (6, 3)
     assert cpp_weight(r) == 50
-    # the reflected labels agree with the dual weight up to a color rotation
+    # the profile (4,4,3,3,2,1) is the highest-weight charges (2,1,1,1,0,0)
+    # read from extended row -4, so the reflected labels are the dual
+    # weight rotated by -4 mod 6 = 2 colors
     dual = dual_weight(DominantWeight((2, 3, 1)), 3, 6)
-    got = hw_of_cpp(r)
-    assert any(got.rotated(k) == dual for k in range(6))
+    s = profile_offset(fig8())
+    assert (s, s % 6) == (-4, 2)
+    assert hw_of_cpp(r).rotated(s % 6) == dual
 
 
 def test_reflect_weight_preserving_bijection():
@@ -241,13 +246,19 @@ def test_dual_weight_examples():
 
 
 def test_dual_weight_consistency_with_reflect():
+    # the highest-weight cylinder reflects to the dual weight itself; the
+    # same array read from diagonal s on needs the rotation s mod ell
     for coeffs in all_level_coeffs(3, 2):
         pi = from_abacus(
             next(iter(descending_configs(3, 2, coeffs, 3)))
         )
         dual = dual_weight(DominantWeight(coeffs), 3, 2)
-        got = hw_of_cpp(reflect(pi))
-        assert any(got.rotated(k) == dual for k in range(2))
+        assert profile_offset(pi) == 0
+        assert hw_of_cpp(reflect(pi)) == dual
+        for s in range(-4, 5):
+            shifted = reindexed(pi, s)
+            assert profile_offset(shifted) == s
+            assert hw_of_cpp(reflect(shifted)).rotated(s % 2) == dual
 
 
 def test_render_text_figure12():

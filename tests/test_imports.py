@@ -1,7 +1,9 @@
 """Every name a library module imports is used in that module, every
 top-level function it defines, public or private, is used somewhere in the
-library, and no module has an `assert` statement (`python -O` drops them;
-an invariant check raises AssertionError explicitly).
+library, no module has an `assert` statement (`python -O` drops them;
+an invariant check raises AssertionError explicitly), and `Partition`,
+`BeadRow` and `AbacusConfig` are built unchecked, by `object.__new__`, only
+in their one trusted constructor each.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals with the stdlib ast module; only the assert check reads the
@@ -95,3 +97,75 @@ def test_assert_lines_finds_an_assert():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_module_has_no_assert_statement(module):
     assert assert_lines((SRC / module).read_text()) == []
+
+
+# the one function per type that may build it unchecked
+TRUSTED_CONSTRUCTORS = {
+    "AbacusConfig": "abacus._config",
+    "BeadRow": "partitions._bead_row",
+    "Partition": "partitions.Partition._trusted",
+}
+
+
+def unchecked_construction_sites(sources):
+    """(type, "module.qualified name") of every `object.__new__(X)` call in
+    `sources` (module name -> source) with X one of TRUSTED_CONSTRUCTORS;
+    `cls` reads as the class that encloses the call."""
+    sites = []
+
+    def visit(node, scope, cls):
+        if isinstance(node, ast.ClassDef):
+            scope, cls = scope + [node.name], node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + [node.name]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            made = ast.unparse(node.args[0]) if node.args else ""
+            made = cls if made == "cls" else made
+            if made in TRUSTED_CONSTRUCTORS:
+                sites.append((made, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, cls)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module], None)
+    return sorted(sites)
+
+
+def test_unchecked_construction_sites_finds_a_second_site():
+    sources = {
+        "partitions": (
+            "class Partition:\n"
+            "    @classmethod\n"
+            "    def _trusted(cls, parts):\n"
+            "        return object.__new__(cls)\n"
+            "class Other:\n"
+            "    def make(cls):\n"
+            "        return object.__new__(cls)\n"
+            "def _bead_row(charge, partition):\n"
+            "    return object.__new__(BeadRow)\n"
+        ),
+        "abacus": (
+            "def _config(n, ell, rows):\n"
+            "    return object.__new__(AbacusConfig)\n"
+            "def shortcut(row):\n"
+            "    return object.__new__(BeadRow)\n"
+        ),
+    }
+    assert unchecked_construction_sites(sources) == [
+        ("AbacusConfig", "abacus._config"),
+        ("BeadRow", "abacus.shortcut"),
+        ("BeadRow", "partitions._bead_row"),
+        ("Partition", "partitions.Partition._trusted"),
+    ]
+
+
+def test_unchecked_construction_only_in_trusted_constructors():
+    sources = {module[:-3]: (SRC / module).read_text() for module in MODULES}
+    want = sorted(TRUSTED_CONSTRUCTORS.items())
+    assert unchecked_construction_sites(sources) == want
