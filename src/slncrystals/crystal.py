@@ -20,8 +20,8 @@ drops a node's memo once it has expanded it), the grouped bead-set rule's
 on the descending configuration, and the path rule's on the Path (in
 kyoto).  The two configuration memos are slots that AbacusConfig declares,
 `_gap_signatures` and `_set_signatures`: unset until set here, and no part
-of ==, hash or repr.  The column rule on partitions, partition_brackets, stays per
-color: no benchmark workload uses it.
+of ==, hash or repr.  The column rule on partitions, partition_brackets,
+stays per color: no benchmark workload uses it.
 """
 
 from __future__ import annotations

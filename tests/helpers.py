@@ -86,8 +86,8 @@ def descending_by_validated_product(psi0, max_weight):
             if sum(sizes) != w:
                 continue
             for lams in itertools.product(*(partitions_of(s) for s in sizes)):
-                rows = (BeadRow(c, Partition(lam.parts)) for c, lam in zip(charges, lams))
-                cfg = AbacusConfig(n, ell, tuple(rows))
+                rows = zip(charges, (Partition(lam.parts) for lam in lams))
+                cfg = AbacusConfig(n, ell, tuple(BeadRow(c, lam) for c, lam in rows))
                 if is_descending_by_bead_slots(cfg):
                     yield cfg
 

@@ -219,7 +219,7 @@ def test_memos_take_no_part_in_eq_hash_repr():
     assert not hasattr(plain, "_gap_signatures")
     assert not hasattr(plain, "_set_signatures")
     assert psi == plain and hash(psi) == hash(plain) and repr(psi) == repr(plain)
-    assert not hasattr(psi, "__dict__")
+    assert not hasattr(psi, "__dict__") and not hasattr(psi.rows[0], "__dict__")
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (4, 2), (3, 3)])
