@@ -71,8 +71,8 @@ class AbacusConfig:
     n: int
     ell: int
     rows: tuple  # of BeadRow, index 0 = bottom
-    # the bracket rules' memos (see crystal): unset until a rule sets one,
-    # and no part of ==, hash or repr
+    # the bracket rules' memos (see crystal): None until a rule fills one,
+    # and no part of ==, hash, repr, copy or pickle
     _gap_signatures: tuple = field(init=False, repr=False, compare=False)
     _set_signatures: tuple = field(init=False, repr=False, compare=False)
 
@@ -81,6 +81,12 @@ class AbacusConfig:
             raise ValueError("need n >= 1 and ell >= 1")
         if len(self.rows) != self.ell:
             raise ValueError("expected %d rows" % self.ell)
+        _set_gap_memo(self, None)
+        _set_set_memo(self, None)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, without the memos
+        return (AbacusConfig, (self.n, self.ell, self.rows))
 
     def bead_position(self, i, j):
         """Slot of the j-th bead from the right on extended row i.
@@ -134,16 +140,21 @@ class AbacusConfig:
 _set_n = AbacusConfig.n.__set__
 _set_ell = AbacusConfig.ell.__set__
 _set_rows = AbacusConfig.rows.__set__
+_set_gap_memo = AbacusConfig._gap_signatures.__set__
+_set_set_memo = AbacusConfig._set_signatures.__set__
 
 
 def _config(n, ell, rows):
     """An AbacusConfig built unchecked: its slots are set directly, past
     the frozen dataclass's __init__ and __post_init__, for configurations
-    that are valid by construction (ell rows, n and ell positive)."""
+    that are valid by construction (ell rows, n and ell positive).  Its
+    memos are None, as __post_init__ leaves them."""
     psi = object.__new__(AbacusConfig)
     _set_n(psi, n)
     _set_ell(psi, ell)
     _set_rows(psi, rows)
+    _set_gap_memo(psi, None)
+    _set_set_memo(psi, None)
     return psi
 
 

@@ -16,12 +16,19 @@ token-list oracle is `tests/helpers.abacus_brackets`.  The grouped and path
 rules build (k, color) token lists and reduce them with one all-color
 reducer, `_reduce_colors`.  The n signatures are memoised on the object
 they describe: the gap rule's on the abacus configuration (crystal_graph
-drops a node's memo once it has expanded it), the grouped bead-set rule's
-on the descending configuration, and the path rule's on the Path (in
+resets a node's memo to None once it has expanded it), the grouped bead-set
+rule's on the descending configuration, and the path rule's on the Path (in
 kyoto).  The two configuration memos are slots that AbacusConfig declares,
-`_gap_signatures` and `_set_signatures`: unset until set here, and no part
-of ==, hash or repr.  The column rule on partitions, partition_brackets,
-stays per color: no benchmark workload uses it.
+`_gap_signatures` and `_set_signatures`: None until a rule here fills them,
+read as plain attributes, and no part of ==, hash, repr, copy or pickle.
+The column rule on partitions, partition_brackets, stays per color: no
+benchmark workload uses it.
+
+A gap rule token stands at a gap only when the slot across it is empty, so
+the move it names is legal on any configuration: f_abacus and e_abacus
+build their images unchecked, raising or lowering one part with
+`partitions._hop`.  The grouped rule moves through the checked
+`BeadRow.move_bead`.
 """
 
 from __future__ import annotations
@@ -30,8 +37,16 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .abacus import is_descending, weight
-from .partitions import add_ribbon, addable_ribbons, remove_ribbon, removable_ribbons
+from .abacus import _set_gap_memo, _set_set_memo, is_descending, weight
+from .partitions import (
+    Partition,
+    _bead_row,
+    _hop,
+    add_ribbon,
+    addable_ribbons,
+    remove_ribbon,
+    removable_ribbons,
+)
 
 
 class Signature(NamedTuple):
@@ -91,10 +106,10 @@ def _reduce_colors(tokens, n):
 
 def _signatures(psi):
     """The gap rule's Signature of each color 0..n-1, memoised on psi."""
-    sigs = getattr(psi, "_gap_signatures", None)
+    sigs = psi._gap_signatures
     if sigs is None:
         sigs = _gap_signatures(psi)
-        object.__setattr__(psi, "_gap_signatures", sigs)  # psi is frozen
+        _set_gap_memo(psi, sigs)  # psi is frozen
     return sigs
 
 
@@ -189,11 +204,17 @@ def e_abacus(psi, i):
 
 
 def _move_named_bead(psi, token, delta):
-    """Move by delta the bead a gap-rule token names; None for no token."""
+    """Move by delta the bead a gap-rule token names; None for no token.
+
+    A token stands at a gap only when the slot across it is empty, so the
+    move is legal on any configuration and `_hop` builds it unchecked.
+    """
     if token is None:
         return None
-    _, r_idx, j = token
-    return psi.replace_row(r_idx, psi.rows[r_idx].move_bead(j, delta))
+    _, r, j = token
+    row = psi.rows[r]
+    parts = _hop(row.partition.parts, j, delta)
+    return psi.replace_row(r, _bead_row(row.charge, Partition._trusted(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +275,12 @@ def _descending_move(psi, i, delta, name):
     The n signatures of the grouped rule are memoised on psi, once psi is
     known to be descending; a rejected configuration gets no memo.
     """
-    sigs = getattr(psi, "_set_signatures", None)
+    sigs = psi._set_signatures
     if sigs is None:
         if not is_descending(psi):
             raise ValueError("%s needs a descending configuration" % name)
         sigs = _reduce_colors(descending_brackets(psi), psi.n)
-        object.__setattr__(psi, "_set_signatures", sigs)  # psi is frozen
+        _set_set_memo(psi, sigs)  # psi is frozen
     sig = sigs[i % psi.n]
     token = sig.first_open if delta > 0 else sig.last_close
     if token is None:
@@ -338,9 +359,11 @@ def crystal_graph(psi0, max_degree):
     An image is keyed by its rows' parts before it is built: the gap rule's
     first uncanceled "(" of color i names the bead (row r, index j) that
     f_i moves, so the image's parts are the node's with part j of row r
-    raised by one.  f keeps every charge, so these keys sort as `key()`
-    does.  `f_abacus` builds each node once, for the first edge into it,
-    and every later edge reuses that node.
+    raised by one, which `_hop` computes unchecked as `f_abacus` does.  f
+    keeps every charge, so these keys sort as `key()` does.  `f_abacus`
+    builds each node once, for the first edge into it, and every later
+    edge reuses that node.  An expanded node's gap-rule memo is reset to
+    None, so no node of the graph keeps one.
     """
     if weight(psi0) != 0 or not is_descending(psi0):
         raise ValueError("crystal_graph needs a compact descending generator")
@@ -354,14 +377,15 @@ def crystal_graph(psi0, max_degree):
                 if sig.first_open is None:
                     continue
                 _, r, j = sig.first_open
-                parts[r], old = node.rows[r].moved_parts(j, 1), parts[r]
+                old = parts[r]
+                parts[r] = _hop(old, j, 1)
                 key = tuple(parts)
                 parts[r] = old
                 img = seen.get(key)
                 if img is None:
                     img = seen[key] = f_abacus(node, i)
                 edges.append((node, i, img))
-            object.__delattr__(node, "_gap_signatures")  # set by _signatures
+            _set_gap_memo(node, None)  # filled by _signatures
         if not seen:
             break
         layers.append([seen[key] for key in sorted(seen)])

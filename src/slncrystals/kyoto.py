@@ -131,6 +131,11 @@ class Path:
     def element(self, k):
         return self.elements[k - 1] if 0 < k <= len(self.elements) else self.ground(k)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, without the memo
+        # of signatures or the table of ground elements
+        return (Path, (self.n, self.ell, self.weight, self.elements))
+
     def last_position(self):
         return len(self.elements)
 

@@ -39,6 +39,10 @@ class Partition:
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return (Partition, (self.parts,))
+
     def part(self, j):
         """The j-th part (1-indexed), zero beyond the last part."""
         return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
@@ -210,6 +214,20 @@ def _bead_row(charge, partition):
     _set_charge(row, charge)
     _set_partition(row, partition)
     return row
+
+
+def _hop(parts, j, delta):
+    """The parts with part j raised by delta, one of +1 and -1, unchecked.
+
+    For moves already known to be legal, as the gap rule's are: its "("
+    names a bead, at most the tail bead j = len + 1, whose right slot is
+    empty, and its ")" one of the partition's beads whose left slot is
+    empty.  `BeadRow.moved_parts` is the checked form.
+    """
+    if j > len(parts):
+        return parts + (1,)  # the tail bead moves right
+    p = parts[j - 1] + delta
+    return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
 
 
 def addable_ribbons(lam, length):

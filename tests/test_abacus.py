@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings
 from slncrystals.abacus import (
     AbacusConfig,
     DominantWeight,
+    _config,
     _residues,
     compactify,
     enumerate_descending,
@@ -24,6 +27,8 @@ from slncrystals.abacus import (
     weight,
 )
 from slncrystals.crystal import f_abacus, f_descending
+from slncrystals.cylindric import from_abacus
+from slncrystals.kyoto import Path, f_path, to_path
 from slncrystals.partitions import BeadRow, Partition
 
 from helpers import (
@@ -215,11 +220,64 @@ def test_memos_take_no_part_in_eq_hash_repr():
     plain = config(3, 4, *((r.charge, r.partition.parts) for r in psi.rows))
     f_abacus(psi, 0)
     f_descending(psi, 0)
-    assert hasattr(psi, "_gap_signatures") and hasattr(psi, "_set_signatures")
-    assert not hasattr(plain, "_gap_signatures")
-    assert not hasattr(plain, "_set_signatures")
+    assert psi._gap_signatures is not None and psi._set_signatures is not None
+    assert plain._gap_signatures is None
+    assert plain._set_signatures is None
     assert psi == plain and hash(psi) == hash(plain) and repr(psi) == repr(plain)
     assert not hasattr(psi, "__dict__") and not hasattr(psi.rows[0], "__dict__")
+
+
+def _with_memos(psi):
+    """psi, with both bracket-rule memos filled."""
+    f_abacus(psi, 0)
+    f_descending(psi, 0)
+    assert psi._gap_signatures is not None and psi._set_signatures is not None
+    return psi
+
+
+def test_every_builder_leaves_both_memos_none():
+    # no builder hands on a memo, not even from a source whose memos are full
+    psi = _with_memos(fig10())
+    loose = next(
+        _with_memos(cfg)
+        for cfg in descending_configs(3, 2, (1, 0, 1), 4)
+        if tighten(cfg, 1) is not None
+    )
+    psi0 = _with_memos(highest_weight_config((1, 0, 1), 3, 2))
+    built = [
+        AbacusConfig(psi.n, psi.ell, psi.rows),
+        AbacusConfig.from_json(psi.to_json()),
+        _config(psi.n, psi.ell, psi.rows),
+        psi.replace_row(0, psi.rows[0]),
+        f_abacus(psi, 0),
+        tighten(loose, 1),
+    ]
+    built += enumerate_descending(psi0, 4)
+    assert len(built) > 6 and None not in built
+    for cfg in built:
+        assert cfg._gap_signatures is None and cfg._set_signatures is None
+
+
+def test_copies_and_pickles_rebuild_without_memos():
+    psi = _with_memos(fig10())
+    path = to_path(psi)
+    f_path(path, 0)
+    assert path._signatures is not None
+    values = [psi.rows[0].partition, psi.rows[0], psi, from_abacus(psi), path]
+
+    def pickled(x):
+        return pickle.loads(pickle.dumps(x))
+
+    for x in values:
+        for copier in (copy.copy, copy.deepcopy, pickled):
+            y = copier(x)
+            assert type(y) is type(x)
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+            if isinstance(y, AbacusConfig):
+                assert y._gap_signatures is None and y._set_signatures is None
+            if isinstance(y, Path):
+                assert getattr(y, "_signatures", None) is None
+    assert psi._gap_signatures is not None and path._signatures is not None
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (4, 2), (3, 3)])

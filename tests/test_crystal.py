@@ -35,6 +35,7 @@ from helpers import (
     abacus_brackets_by_gap_scan,
     abacus_configs,
     all_level_coeffs,
+    assert_same_as_validated,
     bracket_window,
     config,
     descending_configs,
@@ -228,7 +229,7 @@ def test_memoised_signatures_match_scan_on_crystal_graph(n, ell):
         for layer in graph.layers:
             for cfg in layer:
                 # crystal_graph keeps no memo past a node's expansion
-                assert not hasattr(cfg, "_gap_signatures")
+                assert cfg._gap_signatures is None
                 f_abacus(cfg, 0)
                 memo = cfg._gap_signatures
                 assert _signatures(cfg) is memo
@@ -247,7 +248,7 @@ def test_crystal_graph_edges_are_f_abacus(n, ell):
     for coeffs in all_level_coeffs(n, ell):
         graph = crystal_graph(highest_weight_config(coeffs, n, ell), degree)
         nodes = [cfg for layer in graph.layers for cfg in layer]
-        assert not any(hasattr(cfg, "_gap_signatures") for cfg in nodes)
+        assert all(cfg._gap_signatures is None for cfg in nodes)
         want = []
         for layer in graph.layers[:degree]:
             for x in layer:
@@ -275,7 +276,7 @@ def test_memo_is_not_shared_with_images(n, ell):
                     if img is None:
                         continue
                     fresh = AbacusConfig.from_json(img.to_json())
-                    assert img == fresh and not hasattr(img, "_gap_signatures")
+                    assert img == fresh and img._gap_signatures is None
                     assert _signatures(img) == _signatures(fresh)
                     assert _signatures(img) is not _signatures(cfg)
 
@@ -305,7 +306,7 @@ def test_grouped_memo_is_not_shared_with_images(n, ell):
                     if img is None:
                         continue
                     fresh = AbacusConfig.from_json(img.to_json())
-                    assert img == fresh and not hasattr(img, "_set_signatures")
+                    assert img == fresh and img._set_signatures is None
                     assert op(img, i) == op(fresh, i)
                     assert img._set_signatures == fresh._set_signatures
                     assert img._set_signatures is not cfg._set_signatures
@@ -385,6 +386,49 @@ def test_gap_rule_moves_the_bead_beside_the_gap(cfg):
     for i in range(cfg.n):
         assert f_abacus(cfg, i) == gap_rule_by_slots(cfg, i, raising=False)
         assert e_abacus(cfg, i) == gap_rule_by_slots(cfg, i, raising=True)
+
+
+def _gap_images_match_checked_moves(cfg):
+    """f_abacus and e_abacus of every color build, unchecked, the image
+    that `BeadRow.move_bead` builds with its checks; returns the (j, delta)
+    of the moves made, for the callers to see which kinds they covered."""
+    moves = []
+    sigs = _signatures(cfg)
+    for i in range(cfg.n):
+        for op, token, delta in (
+            (f_abacus, sigs[i].first_open, 1),
+            (e_abacus, sigs[i].last_close, -1),
+        ):
+            img = op(cfg, i)
+            if token is None:
+                assert img is None
+                continue
+            _, r, j = token
+            row = cfg.rows[r]
+            assert img == cfg.replace_row(r, row.move_bead(j, delta))
+            assert_same_as_validated(img)
+            moves.append((len(row.partition), row.partition.part(j), j, delta))
+    return moves
+
+
+@pytest.mark.parametrize("n,ell", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
+def test_unchecked_gap_images_match_move_bead_on_crystal_graph(n, ell):
+    moves = []
+    for coeffs in all_level_coeffs(n, ell):
+        graph = crystal_graph(highest_weight_config(coeffs, n, ell), 6)
+        for layer in graph.layers:
+            for cfg in layer:
+                moves += _gap_images_match_checked_moves(cfg)
+    # the tail bead j = len + 1 moves right, and a lowering empties a last
+    # part 1, so the image has one part less
+    assert any(j == m + 1 and delta == 1 for m, _, j, delta in moves)
+    assert any(j == m and p == 1 and delta == -1 for m, p, j, delta in moves)
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_unchecked_gap_images_match_move_bead_on_arbitrary_configs(cfg):
+    _gap_images_match_checked_moves(cfg)
 
 
 def test_f_partition_figure3():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from slncrystals.partitions import (
     BeadRow,
     Partition,
+    _hop,
     add_ribbon,
     combine_quotient,
     ell_core,
@@ -156,6 +157,23 @@ def test_move_bead_matches_constructor_oracle():
                         assert moved == want and hash(moved) == hash(want)
                         assert repr(moved) == repr(want)
                         assert row.moved_parts(j, delta) == want.partition.parts
+
+
+def test_hop_matches_moved_parts_on_every_legal_hop():
+    # _hop is moved_parts without the checks, for the one-slot moves of the
+    # gap rule: beads 1..len + 1, raised or lowered by one where legal
+    hops = 0
+    for lam in partitions_up_to(7):
+        row = BeadRow(0, lam)
+        for j in range(1, len(lam) + 2):
+            for delta in (1, -1):
+                try:
+                    want = row.moved_parts(j, delta)
+                except ValueError:
+                    continue
+                assert _hop(lam.parts, j, delta) == want
+                hops += 1
+    assert hops > 0
 
 
 def test_figure2_ribbon():

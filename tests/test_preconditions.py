@@ -70,7 +70,7 @@ def test_rejected_configuration_keeps_no_memo():
         for _ in range(2):
             with pytest.raises(ValueError, match="needs a descending"):
                 op(UNSORTED, 0)
-    assert not hasattr(UNSORTED, "_set_signatures")
+    assert UNSORTED._set_signatures is None
 
 
 # (id, constructor, arguments of which one is not an integer)
