@@ -390,8 +390,9 @@ def test_gap_rule_moves_the_bead_beside_the_gap(cfg):
 
 def _gap_images_match_checked_moves(cfg):
     """f_abacus and e_abacus of every color build, unchecked, the image
-    that `BeadRow.move_bead` builds with its checks; returns the (j, delta)
-    of the moves made, for the callers to see which kinds they covered."""
+    that `BeadRow.move_bead` builds with its checks.  Returns (len, part j,
+    j, delta) of each move made, for the callers to see which kinds of move
+    they covered."""
     moves = []
     sigs = _signatures(cfg)
     for i in range(cfg.n):
