@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import ge, index
+from operator import index
 
 from .partitions import (
     BeadRow,
@@ -194,23 +194,46 @@ def weight(psi):
 
 
 def _fits(psi, k, m):
-    """True iff bead set k, moved m extended rows down, lies strictly right
-    of bead set k+1: the k-th bead of extended row i + m is right of the
-    (k+1)-st bead of row i, for every row i."""
-    return all(
-        psi.bead_position(i + m, k) > psi.bead_position(i, k + 1)
-        for i in range(psi.ell)
-    )
+    """True iff bead set k >= 1, moved m extended rows down, lies strictly
+    right of bead set k+1: the k-th bead of extended row i + m is right of
+    the (k+1)-st bead of row i, for every row i.
+
+    Bead j of a row of charge c sits at slot part(j) - j + c, and extended
+    row i + m is row r = (i + m) mod ell shifted n*q slots left, with q =
+    floor((i + m) / ell).  So row i asks that part k of row r plus its
+    charge, less n*q, be at least part k + 1 of row i plus its charge.
+    """
+    n, ell, rows = psi.n, psi.ell, psi.rows
+    for i, row in enumerate(rows):
+        q, r = divmod(i + m, ell)
+        src = rows[r]
+        a, b = src.partition.parts, row.partition.parts
+        incoming = (a[k - 1] if k <= len(a) else 0) + src.charge - n * q
+        if incoming < (b[k] if k < len(b) else 0) + row.charge:
+            return False
+    return True
 
 
 def _shift_bead_set(psi, k, m):
     """Move bead set k m extended rows down: row i takes the k-th bead of
-    extended row i + m (m < 0 moves it up)."""
-    rows = tuple(
-        row.move_bead(k, psi.bead_position(i + m, k) - row.bead_slot(k))
-        for i, row in enumerate(psi.rows)
-    )
-    return _config(psi.n, psi.ell, rows)
+    extended row i + m (m < 0 moves it up).
+
+    With a[r] part k of row r plus its charge, bead k of row r sits at
+    slot a[r] - k, so row i's bead moves by a[r] - n*q - a[i], (q, r) as
+    in `_fits`.  `BeadRow.move_bead` checks each move.
+    """
+    if k < 1:
+        raise ValueError("bead index must be positive")
+    n, ell, rows = psi.n, psi.ell, psi.rows
+    a = []
+    for row in rows:
+        parts = row.partition.parts
+        a.append((parts[k - 1] if k <= len(parts) else 0) + row.charge)
+    moved = []
+    for i, row in enumerate(rows):
+        q, r = divmod(i + m, ell)
+        moved.append(row.move_bead(k, a[r] - n * q - a[i]))
+    return _config(n, ell, tuple(moved))
 
 
 def tighten(psi, k):
@@ -245,19 +268,22 @@ def is_tight(psi):
     i + 1 (the bottom row, n slots left, for the top row) is at least part
     k + 1 plus the charge of row i.  Beyond max_bead_index() every part is
     0, and no set fits: the charges around the rows would have to rise,
-    but they drop by n.  So the rows' parts, padded with zeros to
-    max_bead_index() + 1, decide it.
+    but they drop by n.  So the sets up to max_bead_index() decide it; the
+    loop stops at the first set that fits, and each set at the first row
+    that blocks it.
     """
-    m, n = psi.max_bead_index(), psi.n
-    rows = []
-    for row in psi.rows:
-        c, parts = row.charge, row.partition.parts
-        rows.append([p + c for p in parts + (0,) * (m + 1 - len(parts))])
-    rows.append([a - n for a in rows[0]])  # extended row ell
-    # sets[k - 1][i] is part k plus the charge of extended row i, i <= ell;
-    # map stops after the ell entries of sets[k - 1][1:]
-    sets = list(zip(*rows))
-    return not any(all(map(ge, sets[k - 1][1:], sets[k])) for k in range(1, m + 1))
+    rows = [(r.charge, r.partition.parts) for r in psi.rows]
+    c0, p0 = rows[0]
+    rows.append((c0 - psi.n, p0))  # extended row ell
+    for k in range(1, max(len(p) for _, p in rows) + 1):
+        for i in range(psi.ell):
+            c, p = rows[i]
+            d, u = rows[i + 1]
+            if (u[k - 1] if k <= len(u) else 0) + d < (p[k] if k < len(p) else 0) + c:
+                break  # row i blocks set k
+        else:
+            return False  # set k fits one row down
+    return True
 
 
 def highest_weight(psi0):
@@ -442,6 +468,11 @@ def enumerate_descending(psi0, max_weight):
 
 
 def enumerate_tight(psi0, max_weight):
+    """The tight configurations among enumerate_descending(psi0, max_weight),
+    in its order: enumerate_descending filtered by is_tight.  It consumes
+    every descending configuration, and the benchmark's audit
+    (benchmarks/workloads.py) counts each of those yields as well as the
+    tight ones it passes on."""
     for cfg in enumerate_descending(psi0, max_weight):
         if is_tight(cfg):
             yield cfg

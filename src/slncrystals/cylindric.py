@@ -10,6 +10,7 @@ profile[i] is that row's charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .abacus import (
     AbacusConfig,
@@ -19,7 +20,7 @@ from .abacus import (
     is_descending,
 )
 from .crystal import signature_reduce
-from .partitions import BeadRow, Partition, _json_int, _json_ints
+from .partitions import Partition, _bead_row, _json_int, _json_ints
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,8 @@ class CylindricPlanePartition:
     rows: tuple  # rows[i] = Partition of the entries of diagonal i
 
     def __post_init__(self):
+        if self.n < 1 or self.ell < 1:
+            raise ValueError("need n >= 1 and ell >= 1")
         if len(self.profile) != self.ell or len(self.rows) != self.ell:
             raise ValueError("profile and rows must have length ell")
 
@@ -77,12 +80,17 @@ def is_valid_cpp(pi):
     the end).  So pi is valid iff every d >= 0 and diagonal i + 1 from part
     d + 1 on is no longer than diagonal i and at most it part by part.
     """
-    for i, row in enumerate(pi.rows):
-        d = pi.profile[i] - _profile_ext(pi, i + 1)
+    profile, rows = pi.profile, pi.rows
+    top = pi.ell - 1
+    for i, row in enumerate(rows):
+        if i < top:
+            d, upper = profile[i] - profile[i + 1], rows[i + 1]
+        else:
+            d, upper = profile[i] - profile[0] + pi.n, rows[0]
         if d < 0:
             return False
-        tail = pi.rows[(i + 1) % pi.ell].parts[d:]
-        if len(tail) > len(row) or any(a < b for a, b in zip(row.parts, tail)):
+        low, tail = row.parts, upper.parts[d:]
+        if len(tail) > len(low) or not all(map(ge, low, tail)):
             return False
     return True
 
@@ -111,9 +119,7 @@ def to_abacus(pi):
     psi = AbacusConfig(
         pi.n,
         pi.ell,
-        tuple(
-            BeadRow(c, parts.conjugate()) for c, parts in zip(pi.profile, pi.rows)
-        ),
+        tuple(_bead_row(c, lam.conjugate()) for c, lam in zip(pi.profile, pi.rows)),
     )
     if not is_descending(psi):
         raise ValueError("to_abacus gave a configuration that is not descending")

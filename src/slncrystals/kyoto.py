@@ -18,19 +18,22 @@ to_path is the crystal isomorphism sending a tight descending abacus
 configuration to the path whose k-th element collects the residues of the
 k-th beads, one per row; so the tensor product rule is the bead-set rule
 crystal.column_brackets.  Its domain is the crystal of
-highest_weight_config(w): charges weakly decreasing in [0, n) from the
-bottom row up.  A tight configuration is fixed by its charges and the
-residues of its bead sets, so from_path inverts to_path with the abacus
-placement (abacus._tight_from_residues): bead set k is the weakly
-decreasing run of the integers with the residues of b_k, placed as low as
-tightness allows.
+highest_weight_config(w), n >= 2, whose charges are the residues of w
+sorted down; so to_path checks the charges by their order alone: each in
+[0, n), weakly decreasing from the bottom row up.  A tight configuration
+is fixed by its charges and the residues of its bead sets, so from_path
+inverts to_path with the abacus placement (abacus._tight_from_residues):
+bead set k is the weakly decreasing run of the integers with the residues
+of b_k, placed as low as tightness allows.
 
 The path rule reads the tokens of every color in one pass, and the n
 signatures are memoised on the Path, as the gap rule's are on a
 configuration.  A Path also keeps the ground elements it has built, one per
 residue class of the position.  The table depends on n and the weight only,
 so every path derived from another (an f_path or e_path image, a pruned
-path) shares it, and to_path starts from one deviation-free path per weight.
+path) shares it.  to_path and Path.from_json start from one cache of
+deviation-free paths, keyed by n and the charges of highest_weight_config,
+which fix the weight.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import bisect
 import functools
 import re
 from dataclasses import dataclass, field
-from operator import index
+from operator import ge, index
 
 from .abacus import (
     DominantWeight,
@@ -183,7 +186,7 @@ class Path:
         elements = dict(devs)
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
-        base = _empty_path(n, ell, w)
+        base = _empty_path(n, _highest_weight_charges(w.coeffs))
         dense = [
             elements[k] if k in elements else base.ground(k)
             for k in range(1, max(elements, default=0) + 1)
@@ -202,10 +205,11 @@ def _pruned_path(path, elements):
 
 
 @functools.lru_cache(maxsize=64)
-def _empty_path(n, ell, w):
-    """The path of weight w with no deviation, one per (n, ell, w): the
-    paths pruned from it share its ground elements."""
-    return Path(n, ell, w, ())
+def _empty_path(n, charges):
+    """The path with no deviation of the weight whose highest_weight_config
+    has these charges, one per (n, charges), which fix the weight and ell:
+    the paths pruned from it share its ground elements."""
+    return Path(n, len(charges), _charge_weight(charges, n), ())
 
 
 def ground_state_path(w, n, ell):
@@ -268,20 +272,26 @@ def _path_move(path, i, delta):
 def to_path(psi):
     """The path whose k-th element lists the k-th bead residues of psi.
 
-    psi must be tight, descending and have the charges of the
-    highest_weight_config of its weight, the configurations from_path gives.
+    psi must have n >= 2, be tight and descending, and have the charges of
+    the highest_weight_config of its weight, the configurations from_path
+    gives.  Those charges are the weight's residues sorted down, so the
+    rule is read off the charges: each in [0, n), weakly decreasing from
+    the bottom row up.  The weight is built only for the error message and
+    once per (n, charges) for the cached deviation-free path.
     """
+    n, charges = psi.n, psi.charges()
+    if n < 2:
+        raise ValueError("to_path needs n >= 2, not n = %d" % n)
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
-    w = _charge_weight(psi.charges(), psi.n)
-    charges = _highest_weight_charges(w.coeffs)
-    if psi.charges() != charges:
+    if not (0 <= charges[-1] and charges[0] < n and all(map(ge, charges, charges[1:]))):
+        w = _charge_weight(charges, n)
         raise ValueError(
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
-            % (charges, w, psi.charges())
+            % (_highest_weight_charges(w.coeffs), w, charges)
         )
     elements = [PerfectElem._trusted(tuple(sorted(res))) for res in _residues(psi)]
-    return _pruned_path(_empty_path(psi.n, psi.ell, w), elements)
+    return _pruned_path(_empty_path(n, charges), elements)
 
 
 def from_path(path):

@@ -55,8 +55,10 @@ class Partition:
         """Column c has one cell per part >= c, so the part(j) - part(j + 1)
         columns that end at part j have j cells each."""
         cols = []
-        for j in range(len(self.parts), 0, -1):
-            cols += [j] * (self.part(j) - self.part(j + 1))
+        j, below = len(self.parts), 0
+        for p in reversed(self.parts):  # part j, then part j - 1, ...
+            cols += [j] * (p - below)
+            j, below = j - 1, p
         return Partition._trusted(tuple(cols))
 
     def __len__(self):

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from slncrystals.abacus import (
     AbacusConfig,
     DominantWeight,
-    _fits,
-    _shift_bead_set,
     enumerate_descending,
     enumerate_tight,
     highest_weight_config,
@@ -34,10 +32,32 @@ def partitions_up_to(m):
     return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))
 
 
+def fits_by_bead_position(psi, k, m):
+    """`abacus._fits` read bead by bead: the k-th bead of extended row i + m
+    is right of the (k+1)-st bead of row i, for every row i, each bead read
+    through `AbacusConfig.bead_position`."""
+    return all(
+        psi.bead_position(i + m, k) > psi.bead_position(i, k + 1)
+        for i in range(psi.ell)
+    )
+
+
+def shift_bead_set_by_bead_position(psi, k, m):
+    """`abacus._shift_bead_set` read bead by bead: row i moves its k-th bead
+    (`BeadRow.bead_slot`) onto the k-th bead of extended row i + m
+    (`AbacusConfig.bead_position`) through the checked `BeadRow.move_bead`."""
+    rows = tuple(
+        row.move_bead(k, psi.bead_position(i + m, k) - row.bead_slot(k))
+        for i, row in enumerate(psi.rows)
+    )
+    return AbacusConfig(psi.n, psi.ell, rows)
+
+
 def is_tight_by_fits(psi):
     """True iff no bead set fits one row down, read bead by bead through
-    `_fits` for every set up to max_bead_index() + 1."""
-    return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 2))
+    `fits_by_bead_position` for every set up to max_bead_index() + 1."""
+    sets = range(1, psi.max_bead_index() + 2)
+    return not any(fits_by_bead_position(psi, k, 1) for k in sets)
 
 
 def residues_by_bead_position(psi):
@@ -581,7 +601,7 @@ def t_value(box, n, ell):
 def slack(psi, j):
     """How many times tighten(-, j) applies before hitting the (j+1)-st beads."""
     m = 0
-    while _fits(psi, j, m + 1):
+    while fits_by_bead_position(psi, j, m + 1):
         m += 1
     return m
 
@@ -590,7 +610,7 @@ def gamma_by_slacks(psi):
     """gamma by moving each bead set down by its slack, from the vacuum end
     toward the rightmost bead."""
     for k in range(psi.max_bead_index() + 1, 0, -1):
-        psi = _shift_bead_set(psi, k, slack(psi, k))
+        psi = shift_bead_set_by_bead_position(psi, k, slack(psi, k))
     return psi
 
 

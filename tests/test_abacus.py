@@ -5,12 +5,15 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slncrystals.abacus import (
     AbacusConfig,
     DominantWeight,
     _config,
+    _fits,
     _residues,
+    _shift_bead_set,
     compactify,
     enumerate_descending,
     gamma,
@@ -41,6 +44,7 @@ from helpers import (
     fig7,
     fig9,
     fig10,
+    fits_by_bead_position,
     gamma_by_slacks,
     greedy_left_push_moves,
     is_descending_by_bead_slots,
@@ -48,6 +52,7 @@ from helpers import (
     lambda_by_slack_sums,
     partitions_up_to,
     residues_by_bead_position,
+    shift_bead_set_by_bead_position,
     slack,
 )
 
@@ -178,6 +183,63 @@ def test_parts_reads_match_bead_reads(n, ell, nmax):
 def test_parts_reads_match_bead_reads_on_arbitrary_configs(cfg):
     assert is_tight(cfg) == is_tight_by_fits(cfg)
     assert _residues(cfg) == residues_by_bead_position(cfg)
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, AssertionError) as err:
+        return type(err), str(err)
+
+
+def _tighten_by_bead_position(psi, k):
+    if k < 1:
+        raise ValueError("bead index must be positive")
+    if not fits_by_bead_position(psi, k, 1):
+        return None
+    return shift_bead_set_by_bead_position(psi, k, 1)
+
+
+def _loosen_by_bead_position(psi, k):
+    if k < 1:
+        raise ValueError("bead index must be positive")
+    if k > 1 and not fits_by_bead_position(psi, k - 1, 1):
+        return None
+    return shift_bead_set_by_bead_position(psi, k, -1)
+
+
+def _recombine_by_bead_position(g, lam):
+    if not is_tight_by_fits(g) or not is_descending_by_bead_slots(g):
+        raise ValueError("recombine needs a tight descending configuration")
+    lam = P(lam)
+    for j in range(1, len(lam) + 1):
+        if j > 1 and not fits_by_bead_position(g, j - 1, lam.part(j)):
+            raise AssertionError("loosening blocked; invalid slack partition")
+        g = shift_bead_set_by_bead_position(g, j, -lam.part(j))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs(), st.lists(st.integers(1, 3), max_size=4))
+def test_set_moves_match_bead_position_oracles(psi, slack_parts):
+    # _fits and _shift_bead_set read the rows' parts; the oracles read each
+    # bead through bead_position and bead_slot.  Results, error types and
+    # messages agree for sets 0..max+2 moved -3..3 rows, and so do the
+    # tighten, loosen and recombine built on them.
+    for k in range(0, psi.max_bead_index() + 3):
+        for m in range(-3, 4):
+            assert _outcome(_shift_bead_set, psi, k, m) == _outcome(
+                shift_bead_set_by_bead_position, psi, k, m
+            )
+            if k > 0:  # _fits is defined for k >= 1
+                assert _fits(psi, k, m) == fits_by_bead_position(psi, k, m)
+        assert _outcome(tighten, psi, k) == _outcome(_tighten_by_bead_position, psi, k)
+        assert _outcome(loosen, psi, k) == _outcome(_loosen_by_bead_position, psi, k)
+    lam = P(sorted(slack_parts, reverse=True))
+    targets = [psi] + ([gamma(psi)] if is_descending(psi) else [])
+    for g in targets:
+        assert _outcome(recombine, g, lam) == _outcome(_recombine_by_bead_position, g, lam)
 
 
 def test_replace_row_indexes_like_a_list():

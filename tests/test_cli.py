@@ -212,6 +212,35 @@ def test_convert_path_needs_n_at_least_2_exit_2():
     assert rc == 2 and out == "" and "n >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "src,data",
+    [
+        ("abacus", {"n": 1, "ell": 1, "rows": [{"charge": 0, "parts": []}]}),
+        ("abacus", {"n": 1, "ell": 2, "rows": [{"charge": 0, "parts": [2]}] * 2}),
+        ("cpp", {"n": 1, "ell": 1, "profile": [0], "rows": [[]]}),
+    ],
+)
+def test_convert_to_path_needs_n_at_least_2_exit_3(src, data):
+    # the input is valid, but its path could not be read back (exit 2 above)
+    rc, out, err = run_cli(["convert", src, "path"], stdin=json.dumps(data))
+    assert rc == 3 and out == "" and "n >= 2" in err
+
+
+@pytest.mark.parametrize("dst", ["abacus", "cpp", "path"])
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 0, "ell": 1, "profile": [1], "rows": [[]]},
+        {"n": 2, "ell": 0, "profile": [], "rows": []},
+        {"n": -1, "ell": 1, "profile": [0], "rows": [[1]]},
+    ],
+)
+def test_convert_cpp_needs_positive_n_and_ell_exit_2(data, dst):
+    # as an abacus or path input with n or ell below 1 is refused
+    rc, out, err = run_cli(["convert", "cpp", dst], stdin=json.dumps(data))
+    assert rc == 2 and out == "" and "n >= 1 and ell >= 1" in err
+
+
 def test_convert_long_path_roundtrip_in_linear_time():
     # [0, 0] is never a ground element of weight L0 + L1, so every one of
     # the 30,000 positions deviates; an element lookup that scans the list

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from slncrystals.abacus import (
+    AbacusConfig,
+    _charge_weight,
+    _highest_weight_charges,
     compactify,
     enumerate_tight,
     highest_weight,
@@ -26,6 +30,7 @@ from slncrystals.kyoto import (
 from slncrystals.crystal import signature_reduce
 
 from helpers import (
+    abacus_configs,
     all_level_coeffs,
     all_perfect_elems,
     config,
@@ -33,8 +38,11 @@ from helpers import (
     eps_phi_perfect,
     fig9,
     fig10,
+    is_descending_by_bead_slots,
+    is_tight_by_fits,
     path_tokens_widened,
     perfect_eps_phi_by_iteration,
+    residues_by_bead_position,
     tight_configs,
     tokens_of_color,
 )
@@ -147,6 +155,74 @@ def test_to_path_rejects_charges_from_path_cannot_give(charges, count):
             to_path(psi)
 
 
+def _check_to_path_charge_rule(psi):
+    """to_path accepts psi exactly when the rule it replaced does: the
+    charges equal highest_weight_config's for the weight they count.  A
+    rejection gives the same message; an accepted path lists the sorted
+    residues of every bead set.  Returns which of the four cases held."""
+    n, charges = psi.n, psi.charges()
+    if n < 2:
+        case, want = "n", "to_path needs n >= 2, not n = %d" % n
+    elif not is_descending_by_bead_slots(psi) or not is_tight_by_fits(psi):
+        case, want = "tight", "to_path needs a tight descending configuration"
+    else:
+        w = _charge_weight(charges, n)
+        hw = _highest_weight_charges(w.coeffs)
+        case, want = "accepted", None
+        if charges != hw:
+            case = "charges"
+            want = "to_path needs the charges %s of highest_weight_config(%s), not %s" % (
+                hw, w, charges
+            )
+    if want is not None:
+        with pytest.raises(ValueError) as err:
+            to_path(psi)
+        assert str(err.value) == want
+        return case
+    p = to_path(psi)
+    residues = residues_by_bead_position(psi)
+    assert p.last_position() <= len(residues)
+    for k, res in enumerate(residues, 1):
+        assert p.element(k).entries == tuple(sorted(res))
+    return case
+
+
+@settings(max_examples=500, deadline=None)
+@given(abacus_configs())
+def test_to_path_charge_rule_on_arbitrary_configs(psi):
+    _check_to_path_charge_rule(psi)
+
+
+@pytest.mark.parametrize("n,ell,nmax", [(2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 3, 2)])
+def test_to_path_charge_rule_on_shifted_tight_configs(n, ell, nmax):
+    # a uniform shift keeps a configuration tight and descending and moves
+    # its charges below 0, to n or beyond, or onto another valid set; the
+    # rows reversed have increasing charges
+    cases = {}
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in tight_configs(n, ell, coeffs, nmax):
+            for d in range(-n - 1, n + 2):
+                rows = tuple(r.shifted(d) for r in cfg.rows)
+                for psi in (AbacusConfig(n, ell, rows), AbacusConfig(n, ell, rows[::-1])):
+                    c = psi.charges()
+                    shape = "neg" if min(c) < 0 else "big" if max(c) >= n else "in"
+                    if list(c) != sorted(c, reverse=True):
+                        shape = "increasing"
+                    case = _check_to_path_charge_rule(psi)
+                    cases[shape, case] = cases.get((shape, case), 0) + 1
+    for need in (("neg", "charges"), ("big", "charges"), ("in", "accepted"),
+                 ("increasing", "tight")):
+        assert cases.get(need, 0) > 0, need
+
+
+def test_to_path_refuses_n_one():
+    # the one-color configurations are tight descending with charges in
+    # [0, 1), but a path needs n >= 2
+    for psi in (config(1, 1, (0, ())), config(1, 2, (0, ()), (0, ()))):
+        with pytest.raises(ValueError, match="n >= 2"):
+            to_path(psi)
+
+
 def test_path_brackets_match_descending_brackets():
     # token-for-token: the path string, widened to the configuration's bead
     # sets, equals the grouped abacus string
@@ -244,6 +320,19 @@ def test_derived_paths_share_ground_elements(n, ell):
     tables = {id(to_path(highest_weight_config(c, n, ell))._grounds)
               for c in weights.values()}
     assert len(tables) == len(weights)
+
+
+def test_ground_elements_shared_after_other_weights():
+    # to_path and Path.from_json read one cache of deviation-free paths, so
+    # a path and its JSON round trip share ground elements even after more
+    # weights than the cache holds went through Path.from_json
+    p = to_path(fig10())
+    for n in range(2, 8):
+        for coeffs in all_level_coeffs(n, 2):
+            Path.from_json({"n": n, "ell": 2, "weight": list(coeffs)})
+    q = to_path(fig10())
+    assert q == p
+    assert Path.from_json(q.to_json())._grounds is q._grounds
 
 
 @pytest.mark.parametrize("n,ell", [(2, 2), (3, 2)])

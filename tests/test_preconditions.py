@@ -2,7 +2,7 @@
 
 import pytest
 
-from slncrystals import abacus, crystal, cylindric, partitions, qseries
+from slncrystals import abacus, crystal, cylindric, kyoto, partitions, qseries
 from slncrystals.abacus import AbacusConfig, DominantWeight
 from slncrystals.cylindric import CylindricPlanePartition
 from slncrystals.kyoto import PerfectElem
@@ -52,6 +52,11 @@ CASES = [
     ("DominantWeight", "nonnegative", lambda: DominantWeight((2, -1))),
     ("AbacusConfig-rows", "expected 2 rows", lambda: AbacusConfig(3, 2, (VACUUM,))),
     ("AbacusConfig-n0", "n >= 1", lambda: AbacusConfig(0, 1, (VACUUM,))),
+    ("CylindricPlanePartition-ell0", "ell >= 1",
+     lambda: CylindricPlanePartition(2, 0, (), ())),
+    ("CylindricPlanePartition-n0", "n >= 1",
+     lambda: CylindricPlanePartition(0, 1, (1,), (Partition(),))),
+    ("to_path-n1", "n >= 2", lambda: kyoto.to_path(config(1, 1, (0, ())))),
 ]
 
 
