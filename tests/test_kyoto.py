@@ -215,14 +215,6 @@ def test_to_path_charge_rule_on_shifted_tight_configs(n, ell, nmax):
         assert cases.get(need, 0) > 0, need
 
 
-def test_to_path_refuses_n_one():
-    # the one-color configurations are tight descending with charges in
-    # [0, 1), but a path needs n >= 2
-    for psi in (config(1, 1, (0, ())), config(1, 2, (0, ()), (0, ()))):
-        with pytest.raises(ValueError, match="n >= 2"):
-            to_path(psi)
-
-
 def test_path_brackets_match_descending_brackets():
     # token-for-token: the path string, widened to the configuration's bead
     # sets, equals the grouped abacus string
