@@ -14,6 +14,7 @@ tightening at all, form the irreducible highest weight crystal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -446,22 +447,18 @@ def enumerate_descending(psi0, max_weight):
 
     Yields configurations of weight at most max_weight, grouped by weight in
     increasing order.  psi0 must be compact.  Each candidate is a product of
-    one row of each charge and size; the rows are built once per call and
-    shared by every candidate that holds them.
+    one row of each charge and size, from `_rows_of_size`: a table is built
+    on first use, kept in a bounded per-process cache and shared by every
+    candidate and every later call that needs it, so the first yield does
+    not wait for the tables of larger weights.
     """
     if weight(psi0) != 0:
         raise ValueError("enumeration starts from a compact configuration")
     charges = psi0.charges()
     ell, n = psi0.ell, psi0.n
-    parts_by_size = [list(partitions_of(s)) for s in range(max_weight + 1)]
-    rows_by_size = {
-        c: [[_bead_row(c, lam) for lam in lams] for lams in parts_by_size]
-        for c in set(charges)
-    }
     for w in range(max_weight + 1):
         for sizes in _compositions(w, ell):
-            choices = (rows_by_size[c][s] for c, s in zip(charges, sizes))
-            for rows in itertools.product(*choices):
+            for rows in itertools.product(*map(_rows_of_size, charges, sizes)):
                 cfg = _config(n, ell, rows)
                 if is_descending(cfg):
                     yield cfg
@@ -478,13 +475,25 @@ def enumerate_tight(psi0, max_weight):
             yield cfg
 
 
+@functools.lru_cache(maxsize=256)
+def _rows_of_size(charge, size):
+    """The rows of this charge whose partition has this size, one per
+    partition, in `partitions_of` order.  A row is frozen and carries no
+    memo, so every enumeration may share the table."""
+    return tuple(_bead_row(charge, lam) for lam in partitions_of(size))
+
+
+@functools.lru_cache(maxsize=256)
 def _compositions(total, parts):
+    """The tuples of `parts` nonnegative integers summing to total, in
+    lexicographic order."""
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return ((total,),)
+    return tuple(
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in _compositions(total - first, parts - 1)
+    )
 
 
 def right_moves(psi):

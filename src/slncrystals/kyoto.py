@@ -196,11 +196,22 @@ class Path:
 
 def _pruned_path(path, elements):
     """The path of path's weight with b_k = elements[k - 1], trailing ground
-    elements dropped.  It shares path's table of ground elements."""
+    elements dropped.  It shares path's table of ground elements.
+
+    The one place a Path is built unchecked: its fields are set in its
+    __dict__, past the frozen dataclass's __init__, whose default_factory
+    would make a table only to have it replaced.
+    """
     while elements and elements[-1] == path.ground(len(elements)):
         elements.pop()
-    out = Path(path.n, path.ell, path.weight, tuple(elements))
-    object.__setattr__(out, "_grounds", path._grounds)  # out is frozen
+    out = object.__new__(Path)
+    vars(out).update(
+        n=path.n,
+        ell=path.ell,
+        weight=path.weight,
+        elements=tuple(elements),
+        _grounds=path._grounds,
+    )
     return out
 
 

@@ -1,7 +1,9 @@
 import copy
 import itertools
+import operator
 import pickle
 import random
+import signal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 from slncrystals.abacus import (
     AbacusConfig,
     DominantWeight,
+    _compositions,
     _config,
     _fits,
     _residues,
+    _rows_of_size,
     _shift_bead_set,
     compactify,
     enumerate_descending,
@@ -353,6 +357,88 @@ def test_enumeration_matches_validated_product(n, ell):
         assert got == want
         assert list(map(hash, got)) == list(map(hash, want))
         assert list(map(repr, got)) == list(map(repr, want))
+
+
+# (n, ell, weight): ell 1 to 4, charges that differ from one weight to the
+# next, and weights that repeat a charge
+SHARED_TABLE_CASES = [
+    (3, 1, (0, 1, 0)),
+    (2, 2, (2, 0)),
+    (3, 2, (1, 1, 0)),
+    (2, 3, (1, 2)),
+    (4, 2, (0, 0, 2, 0)),
+    (3, 3, (1, 1, 1)),
+    (2, 4, (2, 2)),
+    (3, 4, (2, 1, 1)),
+]
+
+
+def test_shared_row_tables_across_weights_and_calls():
+    # the row tables outlive a call: interleaved weights, each enumerated
+    # twice (the second call is served from the caches), give the validated
+    # sequence, and the second call hands out the first call's rows
+    first = {}
+    for rnd in range(2):
+        for n, ell, coeffs in SHARED_TABLE_CASES:
+            psi0 = highest_weight_config(coeffs, n, ell)
+            max_weight = 5 if ell < 4 else 4
+            hits = _rows_of_size.cache_info().hits
+            got = list(enumerate_descending(psi0, max_weight))
+            want = list(descending_by_validated_product(psi0, max_weight))
+            assert got == want
+            assert list(map(hash, got)) == list(map(hash, want))
+            assert list(map(repr, got)) == list(map(repr, want))
+            for cfg in got:
+                assert_same_as_validated(cfg)
+            if rnd == 0:
+                first[coeffs] = got
+            else:
+                assert _rows_of_size.cache_info().hits > hits
+                for old, new in zip(first[coeffs], got):
+                    assert all(map(operator.is_, old.rows, new.rows))
+
+
+def test_memo_on_one_configuration_leaves_row_sharers_alone():
+    psi0 = highest_weight_config((1, 1, 0), 3, 2)
+    cfgs = list(enumerate_descending(psi0, 5))
+    target = cfgs[-1]
+    f_descending(target, 0)
+    f_abacus(target, 0)
+    assert target._set_signatures is not None and target._gap_signatures is not None
+    sharers = [
+        cfg for cfg in cfgs
+        if cfg is not target and any(map(operator.is_, cfg.rows, target.rows))
+    ]
+    assert sharers
+    for cfg in cfgs:
+        if cfg is not target:
+            assert cfg._set_signatures is None and cfg._gap_signatures is None
+    for row in target.rows:
+        assert not hasattr(row, "__dict__")
+
+
+def test_enumeration_caches_are_bounded():
+    for cached in (_rows_of_size, _compositions):
+        assert isinstance(cached.cache_info().maxsize, int)
+
+
+def test_first_yield_does_not_wait_for_larger_weights():
+    # a row table is built on first use, so the compact configuration comes
+    # first at once, however large max_weight is; the alarm turns a wait
+    # into a failure
+    psi0 = highest_weight_config((1, 1), 2, 2)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the first yield waited for larger weights")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        first = next(enumerate_descending(psi0, 10**6))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert first == psi0 and weight(first) == 0
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3), (3, 4)])

@@ -2,8 +2,8 @@
 top-level function it defines, public or private, is used somewhere in the
 library, no module has an `assert` statement (`python -O` drops them;
 an invariant check raises AssertionError explicitly), and `Partition`,
-`BeadRow` and `AbacusConfig` are built unchecked, by `object.__new__`, only
-in their one trusted constructor each.
+`BeadRow`, `AbacusConfig` and `Path` are built unchecked, by
+`object.__new__`, only in their one trusted constructor each.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals with the stdlib ast module; only the assert check reads the
@@ -104,6 +104,7 @@ TRUSTED_CONSTRUCTORS = {
     "AbacusConfig": "abacus._config",
     "BeadRow": "partitions._bead_row",
     "Partition": "partitions.Partition._trusted",
+    "Path": "kyoto._pruned_path",
 }
 
 

@@ -18,6 +18,7 @@ from slncrystals.crystal import e_abacus, f_abacus
 from slncrystals.kyoto import (
     Path,
     PerfectElem,
+    _pruned_path,
     e_path,
     e_perfect,
     f_path,
@@ -312,6 +313,30 @@ def test_derived_paths_share_ground_elements(n, ell):
     tables = {id(to_path(highest_weight_config(c, n, ell))._grounds)
               for c in weights.values()}
     assert len(tables) == len(weights)
+
+
+def test_pruned_path_is_the_path_its_constructor_builds():
+    # _pruned_path builds its Path unchecked; it is the Path that
+    # Path(n, ell, weight, elements) builds, with the parent's ground table
+    built = 0
+    for n, ell in [(2, 2), (3, 2), (2, 3)]:
+        for coeffs in all_level_coeffs(n, ell):
+            for cfg in tight_configs(n, ell, coeffs, 4):
+                p = to_path(cfg)
+                for q in [p] + [op(p, i) for op in (f_path, e_path) for i in range(n)]:
+                    if q is None:
+                        continue
+                    K = q.last_position()
+                    tail = [q.ground(k) for k in (K + 1, K + 2)]
+                    out = _pruned_path(q, [*q.elements, *tail])
+                    want = Path(n, ell, q.weight, q.elements)
+                    assert type(out) is Path
+                    assert out == want and hash(out) == hash(want)
+                    assert repr(out) == repr(want)
+                    assert out._grounds is q._grounds
+                    assert not hasattr(out, "_signatures")
+                    built += 1
+    assert built > 0
 
 
 def test_ground_elements_shared_after_other_weights():
