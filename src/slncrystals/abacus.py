@@ -486,13 +486,13 @@ def _rows_of_size(charge, size):
 @functools.lru_cache(maxsize=256)
 def _compositions(total, parts):
     """The tuples of `parts` nonnegative integers summing to total, in
-    lexicographic order."""
-    if parts == 1:
-        return ((total,),)
+    lexicographic order, without recursion: stars and bars, with parts - 1
+    bars at increasing positions among total + parts - 1, part j the stars
+    between bar j - 1 and bar j."""
+    span = total + parts - 1
     return tuple(
-        (first,) + rest
-        for first in range(total + 1)
-        for rest in _compositions(total - first, parts - 1)
+        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (span,)))
+        for bars in itertools.combinations(range(span), parts - 1)
     )
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from slncrystals.abacus import DominantWeight, highest_weight_config, weight
@@ -68,6 +70,19 @@ def test_boundary_of_level_weights():
     for coeffs in all_level_coeffs(3, 2):
         bd = boundary_of(DominantWeight(coeffs), 3, 2)
         assert sum(bd.B) == 3 and sum(bd.A) == 2
+
+
+def test_level_weights_in_lexicographic_order():
+    # every weight once, in lexicographic order, also at a rank beyond the
+    # interpreter's recursion limit
+    for n, level in [(1, 3), (3, 0), (3, 2), (4, 3), (5, 4)]:
+        coeffs = [w.coeffs for w in level_weights(n, level)]
+        want = [
+            c for c in itertools.product(range(level + 1), repeat=n) if sum(c) == level
+        ]
+        assert coeffs == want
+    big = level_weights(1200, 1)
+    assert len(big) == 1200 and big[0].coeffs == (0,) * 1199 + (1,)
 
 
 def test_boundary_of_has_n_down_steps():
