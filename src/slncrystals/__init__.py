@@ -20,6 +20,8 @@ from .abacus import (
     AbacusConfig,
     DominantWeight,
     compactify,
+    enumerate_descending,
+    enumerate_tight,
     gamma,
     gl_move,
     highest_weight,
@@ -64,6 +66,7 @@ from .kyoto import (
     e_perfect,
     f_path,
     f_perfect,
+    from_path,
     ground_state_path,
     to_path,
 )

@@ -89,14 +89,6 @@ class AbacusConfig:
         # copy and pickle rebuild through the constructor, without the memos
         return (AbacusConfig, (self.n, self.ell, self.rows))
 
-    def bead_position(self, i, j):
-        """Slot of the j-th bead from the right on extended row i.
-
-        Row i + ell is row i with every bead shifted n slots to the left.
-        """
-        q, r = divmod(i, self.ell)
-        return self.rows[r].bead_slot(j) - self.n * q
-
     def replace_row(self, r, new_row):
         """The configuration with rows[r] = new_row, r a list index.
 
@@ -253,9 +245,8 @@ def loosen(psi, k):
 
     Defined when each row's incoming bead stays strictly left of that row's
     (k-1)-st bead, i.e. when bead set k-1 fits one row down.
+    `_shift_bead_set` refuses k < 1.
     """
-    if k < 1:
-        raise ValueError("bead index must be positive")
     if k > 1 and not _fits(psi, k - 1, 1):
         return None
     return _shift_bead_set(psi, k, -1)

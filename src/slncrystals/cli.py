@@ -6,7 +6,8 @@ coefficients), verify (run a named identity suite), enumerate (list
 descending or tight configurations by weight).
 
 Exit codes: 2 for unparsable input, 3 for input that parses but fails the
-validation required by the requested operation, 1 for a failed verify.
+validation required by the requested operation or needs more memory than
+the process can get, 1 for a failed verify.
 """
 
 from __future__ import annotations
@@ -281,6 +282,9 @@ def main(argv=None):
     except (InputError, ValidationError) as err:
         sys.stderr.write("error: %s\n" % err)
         return err.exit_code
+    except MemoryError:
+        sys.stderr.write("error: out of memory: the request is too large\n")
+        return ValidationError.exit_code
 
 
 if __name__ == "__main__":

@@ -8,27 +8,29 @@ pairs, and acts at the first uncanceled "(" (for a lowering move) or the
 last uncanceled ")" (for a raising move).
 
 Each bracket rule on configurations and paths reads the tokens of all n
-colors in one walk, so the operators of every color cost one walk.  The gap
-rule builds no token list: `_gap_signatures` files each token as one
-integer under its color, sorts and cancels each color's integers, and
-decodes only the acting tokens to their (gap, row, bead) payloads.  Its
-token-list oracle is `tests/helpers.abacus_brackets`.  The grouped and path
-rules build (k, color) token lists and reduce them with one all-color
-reducer, `_reduce_colors`.  The n signatures are memoised on the object
-they describe: the gap rule's on the abacus configuration (crystal_graph
-resets a node's memo to None once it has expanded it), the grouped bead-set
-rule's on the descending configuration, and the path rule's on the Path (in
-kyoto).  The two configuration memos are slots that AbacusConfig declares,
+colors in one walk, so the operators of every color cost one walk.  A list
+of ("(" | ")", payload) tokens is cancelled by one function,
+`signature_reduce`: the grouped and path rules build (k, color) token lists,
+and `_reduce_colors` files each token under its color and reduces each
+color with it.  The gap rule builds no token list: `_gap_signatures` files
+each token as one integer under its color, sorts and cancels each color's
+integers, and decodes only the acting tokens to their (gap, row, bead)
+payloads.  Its token-list oracle is `tests/helpers.abacus_brackets`.  The n
+signatures are memoised on the object they describe: the gap rule's on the
+abacus configuration (crystal_graph resets a node's memo to None once it
+has expanded it), the grouped bead-set rule's on the descending
+configuration, and the path rule's on the Path (in kyoto).  The two
+configuration memos are slots that AbacusConfig declares,
 `_gap_signatures` and `_set_signatures`: None until a rule here fills them,
 read as plain attributes, and no part of ==, hash, repr, copy or pickle.
 The column rule on partitions, partition_brackets, stays per color: no
 benchmark workload uses it.
 
-A gap rule token stands at a gap only when the slot across it is empty, so
-the move it names is legal on any configuration: f_abacus and e_abacus
-build their images unchecked, raising or lowering one part with
-`partitions._hop`.  The grouped rule moves through the checked
-`BeadRow.move_bead`.
+Every bead move builds the row's new parts with `partitions._hop`.  A gap
+rule token stands at a gap only when the slot across it is empty, so the
+move it names is legal on any configuration: f_abacus and e_abacus call
+`_hop` unchecked.  The grouped rule moves through `BeadRow.move_bead`,
+which checks the move before it calls `_hop`.
 """
 
 from __future__ import annotations
@@ -81,23 +83,14 @@ def signature_reduce(tokens):
 
 
 def _reduce_colors(tokens, n):
-    """`signature_reduce` of the tokens of each color 0..n-1, in one pass
-    with a stack per color.  The payloads are the bead-set rules' (k, color),
-    with color in 0..n-1 as `column_brackets` gives it."""
-    opens = [[] for _ in range(n)]
-    closes = [[] for _ in range(n)]
-    for char, payload in tokens:
-        i = payload[1]
-        if char == "(":
-            opens[i].append(payload)
-        elif opens[i]:
-            opens[i].pop()
-        else:
-            closes[i].append(payload)
-    return tuple(
-        Signature(o[0] if o else None, c[-1] if c else None, len(c), len(o))
-        for o, c in zip(opens, closes)
-    )
+    """`signature_reduce` of the tokens of each color 0..n-1: each token is
+    filed under its color, in order, and each color is reduced on its own.
+    The payloads are the bead-set rules' (k, color), with color in 0..n-1
+    as `column_brackets` gives it."""
+    by_color = [[] for _ in range(n)]
+    for token in tokens:
+        by_color[token[1][1]].append(token)
+    return tuple(map(signature_reduce, by_color))
 
 
 # ---------------------------------------------------------------------------

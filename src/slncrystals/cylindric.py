@@ -113,17 +113,15 @@ def from_abacus(psi):
 
 
 def to_abacus(pi):
-    """Inverse of from_abacus."""
+    """Inverse of from_abacus.  The result is descending: `is_valid_cpp`'s
+    rule on diagonals is the conjugate of `is_descending`'s on rows."""
     if not is_valid_cpp(pi):
         raise ValueError("not a valid cylindric plane partition")
-    psi = AbacusConfig(
+    return AbacusConfig(
         pi.n,
         pi.ell,
         tuple(_bead_row(c, lam.conjugate()) for c, lam in zip(pi.profile, pi.rows)),
     )
-    if not is_descending(psi):
-        raise ValueError("to_abacus gave a configuration that is not descending")
-    return psi
 
 
 def hw_of_cpp(pi):

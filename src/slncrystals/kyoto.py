@@ -31,9 +31,9 @@ signatures are memoised on the Path, as the gap rule's are on a
 configuration.  A Path also keeps the ground elements it has built, one per
 residue class of the position.  The table depends on n and the weight only,
 so every path derived from another (an f_path or e_path image, a pruned
-path) shares it.  to_path and Path.from_json start from one cache of
-deviation-free paths, keyed by n and the charges of highest_weight_config,
-which fix the weight.
+path) shares it.  ground_state_path, to_path and Path.from_json all start
+from one cache of deviation-free paths, keyed by n and the charges of
+highest_weight_config, which fix the weight.
 """
 
 from __future__ import annotations
@@ -224,8 +224,10 @@ def _empty_path(n, charges):
 
 
 def ground_state_path(w, n, ell):
-    """The unique path with phi(b_1) = w and eps(b_k) = phi(b_{k+1})."""
-    return Path(n, ell, DominantWeight(_level_coeffs(w, n, ell)), ())
+    """The unique path with phi(b_1) = w and eps(b_k) = phi(b_{k+1}), from
+    the cache of deviation-free paths."""
+    w = DominantWeight(_level_coeffs(w, n, ell))
+    return _empty_path(n, _highest_weight_charges(w.coeffs))
 
 
 def path_brackets(path):

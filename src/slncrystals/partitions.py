@@ -5,6 +5,8 @@ A row of beads lives on "slots" indexed by the integers: slot b stands for
 the physical half-integer position b + 1/2, so the vacuum of charge c has
 beads exactly on the slots b < c.  The partition with parts p_1 >= p_2 >= ...
 and charge c occupies the slots p_j - j + c.
+Moving bead j by delta slots raises part j by delta: `_hop` builds every
+moved row's parts, and `BeadRow.move_bead` checks the move first.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class BeadRow:
         return _bead_row(self.charge, Partition._trusted(self.moved_parts(j, delta)))
 
     def moved_parts(self, j, delta):
-        """The parts of move_bead(j, delta): part j raised by delta.
+        """The parts of move_bead(j, delta), built by `_hop` once checked.
 
         Only part j changes, so checking it against parts j-1 and j+1 is
         the whole of the `Partition` check on the result.
@@ -170,9 +172,7 @@ class BeadRow:
             p, below = delta, 0
         if p < below or (j > 1 and p > (parts[j - 2] if j <= m + 1 else 0)):
             raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
-        if j <= m:
-            return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
-        return parts + (p,) if p else parts  # p <= part(j-1), so j = len + 1
+        return _hop(parts, j, delta)
 
     @classmethod
     def vacuum(cls, charge):
@@ -219,15 +219,11 @@ def _bead_row(charge, partition):
 
 
 def _hop(parts, j, delta):
-    """The parts with part j raised by delta, one of +1 and -1, unchecked.
-
-    For moves already known to be legal, as the gap rule's are: its "("
-    names a bead, at most the tail bead j = len + 1, whose right slot is
-    empty, and its ")" one of the partition's beads whose left slot is
-    empty.  `BeadRow.moved_parts` is the checked form.
-    """
+    """The parts with part j raised by delta, for a move known to be legal
+    (`BeadRow.moved_parts` checks one; a gap rule token names only legal
+    moves): beyond the parts only bead len + 1 can move."""
     if j > len(parts):
-        return parts + (1,)  # the tail bead moves right
+        return parts + (delta,) if delta else parts
     p = parts[j - 1] + delta
     return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
 

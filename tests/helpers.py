@@ -32,12 +32,21 @@ def partitions_up_to(m):
     return itertools.chain.from_iterable(partitions_of(k) for k in range(m + 1))
 
 
+def bead_position(psi, i, j):
+    """Slot of the j-th bead from the right on extended row i of psi.
+
+    Row i + ell is row i with every bead shifted n slots to the left.
+    """
+    q, r = divmod(i, psi.ell)
+    return psi.rows[r].bead_slot(j) - psi.n * q
+
+
 def fits_by_bead_position(psi, k, m):
     """`abacus._fits` read bead by bead: the k-th bead of extended row i + m
     is right of the (k+1)-st bead of row i, for every row i, each bead read
-    through `AbacusConfig.bead_position`."""
+    through `bead_position`."""
     return all(
-        psi.bead_position(i + m, k) > psi.bead_position(i, k + 1)
+        bead_position(psi, i + m, k) > bead_position(psi, i, k + 1)
         for i in range(psi.ell)
     )
 
@@ -45,9 +54,9 @@ def fits_by_bead_position(psi, k, m):
 def shift_bead_set_by_bead_position(psi, k, m):
     """`abacus._shift_bead_set` read bead by bead: row i moves its k-th bead
     (`BeadRow.bead_slot`) onto the k-th bead of extended row i + m
-    (`AbacusConfig.bead_position`) through the checked `BeadRow.move_bead`."""
+    (`bead_position`) through the checked `BeadRow.move_bead`."""
     rows = tuple(
-        row.move_bead(k, psi.bead_position(i + m, k) - row.bead_slot(k))
+        row.move_bead(k, bead_position(psi, i + m, k) - row.bead_slot(k))
         for i, row in enumerate(psi.rows)
     )
     return AbacusConfig(psi.n, psi.ell, rows)
@@ -62,9 +71,9 @@ def is_tight_by_fits(psi):
 
 def residues_by_bead_position(psi):
     """The residues mod n of bead sets 1..max_bead_index(), row by row,
-    read through `AbacusConfig.bead_position`."""
+    read through `bead_position`."""
     rows, sets = range(psi.ell), range(1, psi.max_bead_index() + 1)
-    return [tuple(psi.bead_position(r, k) % psi.n for r in rows) for k in sets]
+    return [tuple(bead_position(psi, r, k) % psi.n for r in rows) for k in sets]
 
 
 def move_bead_by_constructor(row, j, delta):
@@ -344,18 +353,20 @@ def ribbons_by_skew_shapes_removals(lam, length):
     return out
 
 
-def signature_oracle(string):
-    """Reduce a bracket string by repeatedly deleting adjacent "()" pairs."""
-    s = list(string)
+def signature_oracle(brackets):
+    """Reduce a bracket string, or a list of ("(" | ")", payload) tokens,
+    by repeatedly deleting adjacent "()" pairs; a string gives a string and
+    a list the list of tokens left.  Item [0] is the bracket either way."""
+    s = list(brackets)
     changed = True
     while changed:
         changed = False
         for i in range(len(s) - 1):
-            if s[i] == "(" and s[i + 1] == ")":
+            if s[i][0] == "(" and s[i + 1][0] == ")":
                 del s[i : i + 2]
                 changed = True
                 break
-    return "".join(s)
+    return "".join(s) if isinstance(brackets, str) else s
 
 
 def abacus_brackets(psi):
@@ -567,7 +578,7 @@ def descending_tokens_widened(psi, i, extra):
 
     def count(k, color):
         return sum(
-            1 for r in range(psi.ell) if psi.bead_position(r, k) % n == color % n
+            1 for r in range(psi.ell) if bead_position(psi, r, k) % n == color % n
         )
 
     kmax = psi.max_bead_index() + extra

@@ -42,6 +42,7 @@ from helpers import (
     abacus_configs,
     all_level_coeffs,
     assert_same_as_validated,
+    bead_position,
     config,
     descending_by_validated_product,
     descending_configs,
@@ -67,19 +68,19 @@ def test_extended_row_identity():
     psi = fig10()
     for i in range(-4, 9):
         for j in range(1, 11):
-            assert psi.bead_position(i + 4, j) == psi.bead_position(i, j) - 3
+            assert bead_position(psi, i + 4, j) == bead_position(psi, i, j) - 3
 
 
 def test_bead_position_figure10_bottom_row():
     # bottom row of the figure: rightmost bead at slot 3, then 1, 0, -2, ...
     psi = fig10()
-    assert [psi.bead_position(0, j) for j in range(1, 6)] == [3, 1, 0, -2, -3]
+    assert [bead_position(psi, 0, j) for j in range(1, 6)] == [3, 1, 0, -2, -3]
 
 
 def test_vacuum_bead_positions():
     psi = config(3, 2, (0, ()), (0, ()))
     for j in range(1, 8):
-        assert psi.bead_position(0, j) == -j
+        assert bead_position(psi, 0, j) == -j
 
 
 def test_figures_are_descending():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -127,6 +128,30 @@ def test_module_entry_point_matches_main():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == run_cli(argv)[:2]
+
+
+def _cap_address_space():
+    limit = 400 * 2**20  # 400 MB, set in the child process only
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize("n, nmax", [(2, 10**8), (10**8, 2)])
+def test_memory_error_exits_3_without_traceback(n, nmax):
+    # a series of 10^8 coefficients, or a weight of 10^8 coefficients, does
+    # not fit in 400 MB: one error line and exit 3, never exit 1
+    argv = ["series", "--kind", "borodin", "--n", str(n), "--ell", "1",
+            "--weight", "L0", "--nmax", str(nmax)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "slncrystals.cli"] + argv,
+        capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_convert_roundtrip():

@@ -92,12 +92,16 @@ def test_signature_against_deletion_oracle(s):
 )
 def test_reduce_colors_matches_per_color_reduce(n, chars):
     # payload (token index, color), the color reduced mod n as
-    # column_brackets gives it
+    # column_brackets gives it; each color against the deletion oracle
     tokens = [(char, (j, x % n)) for j, (char, x) in enumerate(chars)]
     sigs = _reduce_colors(tokens, n)
     assert len(sigs) == n
     for c in range(n):
-        assert sigs[c] == signature_reduce([t for t in tokens if t[1][1] == c])
+        left = signature_oracle([t for t in tokens if t[1][1] == c])
+        opens = [p for char, p in left if char == "("]
+        closes = [p for char, p in left if char == ")"]
+        want = (opens[0] if opens else None, closes[-1] if closes else None)
+        assert sigs[c] == want + (len(closes), len(opens))
 
 
 @settings(max_examples=200)

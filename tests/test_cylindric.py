@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from slncrystals.abacus import DominantWeight, is_descending, weight
+from slncrystals.abacus import AbacusConfig, DominantWeight, is_descending, weight
 from slncrystals.crystal import e_descending, f_descending
 from slncrystals.cylindric import (
     Box,
@@ -20,7 +20,7 @@ from slncrystals.cylindric import (
     render_text,
     to_abacus,
 )
-from slncrystals.partitions import Partition
+from slncrystals.partitions import BeadRow, Partition
 
 from helpers import (
     FIG12_PROFILE,
@@ -83,6 +83,11 @@ def test_is_valid_cpp_matches_cell_scan():
         pi = CylindricPlanePartition(n, ell, profile, rows)
         valid = is_valid_cpp(pi)
         assert valid == is_valid_cpp_by_cells(pi), pi
+        # the interlacing rule on diagonals is the conjugate of the
+        # dominance rule on rows, which is why to_abacus need not re-check
+        beads = (BeadRow(c, lam.conjugate()) for c, lam in zip(profile, rows))
+        psi = AbacusConfig(n, ell, tuple(beads))
+        assert valid == is_descending(psi), pi
         seen["valid" if valid else "invalid"] += 1
         seen["ell=1"] += ell == 1
         seen["negative step"] += any(a < b for a, b in zip(profile, profile[1:]))

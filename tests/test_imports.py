@@ -15,6 +15,8 @@ import pathlib
 
 import pytest
 
+import src_size
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slncrystals"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -170,3 +172,20 @@ def test_unchecked_construction_only_in_trusted_constructors():
     sources = {module[:-3]: (SRC / module).read_text() for module in MODULES}
     want = sorted(TRUSTED_CONSTRUCTORS.items())
     assert unchecked_construction_sites(sources) == want
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    source = (
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "def f(x):\n"
+        '    """A docstring\n'
+        '    of two lines."""\n'
+        "    y = '''a string\n"
+        "\n"
+        "# still the string'''\n"
+        "    return x, y  # a trailing comment\n"
+    )
+    # def, the three lines of the string, return
+    assert src_size.code_lines(source) == 5

@@ -34,6 +34,7 @@ from helpers import (
     abacus_configs,
     all_level_coeffs,
     all_perfect_elems,
+    bead_position,
     config,
     eps_phi_path,
     eps_phi_perfect,
@@ -145,7 +146,7 @@ def test_to_path_rejects_charges_from_path_cannot_give(charges, count):
     for psi in tight:
         w = highest_weight(compactify(psi))
         residues = {
-            str(k): sorted(psi.bead_position(r, k) % 3 for r in range(2))
+            str(k): sorted(bead_position(psi, r, k) % 3 for r in range(2))
             for k in range(1, psi.max_bead_index() + 1)
         }
         p = Path.from_json(

@@ -160,18 +160,18 @@ def test_move_bead_matches_constructor_oracle():
 
 
 def test_hop_matches_moved_parts_on_every_legal_hop():
-    # _hop is moved_parts without the checks, for the one-slot moves of the
-    # gap rule: beads 1..len + 1, raised or lowered by one where legal
+    # _hop, the one builder of moved parts, against the full Partition
+    # constructor on every legal move of every bead by -3..3 slots
     hops = 0
     for lam in partitions_up_to(7):
         row = BeadRow(0, lam)
-        for j in range(1, len(lam) + 2):
-            for delta in (1, -1):
+        for j in range(1, len(lam) + 5):
+            for delta in range(-3, 4):
                 try:
-                    want = row.moved_parts(j, delta)
+                    want = move_bead_by_constructor(row, j, delta)
                 except ValueError:
                     continue
-                assert _hop(lam.parts, j, delta) == want
+                assert _hop(lam.parts, j, delta) == want.partition.parts
                 hops += 1
     assert hops > 0
 
