@@ -61,25 +61,29 @@ class Signature(NamedTuple):
 
 
 def signature_reduce(tokens):
-    """Cancel "()" pairs in a sequence of ("(" | ")", payload) tokens."""
-    stack = []
-    closes = []
+    """Cancel "()" pairs in a sequence of ("(" | ")", payload) tokens.
+
+    The uncanceled "(" form a stack of which only the bottom is read, so
+    the stack is kept as its depth and its bottom: the "(" that last
+    raised the depth from zero.
+    """
+    depth = n_close = 0
+    first = last = None
     for char, payload in tokens:
         if char == "(":
-            stack.append(payload)
+            if not depth:
+                first = payload
+            depth += 1
         elif char == ")":
-            if stack:
-                stack.pop()
+            if depth:
+                depth -= 1
             else:
-                closes.append(payload)
+                n_close += 1
+                last = payload
         else:
             raise ValueError("bad token %r" % char)
-    return Signature(
-        first_open=stack[0] if stack else None,
-        last_close=closes[-1] if closes else None,
-        n_close=len(closes),
-        n_open=len(stack),
-    )
+    # tuple.__new__ skips the NamedTuple's argument binding
+    return tuple.__new__(Signature, (first if depth else None, last, n_close, depth))
 
 
 def _reduce_colors(tokens, n):
@@ -88,8 +92,9 @@ def _reduce_colors(tokens, n):
     The payloads are the bead-set rules' (k, color), with color in 0..n-1
     as `column_brackets` gives it."""
     by_color = [[] for _ in range(n)]
+    file = [bucket.append for bucket in by_color]
     for token in tokens:
-        by_color[token[1][1]].append(token)
+        file[token[1][1]](token)
     return tuple(map(signature_reduce, by_color))
 
 
