@@ -107,14 +107,12 @@ class AbacusConfig:
         return max(len(r.partition) for r in self.rows)
 
     def key(self):
-        return (self.n, self.ell) + tuple(
-            (r.charge, r.partition.parts) for r in self.rows
-        )
+        return (self.n, self.ell) + self.rows
 
     def label(self):
         """Compact deterministic string, bottom row first."""
         return "|".join(
-            "%d:%s" % (r.charge, ",".join(map(str, r.partition.parts)))
+            "%d:%s" % (r.charge, ",".join(map(str, r.partition)))
             for r in self.rows
         )
 
@@ -167,8 +165,8 @@ def is_descending(psi):
         shift = upper.charge - lower.charge - (psi.n if wrap else 0)
         if shift > 0:
             return False
-        low = lower.partition.parts
-        for j, u in enumerate(upper.partition.parts):
+        low = lower.partition
+        for j, u in enumerate(upper.partition):
             if (low[j] if j < len(low) else 0) - u < shift:
                 return False
     return True
@@ -200,7 +198,7 @@ def _fits(psi, k, m):
     for i, row in enumerate(rows):
         q, r = divmod(i + m, ell)
         src = rows[r]
-        a, b = src.partition.parts, row.partition.parts
+        a, b = src.partition, row.partition
         incoming = (a[k - 1] if k <= len(a) else 0) + src.charge - n * q
         if incoming < (b[k] if k < len(b) else 0) + row.charge:
             return False
@@ -220,7 +218,7 @@ def _shift_bead_set(psi, k, m):
     n, ell, rows = psi.n, psi.ell, psi.rows
     a = []
     for row in rows:
-        parts = row.partition.parts
+        parts = row.partition
         a.append((parts[k - 1] if k <= len(parts) else 0) + row.charge)
     moved = []
     for i, row in enumerate(rows):
@@ -264,7 +262,8 @@ def is_tight(psi):
     loop stops at the first set that fits, and each set at the first row
     that blocks it.
     """
-    rows = [(r.charge, r.partition.parts) for r in psi.rows]
+    # plain (charge, parts) pairs: a BeadRow unpacks slower than a tuple
+    rows = [(r.charge, r.partition) for r in psi.rows]
     c0, p0 = rows[0]
     rows.append((c0 - psi.n, p0))  # extended row ell
     for k in range(1, max(len(p) for _, p in rows) + 1):
@@ -332,7 +331,7 @@ def _residues(psi):
     m, n = psi.max_bead_index(), psi.n
     rows = []
     for row in psi.rows:
-        c, parts = row.charge, row.partition.parts
+        c, parts = row.charge, row.partition
         padded = parts + (0,) * (m - len(parts))
         rows.append([(p - k + c) % n for k, p in enumerate(padded, 1)])
     return list(zip(*rows))

@@ -140,7 +140,7 @@ def _gap_signatures(psi):
     `tests/helpers.abacus_brackets`.
     """
     n, ell, rows = psi.n, psi.ell, psi.rows
-    shift = (max([len(row.partition.parts) for row in rows]) + 1).bit_length() + 1
+    shift = (max([len(row.partition) for row in rows]) + 1).bit_length() + 1
     unit = ell << shift  # key = gap*unit + (row << shift) + 2*bead + is_open
     buckets = [[] for _ in range(n)]
     for r, row in enumerate(rows):
@@ -151,7 +151,7 @@ def _gap_signatures(psi):
         # bead j sits at slot part(j) - j + charge; bead j-1 is one slot to
         # its right exactly when the two parts are equal, so only a change of
         # part opens an empty slot between neighbouring beads
-        for p in row.partition.parts + (0,):
+        for p in row.partition + (0,):
             j += 1
             if p == prev:
                 continue
@@ -211,7 +211,7 @@ def _move_named_bead(psi, token, delta):
         return None
     _, r, j = token
     row = psi.rows[r]
-    parts = _hop(row.partition.parts, j, delta)
+    parts = _hop(row.partition, j, delta)
     return psi.replace_row(r, _bead_row(row.charge, Partition._trusted(parts)))
 
 
@@ -370,7 +370,7 @@ def crystal_graph(psi0, max_degree):
     for _ in range(max_degree):
         seen = {}  # the rows' parts -> the node built for them
         for node in layers[-1]:
-            parts = [row.partition.parts for row in node.rows]
+            parts = [row.partition for row in node.rows]
             for i, sig in enumerate(_signatures(node)):
                 if sig.first_open is None:
                     continue

@@ -45,7 +45,7 @@ class CylindricPlanePartition:
         return self.rows[r].part(w + 1)
 
     def key(self):
-        return (self.n, self.ell, self.profile, tuple(r.parts for r in self.rows))
+        return (self.n, self.ell, self.profile, self.rows)
 
     def to_json(self):
         return {
@@ -89,7 +89,7 @@ def is_valid_cpp(pi):
             d, upper = profile[i] - profile[0] + pi.n, rows[0]
         if d < 0:
             return False
-        low, tail = row.parts, upper.parts[d:]
+        low, tail = row, upper[d:]
         if len(tail) > len(low) or not all(map(ge, low, tail)):
             return False
     return True
@@ -164,7 +164,7 @@ def _box_tokens(pi, i):
     tokens = []
     for x, parts in enumerate(pi.rows):
         prev = None
-        for y, cur in enumerate(parts.parts + (0,), start=pi.profile[x]):
+        for y, cur in enumerate(parts + (0,), start=pi.profile[x]):
             if cur != prev:
                 tokens.append(("(", Box(x, y, cur + 1)))
                 if prev is not None:
@@ -198,7 +198,7 @@ def _with_box(pi, box, delta):
         return None
     r = box.x
     w = box.y - pi.profile[r]
-    parts = list(pi.rows[r].parts) + [0]  # an addable box may open a part
+    parts = list(pi.rows[r]) + [0]  # an addable box may open a part
     parts[w] += delta
     rows = list(pi.rows)
     rows[r] = Partition(p for p in parts if p)
@@ -263,6 +263,6 @@ def render_text(pi):
     """Plain text: one line per diagonal, its first column, then its entries."""
     lines = []
     for i in range(pi.ell):
-        cells = "".join("%4d" % v for v in pi.rows[i].parts)
+        cells = "".join("%4d" % v for v in pi.rows[i])
         lines.append("pi_%d @%d |%s" % (i, pi.profile[i], cells))
     return "\n".join(lines) + "\n"

@@ -2,10 +2,13 @@
 
 An element of the perfect crystal is a weakly increasing ell-tuple with
 values in {1/2, 3/2, ..., n - 1/2}, stored as the integers 0..n-1 (add 1/2
-to recover the usual entries).  A path is a semi-infinite tensor product
-... x b_3 x b_2 x b_1 of such elements that agrees with the ground state
-path of its highest weight beyond some position K.  A Path stores the dense
-tuple (b_1, ..., b_K), with K the last position off the ground state.
+to recover the usual entries).  A PerfectElem is that tuple: a tuple
+subclass whose constructor sorts its entries.  A path is a semi-infinite
+tensor product ... x b_3 x b_2 x b_1 of such elements that agrees with the
+ground state path of its highest weight beyond some position K.  A Path
+stores the dense tuple (b_1, ..., b_K), with K the last position off the
+ground state.  Its constructor and Path.from_json make one check
+(`_check_path`) of n, ell, the weight and the entries of every element.
 
 The string functions have closed forms: f_i turns an entry i-1 into i and
 e_i an entry i into i-1, so eps_i(b) counts the entries equal to i and
@@ -58,22 +61,21 @@ from .crystal import _reduce_colors, column_brackets
 from .partitions import _json_int, _json_ints
 
 
-@dataclass(frozen=True)
-class PerfectElem:
-    entries: tuple  # sorted, each in [0, n)
+class PerfectElem(tuple):
+    """An element of the perfect crystal: its entries, sorted, each in [0, n)."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(map(index, self.entries))))
+    __slots__ = ()
+
+    def __new__(cls, entries):
+        return tuple.__new__(cls, sorted(map(index, entries)))
 
     @classmethod
     def _trusted(cls, entries):
-        """A PerfectElem of a tuple of ints already sorted, unchecked."""
-        b = object.__new__(cls)
-        object.__setattr__(b, "entries", entries)
-        return b
+        """A PerfectElem of ints already sorted, unchecked."""
+        return tuple.__new__(cls, entries)
 
     def to_json(self):
-        return list(self.entries)
+        return list(self)
 
 
 def f_perfect(b, i, n):
@@ -88,12 +90,12 @@ def e_perfect(b, i, n):
 
 def _replace_entry(b, old, new):
     """b with one copy of old replaced by new, or None if b has no old."""
-    entries = list(b.entries)
+    entries = list(b)
     if old not in entries:
         return None
     entries.remove(old)
     bisect.insort(entries, new)
-    return PerfectElem._trusted(tuple(entries))
+    return PerfectElem._trusted(entries)
 
 
 # The largest position, n and ell Path.from_json accepts: from_path builds one
@@ -123,11 +125,10 @@ class Path:
         b = self._grounds.get(r)
         if b is None:
             if r:
-                base = self.ground(0).entries
-                entries = tuple(sorted((v - r) % self.n for v in base))
+                entries = sorted((v - r) % self.n for v in self.ground(0))
             else:
                 w = self.weight.coeffs
-                entries = tuple(v for v in range(self.n) for _ in range(w[v]))
+                entries = [v for v in range(self.n) for _ in range(w[v])]
             b = self._grounds[r] = PerfectElem._trusted(entries)
         return b
 
@@ -152,19 +153,17 @@ class Path:
             "deviations": {str(k): e.to_json() for k, e in devs if e != self.ground(k)},
         }
 
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(map(PerfectElem, self.elements)))
+        _check_path(self.n, self.ell, self.weight, enumerate(self.elements, 1))
+
     @classmethod
     def from_json(cls, data):
         n, ell = _json_int(data["n"], "n"), _json_int(data["ell"], "ell")
-        if n < 2 or ell < 1:
-            raise ValueError("a path needs n >= 2 and ell >= 1")
         for name, v in (("n", n), ("ell", ell)):
             if v > MAX_PATH_POSITION:
                 raise ValueError("path %s %d exceeds %d" % (name, v, MAX_PATH_POSITION))
         w = DominantWeight(_json_ints(data["weight"], "weight"))
-        if w.n != n or w.level != ell:
-            raise ValueError(
-                "weight %s needs %d coefficients and level %d" % (w, n, ell)
-            )
         devs = []
         deviations = data.get("deviations", {})
         if not isinstance(deviations, dict):
@@ -172,17 +171,13 @@ class Path:
         for k, v in deviations.items():
             if not re.fullmatch("[0-9]+", k):
                 raise ValueError("path position %r is not a decimal integer" % k)
-            k, e = int(k), PerfectElem(_json_ints(v, "a path element"))
+            k = int(k)
             if not 1 <= k <= MAX_PATH_POSITION:
                 raise ValueError(
                     "path position %d is not in [1, %d]" % (k, MAX_PATH_POSITION)
                 )
-            if len(e.entries) != ell or not all(0 <= x < n for x in e.entries):
-                raise ValueError(
-                    "deviation %s at position %d: need %d entries in [0, %d)"
-                    % (list(e.entries), k, ell, n)
-                )
-            devs.append((k, e))
+            devs.append((k, PerfectElem(_json_ints(v, "a path element"))))
+        _check_path(n, ell, w, devs)
         elements = dict(devs)
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
@@ -192,6 +187,23 @@ class Path:
             for k in range(1, max(elements, default=0) + 1)
         ]
         return _pruned_path(base, dense)
+
+
+def _check_path(n, ell, w, elements):
+    """Refuse a path unless n >= 2, ell >= 1, w is a DominantWeight of n
+    coefficients and level ell, and each (k, b_k) in `elements` has ell
+    entries in [0, n): the checks of the Path constructor and of
+    Path.from_json."""
+    if n < 2 or ell < 1:
+        raise ValueError("a path needs n >= 2 and ell >= 1")
+    if not isinstance(w, DominantWeight) or w.n != n or w.level != ell:
+        raise ValueError("weight %s needs %d coefficients and level %d" % (w, n, ell))
+    for k, e in elements:
+        if len(e) != ell or not all(0 <= x < n for x in e):
+            raise ValueError(
+                "element %s at position %d: need %d entries in [0, %d)"
+                % (list(e), k, ell, n)
+            )
 
 
 def _pruned_path(path, elements):
@@ -240,7 +252,7 @@ def path_brackets(path):
     b_{K+1}.
     """
     K = path.last_position()
-    columns = [(k, path.element(k).entries) for k in range(K + 1, 0, -1)]
+    columns = [(k, path.element(k)) for k in range(K + 1, 0, -1)]
     return column_brackets(columns, path.n)
 
 
@@ -303,7 +315,7 @@ def to_path(psi):
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
             % (_highest_weight_charges(w.coeffs), w, charges)
         )
-    elements = [PerfectElem._trusted(tuple(sorted(res))) for res in _residues(psi)]
+    elements = [PerfectElem._trusted(sorted(res)) for res in _residues(psi)]
     return _pruned_path(_empty_path(n, charges), elements)
 
 
@@ -312,4 +324,4 @@ def from_path(path):
     highest_weight_config(path.weight) whose k-th bead set has the residues
     b_k, placed as low as tightness allows (abacus._tight_from_residues)."""
     charges = _highest_weight_charges(_level_coeffs(path.weight, path.n, path.ell))
-    return _tight_from_residues(path.n, charges, [b.entries for b in path.elements])
+    return _tight_from_residues(path.n, charges, path.elements)

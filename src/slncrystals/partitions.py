@@ -1,6 +1,8 @@
 """Partitions, bead rows (Maya diagrams), ribbons, cores and quotients.
 
-A partition is stored as a weakly decreasing tuple of positive integers.
+A Partition is a weakly decreasing tuple of positive integers, a tuple
+subclass whose constructor checks the parts; a BeadRow is the named pair
+(charge, partition).  Both compare and hash as the tuples they hold.
 A row of beads lives on "slots" indexed by the integers: slot b stands for
 the physical half-integer position b + 1/2, so the vacuum of charge c has
 beads exactly on the slots b < c.  The partition with parts p_1 >= p_2 >= ...
@@ -11,82 +13,57 @@ moved row's parts, and `BeadRow.move_bead` checks the move first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
+from typing import NamedTuple
 
 
-class Partition:
+class Partition(tuple):
     """A weakly decreasing tuple of positive integers."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            parts = parts.parts
+    def __new__(cls, parts=()):
         parts = tuple(map(index, parts))
         for i, p in enumerate(parts):
             if p < 1:
                 raise ValueError("parts must be positive: %r" % (parts,))
             if i > 0 and parts[i - 1] < p:
                 raise ValueError("parts must weakly decrease: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _trusted(cls, parts):
         """A Partition of a tuple already known to be valid, unchecked."""
-        lam = object.__new__(cls)
-        _set_parts(lam, parts)
-        return lam
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not __setattr__
-        return (Partition, (self.parts,))
+        return tuple.__new__(cls, parts)
 
     def part(self, j):
         """The j-th part (1-indexed), zero beyond the last part."""
-        return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
+        return self[j - 1] if 1 <= j <= len(self) else 0
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     def conjugate(self):
         """Column c has one cell per part >= c, so the part(j) - part(j + 1)
         columns that end at part j have j cells each."""
         cols = []
-        j, below = len(self.parts), 0
-        for p in reversed(self.parts):  # part j, then part j - 1, ...
+        j, below = len(self), 0
+        for p in reversed(self):  # part j, then part j - 1, ...
             cols += [j] * (p - below)
             j, below = j - 1, p
-        return Partition._trusted(tuple(cols))
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
+        return Partition._trusted(cols)
 
     def __repr__(self):
-        return "Partition(%r)" % (self.parts,)
+        return "Partition(%r)" % (tuple(self),)
 
     def to_json(self):
-        return list(self.parts)
+        return list(self)
 
     @classmethod
     def from_json(cls, data):
         return cls(_json_ints(data, "parts"))
 
-
-_set_parts = Partition.parts.__set__  # the slot itself, past __setattr__
 
 EMPTY = Partition()
 
@@ -105,9 +82,8 @@ def _json_ints(values, what):
     return tuple(_json_int(v, "an entry of " + what) for v in values)
 
 
-@dataclass(frozen=True, slots=True)
-class BeadRow:
-    """One row of beads, stored canonically as (charge, partition).
+class BeadRow(NamedTuple):
+    """One row of beads, the pair (charge, partition).
 
     The occupied slots are {part(j) - j + charge : j >= 1}; in particular all
     slots below charge - len(partition) are occupied and all slots at or above
@@ -161,8 +137,7 @@ class BeadRow:
         """
         if j < 1:
             raise ValueError("bead index must be positive")
-        lam = self.partition
-        parts = lam.parts
+        parts = self.partition
         m = len(parts)
         # parts j-1, j and j+1 read as zero beyond the last part
         if j <= m:
@@ -171,7 +146,7 @@ class BeadRow:
         else:
             p, below = delta, 0
         if p < below or (j > 1 and p > (parts[j - 2] if j <= m + 1 else 0)):
-            raise ValueError("bead %d cannot move by %d in %r" % (j, delta, lam))
+            raise ValueError("bead %d cannot move by %d in %r" % (j, delta, parts))
         return _hop(parts, j, delta)
 
     @classmethod
@@ -204,18 +179,11 @@ class BeadRow:
         return cls(charge, Partition.from_json(data["parts"]))
 
 
-_set_charge = BeadRow.charge.__set__
-_set_partition = BeadRow.partition.__set__
-
-
 def _bead_row(charge, partition):
-    """A BeadRow built unchecked, as `Partition._trusted` builds a
-    Partition: its slots are set directly, past the frozen dataclass's
-    __init__, for rows that are valid by construction."""
-    row = object.__new__(BeadRow)
-    _set_charge(row, charge)
-    _set_partition(row, partition)
-    return row
+    """A BeadRow built past the NamedTuple's argument binding, as
+    `Partition._trusted` builds a Partition, for rows that are valid by
+    construction."""
+    return tuple.__new__(BeadRow, (charge, partition))
 
 
 def _hop(parts, j, delta):
@@ -325,5 +293,5 @@ def partitions_of(m, max_part=None):
         max_part = m
     for first in range(max_part, 0, -1):
         for rest in partitions_of(m - first, first):
-            yield Partition((first,) + rest.parts)
+            yield Partition((first,) + rest)
 

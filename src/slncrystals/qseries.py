@@ -17,6 +17,7 @@ from .abacus import (
     _compositions,
     _level_coeffs,
     highest_weight_config,
+    is_descending,
     right_moves,
     weight,
 )
@@ -47,24 +48,6 @@ class QSeries:
         if not 0 <= k <= self.nmax:
             raise IndexError("coefficient %d beyond truncation %d" % (k, self.nmax))
         return self.coeffs[k]
-
-    def __add__(self, other):
-        nmax = min(self.nmax, other.nmax)
-        return QSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(nmax + 1)], nmax
-        )
-
-    def __mul__(self, other):
-        nmax = min(self.nmax, other.nmax)
-        out = [0] * (nmax + 1)
-        for a, ca in enumerate(self.coeffs[: nmax + 1]):
-            if ca == 0:
-                continue
-            for b in range(nmax + 1 - a):
-                cb = other.coeffs[b]
-                if cb:
-                    out[a + b] += ca * cb
-        return QSeries(out, nmax)
 
     def times_one_minus(self, k):
         """Multiply by (1 - q^k)."""
@@ -111,8 +94,13 @@ def dimq_crystal(w, n, ell, nmax):
 
 
 def Z_rep(w, n, ell, nmax):
-    """dim_q of the irreducible crystal times the free partition factor."""
-    return dimq_crystal(w, n, ell, nmax) * euler_inverse(n, nmax)
+    """dim_q of the irreducible crystal times the free partition factor
+    prod_{k >= 1} 1/(1 - q^{nk}), one geometric series at a time, as
+    euler_inverse builds it."""
+    s = dimq_crystal(w, n, ell, nmax)
+    for e in range(n, nmax + 1, n):
+        s = s.times_inv_one_minus(e)
+    return s
 
 
 @dataclass(frozen=True)
@@ -164,8 +152,8 @@ def Z_borodin(bd, nmax):
 
 def Z_bruteforce(psi0, nmax):
     """Count descending configurations over psi0 by weight, breadth-first."""
-    if weight(psi0) != 0:
-        raise ValueError("Z_bruteforce needs a compact generator")
+    if weight(psi0) != 0 or not is_descending(psi0):
+        raise ValueError("Z_bruteforce needs a compact descending generator")
     counts = [0] * (nmax + 1)
     frontier = {psi0.key(): psi0}
     for w in range(nmax + 1):

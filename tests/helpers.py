@@ -81,7 +81,7 @@ def move_bead_by_constructor(row, j, delta):
     j, pad with zeros, strip trailing zeros, and let Partition validate."""
     if j < 1:
         raise ValueError("bead index must be positive")
-    parts = list(row.partition.parts) + [0] * j
+    parts = list(row.partition) + [0] * j
     parts[j - 1] += delta
     while parts and parts[-1] == 0:
         parts.pop()
@@ -93,7 +93,7 @@ def validated(x):
     constructors, from fresh tuples of its parts."""
     if isinstance(x, AbacusConfig):
         return AbacusConfig(x.n, x.ell, tuple(validated(r) for r in x.rows))
-    return BeadRow(x.charge, Partition(list(x.partition.parts)))
+    return BeadRow(x.charge, Partition(list(x.partition)))
 
 
 def assert_same_as_validated(x):
@@ -115,7 +115,7 @@ def descending_by_validated_product(psi0, max_weight):
             if sum(sizes) != w:
                 continue
             for lams in itertools.product(*(partitions_of(s) for s in sizes)):
-                rows = zip(charges, (Partition(lam.parts) for lam in lams))
+                rows = zip(charges, (Partition(lam) for lam in lams))
                 cfg = AbacusConfig(n, ell, tuple(BeadRow(c, lam) for c, lam in rows))
                 if is_descending_by_bead_slots(cfg):
                     yield cfg
@@ -244,7 +244,7 @@ def abacus_configs(draw):
 
 def cells_of(lam):
     """Iterate over the cells (row, col) of lam, both 1-indexed."""
-    for r, p in enumerate(lam.parts, start=1):
+    for r, p in enumerate(lam, start=1):
         for c in range(1, p + 1):
             yield (r, c)
 
@@ -291,7 +291,7 @@ def _partitions_containing(lam, extra, max_rows):
 
     def build(prefix, remaining, row):
         if remaining == 0:
-            tail = list(lam.parts[row - 1 :])
+            tail = list(lam[row - 1 :])
             if not tail or not prefix or prefix[-1] >= tail[0]:
                 results.append(P([p for p in prefix + tail if p > 0]))
             return
@@ -328,13 +328,13 @@ def _strip_cores_cached(parts, length):
         return frozenset([lam])
     cores = frozenset()
     for mu in removable:
-        cores |= _strip_cores_cached(mu.parts, length)
+        cores |= _strip_cores_cached(mu, length)
     return cores
 
 
 def strip_cores(lam, length):
     """All partitions reachable by removing ribbons until none can be removed."""
-    return set(_strip_cores_cached(P(lam).parts, length))
+    return set(_strip_cores_cached(P(lam), length))
 
 
 def ribbons_by_skew_shapes_removals(lam, length):
@@ -383,7 +383,7 @@ def abacus_brackets(psi):
     for r_idx, row in enumerate(psi.rows):
         c = row.charge
         prev = None  # part of the bead to the right, None for the first bead
-        for j, p in enumerate(row.partition.parts + (0,), 1):
+        for j, p in enumerate(row.partition + (0,), 1):
             if p == prev:
                 continue
             tokens.append(("(", (p - j + c + 1, r_idx, j)))
@@ -665,7 +665,7 @@ def cpp_by_white_beads(psi):
 
 def eps_phi_perfect(b, n):
     """(eps, phi) as dominant weights: eps_i counts entries i, phi_i entries i-1."""
-    eps = tuple(b.entries.count(i) for i in range(n))
+    eps = tuple(b.count(i) for i in range(n))
     phi = eps[-1:] + eps[:-1]  # phi_i = eps_{i-1}
     return DominantWeight(eps), DominantWeight(phi)
 

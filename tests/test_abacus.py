@@ -284,7 +284,7 @@ def test_unchecked_builders_match_validating_constructors():
 
 def test_memos_take_no_part_in_eq_hash_repr():
     psi = fig10()
-    plain = config(3, 4, *((r.charge, r.partition.parts) for r in psi.rows))
+    plain = config(3, 4, *psi.rows)
     f_abacus(psi, 0)
     f_descending(psi, 0)
     assert psi._gap_signatures is not None and psi._set_signatures is not None
@@ -548,7 +548,7 @@ def test_recombine_roundtrip():
         for cfg in descending_configs(3, 2, coeffs, 6):
             g, lam = gamma(cfg), lambda_part(cfg)
             assert recombine(g, lam) == cfg
-            key = (g.key(), lam.parts)
+            key = (g.key(), lam)
             assert key not in seen
             seen[key] = cfg
 

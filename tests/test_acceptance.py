@@ -191,7 +191,7 @@ def test_ac06_slack_decomposition():
             assert compactify(g) == compactify(cfg)
             assert weight(cfg) == weight(g) + n * lam.size
             assert recombine(g, lam) == cfg
-            key = (g.key(), lam.parts)
+            key = (g.key(), lam)
             assert key not in seen
             seen[key] = cfg
         for cfg in descending_configs(n, ell, coeffs, 6):
@@ -257,7 +257,7 @@ def test_ac11_figure_9_and_12_fidelity():
     pi = from_abacus(fig10())
     assert hw_of_cpp(pi) == DominantWeight((1, 2, 1))
     assert pi.profile == (2, 1, 1, 0)
-    assert tuple(r.parts for r in pi.rows) == ((3, 1), (3, 2), (2, 1), (4, 2))
+    assert pi.rows == ((3, 1), (3, 2), (2, 1), (4, 2))
     assert cpp_weight(pi) == 18
     report(11, "figure-9 and figure-12 highest weights match")
 

@@ -101,7 +101,7 @@ def test_is_valid_cpp_matches_cell_scan():
 def test_from_abacus_figure10():
     pi = from_abacus(fig10())
     assert pi.profile == FIG12_PROFILE
-    assert tuple(r.parts for r in pi.rows) == FIG12_ROWS
+    assert pi.rows == FIG12_ROWS
     assert is_valid_cpp(pi)
     assert cpp_weight(pi) == 18 == weight(fig10())
     assert hw_of_cpp(pi) == DominantWeight((1, 2, 1))

@@ -106,14 +106,16 @@ TRUSTED_CONSTRUCTORS = {
     "AbacusConfig": "abacus._config",
     "BeadRow": "partitions._bead_row",
     "Partition": "partitions.Partition._trusted",
+    "PerfectElem": "kyoto.PerfectElem._trusted",
     "Path": "kyoto._pruned_path",
 }
 
 
 def unchecked_construction_sites(sources):
-    """(type, "module.qualified name") of every `object.__new__(X)` call in
-    `sources` (module name -> source) with X one of TRUSTED_CONSTRUCTORS;
-    `cls` reads as the class that encloses the call."""
+    """(type, "module.qualified name") of every `object.__new__(X)` or
+    `tuple.__new__(X, ...)` call in `sources` (module name -> source) with X
+    one of TRUSTED_CONSTRUCTORS; `cls` reads as the class that encloses the
+    call.  A call in X's own `__new__`, which validates, is not listed."""
     sites = []
 
     def visit(node, scope, cls):
@@ -126,11 +128,11 @@ def unchecked_construction_sites(sources):
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "__new__"
             and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "object"
+            and node.func.value.id in ("object", "tuple")
         ):
             made = ast.unparse(node.args[0]) if node.args else ""
             made = cls if made == "cls" else made
-            if made in TRUSTED_CONSTRUCTORS:
+            if made in TRUSTED_CONSTRUCTORS and scope[-2:] != [made, "__new__"]:
                 sites.append((made, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope, cls)
@@ -143,15 +145,19 @@ def unchecked_construction_sites(sources):
 def test_unchecked_construction_sites_finds_a_second_site():
     sources = {
         "partitions": (
-            "class Partition:\n"
+            "class Partition(tuple):\n"
+            "    def __new__(cls, parts=()):\n"
+            "        return tuple.__new__(cls, parts)\n"
             "    @classmethod\n"
             "    def _trusted(cls, parts):\n"
-            "        return object.__new__(cls)\n"
+            "        return tuple.__new__(cls, parts)\n"
             "class Other:\n"
             "    def make(cls):\n"
             "        return object.__new__(cls)\n"
             "def _bead_row(charge, partition):\n"
-            "    return object.__new__(BeadRow)\n"
+            "    return tuple.__new__(BeadRow, (charge, partition))\n"
+            "def shortcut(parts):\n"
+            "    return tuple.__new__(Partition, parts)\n"
         ),
         "abacus": (
             "def _config(n, ell, rows):\n"
@@ -165,6 +171,7 @@ def test_unchecked_construction_sites_finds_a_second_site():
         ("BeadRow", "abacus.shortcut"),
         ("BeadRow", "partitions._bead_row"),
         ("Partition", "partitions.Partition._trusted"),
+        ("Partition", "partitions.shortcut"),
     ]
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from slncrystals.abacus import (
     AbacusConfig,
+    DominantWeight,
     _charge_weight,
     _highest_weight_charges,
     compactify,
@@ -185,7 +186,7 @@ def _check_to_path_charge_rule(psi):
     residues = residues_by_bead_position(psi)
     assert p.last_position() <= len(residues)
     for k, res in enumerate(residues, 1):
-        assert p.element(k).entries == tuple(sorted(res))
+        assert p.element(k) == tuple(sorted(res))
     return case
 
 
@@ -409,3 +410,17 @@ def test_from_path_on_random_paths(n, ell):
             cfg = from_path(p)
             assert is_descending(cfg) and is_tight(cfg)
             assert to_path(cfg) == p
+
+
+def test_path_constructor_checks_what_from_json_checks():
+    # the constructor and from_json refuse the same elements with one message
+    w = DominantWeight((1, 1, 0))
+    for elem in ((0, 7), (0,), (0, 1, 2), (-1, 0)):
+        data = {"n": 3, "ell": 2, "weight": [1, 1, 0], "deviations": {"1": list(elem)}}
+        with pytest.raises(ValueError, match="entries in") as built:
+            Path(3, 2, w, (PerfectElem(elem),))
+        with pytest.raises(ValueError, match="entries in") as parsed:
+            Path.from_json(data)
+        assert str(built.value) == str(parsed.value)
+    p = Path(3, 2, w, ((1, 0),))
+    assert p.elements == ((0, 1),) and type(p.elements[0]) is PerfectElem

@@ -1,7 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slncrystals.kyoto import PerfectElem
 from slncrystals.partitions import (
     BeadRow,
     Partition,
@@ -39,6 +43,40 @@ def test_partition_validation():
     assert P((3, 1)).conjugate() == P((2, 1, 1))
     assert bool(P(())) is False
     assert bool(P((1,))) is True
+
+
+# (id, a value, the plain tuple it holds)
+TUPLE_VALUES = [
+    ("Partition", P((3, 1, 1)), (3, 1, 1)),
+    ("BeadRow", BeadRow(2, P((2, 1))), (2, (2, 1))),
+    ("PerfectElem", PerfectElem((2, 0, 1)), (0, 1, 2)),
+]
+REBUILDS = [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
+
+
+@pytest.mark.parametrize(
+    "value,plain", [pytest.param(v, t, id=i) for i, v, t in TUPLE_VALUES]
+)
+def test_value_types_are_the_tuples_they_hold(value, plain):
+    assert isinstance(value, tuple) and not hasattr(value, "__dict__")
+    assert value == plain and hash(value) == hash(plain)
+    for rebuild in REBUILDS:
+        again = rebuild(value)
+        assert type(again) is type(value) and again == value
+        assert repr(again) == repr(value)
+
+
+def test_copy_and_pickle_rebuild_through_the_validating_constructors():
+    # tuple.__new__ skips each check; a rebuild runs it again
+    for rebuild in REBUILDS:
+        for parts in ((1, 2), (0,)):
+            with pytest.raises(ValueError):
+                rebuild(tuple.__new__(Partition, parts))
+        assert rebuild(tuple.__new__(PerfectElem, (2, 0))) == (0, 2)
+    for parts in ((1, 2), (0,)):
+        with pytest.raises(ValueError):
+            P(parts)
+    assert PerfectElem((2, 0)) == (0, 2)
 
 
 
@@ -156,7 +194,7 @@ def test_move_bead_matches_constructor_oracle():
                         moved = row.move_bead(j, delta)
                         assert moved == want and hash(moved) == hash(want)
                         assert repr(moved) == repr(want)
-                        assert row.moved_parts(j, delta) == want.partition.parts
+                        assert row.moved_parts(j, delta) == want.partition
 
 
 def test_hop_matches_moved_parts_on_every_legal_hop():
@@ -171,7 +209,7 @@ def test_hop_matches_moved_parts_on_every_legal_hop():
                     want = move_bead_by_constructor(row, j, delta)
                 except ValueError:
                     continue
-                assert _hop(lam.parts, j, delta) == want.partition.parts
+                assert _hop(lam, j, delta) == want.partition
                 hops += 1
     assert hops > 0
 
@@ -222,7 +260,7 @@ def test_quotient_one_strand():
 
 def test_figure1_quotient():
     q = ell_quotient(FIG1, 4)
-    assert [(c.charge, c.partition.parts) for c in q] == [
+    assert list(q) == [
         (-1, (1,)),
         (0, (3, 3)),
         (-1, (2, 1)),

@@ -17,6 +17,7 @@ NOT_COMPACT = config(3, 2, (1, (1,)), (0, ()))
 # diagonal 1 is not dominated by diagonal 0
 BAD_CPP = CylindricPlanePartition(3, 2, (0, 0), (Partition((1,)), Partition((2,))))
 VACUUM = BeadRow.vacuum(0)
+L0L1 = DominantWeight((1, 1, 0))
 
 # (id, a fragment of the message, the call)
 CASES = [
@@ -35,6 +36,8 @@ CASES = [
     ("e_descending", "e_descending needs",
      lambda: crystal.e_descending(UNSORTED, 1)),
     ("Z_bruteforce", "compact", lambda: qseries.Z_bruteforce(NOT_COMPACT, 2)),
+    ("Z_bruteforce-unsorted", "compact descending",
+     lambda: qseries.Z_bruteforce(UNSORTED, 2)),
     ("add_ribbon", "ribbon length",
      lambda: partitions.add_ribbon(Partition((1,)), 0, 1)),
     ("ell_quotient", "ell must", lambda: partitions.ell_quotient(Partition((1,)), 0)),
@@ -57,6 +60,10 @@ CASES = [
     ("CylindricPlanePartition-n0", "n >= 1",
      lambda: CylindricPlanePartition(0, 1, (1,), (Partition(),))),
     ("to_path-n1", "n >= 2", lambda: kyoto.to_path(config(1, 1, (0, ())))),
+    ("Path-n1", "n >= 2", lambda: kyoto.Path(1, 1, DominantWeight((1,)), ())),
+    ("Path-weight", "level 2", lambda: kyoto.Path(3, 2, DominantWeight((1, 0, 0)), ())),
+    ("Path-entry", "entries in", lambda: kyoto.Path(3, 2, L0L1, (PerfectElem((0, 7)),))),
+    ("Path-length", "entries in", lambda: kyoto.Path(3, 2, L0L1, (PerfectElem((0,)),))),
 ]
 
 
