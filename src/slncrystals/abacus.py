@@ -74,16 +74,17 @@ class AbacusConfig:
     rows: tuple  # of BeadRow, index 0 = bottom
     # the bracket rules' memos (see crystal): None until a rule fills one,
     # and no part of ==, hash, repr, copy or pickle
-    _gap_signatures: tuple = field(init=False, repr=False, compare=False)
-    _set_signatures: tuple = field(init=False, repr=False, compare=False)
+    _gap_signatures: tuple = field(default=None, init=False, repr=False, compare=False)
+    _set_signatures: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.ell < 1:
             raise ValueError("need n >= 1 and ell >= 1")
         if len(self.rows) != self.ell:
             raise ValueError("expected %d rows" % self.ell)
-        _set_gap_memo(self, None)
-        _set_set_memo(self, None)
+        for i, row in enumerate(self.rows):
+            if not (isinstance(row, BeadRow) and isinstance(row.partition, Partition)):
+                raise TypeError("row %d is not a BeadRow of a Partition: %r" % (i, row))
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, without the memos
@@ -138,8 +139,8 @@ _set_set_memo = AbacusConfig._set_signatures.__set__
 def _config(n, ell, rows):
     """An AbacusConfig built unchecked: its slots are set directly, past
     the frozen dataclass's __init__ and __post_init__, for configurations
-    that are valid by construction (ell rows, n and ell positive).  Its
-    memos are None, as __post_init__ leaves them."""
+    that are valid by construction (ell rows of BeadRows of Partitions, n
+    and ell positive).  Its memos are None, their declared default."""
     psi = object.__new__(AbacusConfig)
     _set_n(psi, n)
     _set_ell(psi, ell)

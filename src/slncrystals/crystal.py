@@ -21,8 +21,10 @@ abacus configuration (crystal_graph resets a node's memo to None once it
 has expanded it), the grouped bead-set rule's on the descending
 configuration, and the path rule's on the Path (in kyoto).  The two
 configuration memos are slots that AbacusConfig declares,
-`_gap_signatures` and `_set_signatures`: None until a rule here fills them,
-read as plain attributes, and no part of ==, hash, repr, copy or pickle.
+`_gap_signatures` and `_set_signatures`, and Path declares its
+`_signatures` field the same way: each defaults to None until a rule fills
+it, is read as a plain attribute, and is no part of ==, hash, repr, copy
+or pickle.
 The column rule on partitions, partition_brackets, stays per color: no
 benchmark workload uses it.
 
@@ -30,7 +32,9 @@ Every bead move builds the row's new parts with `partitions._hop`.  A gap
 rule token stands at a gap only when the slot across it is empty, so the
 move it names is legal on any configuration: f_abacus and e_abacus call
 `_hop` unchecked.  The grouped rule moves through `BeadRow.move_bead`,
-which checks the move before it calls `_hop`.
+which checks the move before it calls `_hop`.  The box rule on cylindric
+plane partitions (cylindric.f_cpp and e_cpp) also moves through `_hop`:
+adding or removing a box raises or lowers one part of its diagonal.
 """
 
 from __future__ import annotations

@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from operator import ge
 
 from .abacus import (
-    AbacusConfig,
     DominantWeight,
     _charge_weight,
+    _config,
     _level_coeffs,
     is_descending,
 )
 from .crystal import signature_reduce
-from .partitions import Partition, _bead_row, _json_int, _json_ints
+from .partitions import Partition, _bead_row, _hop, _json_int, _json_ints
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class CylindricPlanePartition:
             raise ValueError("need n >= 1 and ell >= 1")
         if len(self.profile) != self.ell or len(self.rows) != self.ell:
             raise ValueError("profile and rows must have length ell")
+        for i, row in enumerate(self.rows):
+            if not isinstance(row, Partition):
+                raise TypeError("row %d is not a Partition: %r" % (i, row))
 
     def entry(self, i, j):
         """The entry at diagonal i, column j (0 on defined empty cells)."""
@@ -114,14 +117,13 @@ def from_abacus(psi):
 
 def to_abacus(pi):
     """Inverse of from_abacus.  The result is descending: `is_valid_cpp`'s
-    rule on diagonals is the conjugate of `is_descending`'s on rows."""
+    rule on diagonals is the conjugate of `is_descending`'s on rows.  Its
+    rows, BeadRows of the conjugates of checked diagonals, are valid by
+    construction, so `abacus._config` builds it unchecked."""
     if not is_valid_cpp(pi):
         raise ValueError("not a valid cylindric plane partition")
-    return AbacusConfig(
-        pi.n,
-        pi.ell,
-        tuple(_bead_row(c, lam.conjugate()) for c, lam in zip(pi.profile, pi.rows)),
-    )
+    rows = (_bead_row(c, lam.conjugate()) for c, lam in zip(pi.profile, pi.rows))
+    return _config(pi.n, pi.ell, tuple(rows))
 
 
 def hw_of_cpp(pi):
@@ -196,12 +198,10 @@ def _with_box(pi, box, delta):
     """pi with the box added (delta +1) or removed (delta -1); None for no box."""
     if box is None:
         return None
-    r = box.x
-    w = box.y - pi.profile[r]
-    parts = list(pi.rows[r]) + [0]  # an addable box may open a part
-    parts[w] += delta
     rows = list(pi.rows)
-    rows[r] = Partition(p for p in parts if p)
+    # the box raises or lowers part box.y - profile[box.x] + 1 of diagonal
+    # box.x by one: an addable box may open a part, a removable one empty it
+    rows[box.x] = Partition(_hop(rows[box.x], box.y - pi.profile[box.x] + 1, delta))
     out = CylindricPlanePartition(pi.n, pi.ell, pi.profile, tuple(rows))
     if not is_valid_cpp(out):
         name = "f_cpp" if delta > 0 else "e_cpp"

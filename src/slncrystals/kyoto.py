@@ -8,7 +8,10 @@ tensor product ... x b_3 x b_2 x b_1 of such elements that agrees with the
 ground state path of its highest weight beyond some position K.  A Path
 stores the dense tuple (b_1, ..., b_K), with K the last position off the
 ground state.  Its constructor and Path.from_json make one check
-(`_check_path`) of n, ell, the weight and the entries of every element.
+(`_check_path`) of n, ell, the weight and the entries of every element,
+and every way of building a Path gives this one trimmed form: the
+constructor, like `_pruned_path`, drops the trailing ground elements it is
+given (`_trimmed`), so equal paths compare and hash equal.
 
 The string functions have closed forms: f_i turns an entry i-1 into i and
 e_i an entry i into i-1, so eps_i(b) counts the entries equal to i and
@@ -31,7 +34,8 @@ of b_k, placed as low as tightness allows.
 
 The path rule reads the tokens of every color in one pass, and the n
 signatures are memoised on the Path, as the gap rule's are on a
-configuration.  A Path also keeps the ground elements it has built, one per
+configuration: `_signatures` is a declared field that reads None until the
+rule fills it.  A Path also keeps the ground elements it has built, one per
 residue class of the position.  The table depends on n and the weight only,
 so every path derived from another (an f_path or e_path image, a pruned
 path) shares it.  ground_state_path, to_path and Path.from_json all start
@@ -113,6 +117,8 @@ class Path:
     elements: tuple  # (b_1, ..., b_K), the ground elements after b_K dropped
     # ground elements by residue class of the position, built on first use
     _grounds: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the path rule's n signatures: None until _path_move fills them
+    _signatures: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def ground(self, k):
         """The k-th ground state element: w[(v + k) mod n] copies of each v.
@@ -154,8 +160,9 @@ class Path:
         }
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(map(PerfectElem, self.elements)))
-        _check_path(self.n, self.ell, self.weight, enumerate(self.elements, 1))
+        elements = list(map(PerfectElem, self.elements))
+        _check_path(self.n, self.ell, self.weight, enumerate(elements, 1))
+        object.__setattr__(self, "elements", _trimmed(self, elements))
 
     @classmethod
     def from_json(cls, data):
@@ -182,10 +189,8 @@ class Path:
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
         base = _empty_path(n, _highest_weight_charges(w.coeffs))
-        dense = [
-            elements[k] if k in elements else base.ground(k)
-            for k in range(1, max(elements, default=0) + 1)
-        ]
+        K = max(elements, default=0)
+        dense = [elements.get(k, base.ground(k)) for k in range(1, K + 1)]
         return _pruned_path(base, dense)
 
 
@@ -206,22 +211,29 @@ def _check_path(n, ell, w, elements):
             )
 
 
+def _trimmed(path, elements):
+    """Pop from the list `elements` its trailing elements that equal path's
+    ground elements at their positions, and return the rest as a tuple."""
+    while elements and elements[-1] == path.ground(len(elements)):
+        elements.pop()
+    return tuple(elements)
+
+
 def _pruned_path(path, elements):
     """The path of path's weight with b_k = elements[k - 1], trailing ground
     elements dropped.  It shares path's table of ground elements.
 
     The one place a Path is built unchecked: its fields are set in its
     __dict__, past the frozen dataclass's __init__, whose default_factory
-    would make a table only to have it replaced.
+    would make a table only to have it replaced.  Its memo of signatures is
+    the class default, None.
     """
-    while elements and elements[-1] == path.ground(len(elements)):
-        elements.pop()
     out = object.__new__(Path)
     vars(out).update(
         n=path.n,
         ell=path.ell,
         weight=path.weight,
-        elements=tuple(elements),
+        elements=_trimmed(path, elements),
         _grounds=path._grounds,
     )
     return out
@@ -274,7 +286,7 @@ def _path_move(path, i, delta):
 
     The n signatures of the path rule are memoised on the path.
     """
-    sigs = getattr(path, "_signatures", None)
+    sigs = path._signatures
     if sigs is None:
         sigs = _reduce_colors(path_brackets(path), path.n)
         object.__setattr__(path, "_signatures", sigs)  # path is frozen

@@ -8,7 +8,9 @@ the physical half-integer position b + 1/2, so the vacuum of charge c has
 beads exactly on the slots b < c.  The partition with parts p_1 >= p_2 >= ...
 and charge c occupies the slots p_j - j + c.
 Moving bead j by delta slots raises part j by delta: `_hop` builds every
-moved row's parts, and `BeadRow.move_bead` checks the move first.
+moved row's parts, and `BeadRow.move_bead` checks the move first.  Adding
+or removing a box of a cylindric plane partition raises or lowers one part
+of its diagonal by one, and `_hop` builds that diagonal too.
 """
 
 from __future__ import annotations
@@ -126,14 +128,11 @@ class BeadRow(NamedTuple):
 
     def move_bead(self, j, delta):
         """Move the j-th bead by delta slots, staying strictly between its
-        neighbours (so the target slot is free)."""
-        return _bead_row(self.charge, Partition._trusted(self.moved_parts(j, delta)))
-
-    def moved_parts(self, j, delta):
-        """The parts of move_bead(j, delta), built by `_hop` once checked.
+        neighbours (so the target slot is free).
 
         Only part j changes, so checking it against parts j-1 and j+1 is
-        the whole of the `Partition` check on the result.
+        the whole of the `Partition` check on the result, which `_hop`
+        then builds.
         """
         if j < 1:
             raise ValueError("bead index must be positive")
@@ -147,7 +146,7 @@ class BeadRow(NamedTuple):
             p, below = delta, 0
         if p < below or (j > 1 and p > (parts[j - 2] if j <= m + 1 else 0)):
             raise ValueError("bead %d cannot move by %d in %r" % (j, delta, parts))
-        return _hop(parts, j, delta)
+        return _bead_row(self.charge, Partition._trusted(_hop(parts, j, delta)))
 
     @classmethod
     def vacuum(cls, charge):
@@ -188,8 +187,9 @@ def _bead_row(charge, partition):
 
 def _hop(parts, j, delta):
     """The parts with part j raised by delta, for a move known to be legal
-    (`BeadRow.moved_parts` checks one; a gap rule token names only legal
-    moves): beyond the parts only bead len + 1 can move."""
+    (`BeadRow.move_bead` checks one; a gap rule token and an addable or
+    removable cylinder box name only legal moves): beyond the parts only
+    bead len + 1 can move."""
     if j > len(parts):
         return parts + (delta,) if delta else parts
     p = parts[j - 1] + delta

@@ -343,7 +343,7 @@ def test_copies_and_pickles_rebuild_without_memos():
             if isinstance(y, AbacusConfig):
                 assert y._gap_signatures is None and y._set_signatures is None
             if isinstance(y, Path):
-                assert getattr(y, "_signatures", None) is None
+                assert y._signatures is None
     assert psi._gap_signatures is not None and path._signatures is not None
 
 

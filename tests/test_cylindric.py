@@ -46,6 +46,11 @@ def all_zero_cpp(n, ell, profile):
     return CylindricPlanePartition(n, ell, profile, tuple(P(()) for _ in range(ell)))
 
 
+def part_count(pi):
+    """The number of parts over one period."""
+    return sum(map(len, pi.rows))
+
+
 def test_all_zero_is_valid():
     assert is_valid_cpp(all_zero_cpp(3, 4, (2, 1, 1, 0)))
 
@@ -178,6 +183,9 @@ def test_empty_cylinder_single_addable():
 
 
 def test_f_cpp_agrees_with_abacus_rule():
+    # _with_box's edge cases run: an f_cpp image that opens a new part of a
+    # diagonal and an e_cpp image that empties a diagonal's last part
+    opened = emptied = 0
     for n, ell in ((2, 2), (3, 2)):
         for coeffs in all_level_coeffs(n, ell):
             for cfg in descending_configs(n, ell, coeffs, 5):
@@ -186,9 +194,14 @@ def test_f_cpp_agrees_with_abacus_rule():
                     img = f_descending(cfg, i)
                     expect = from_abacus(img) if img is not None else None
                     assert f_cpp(pi, i) == expect
+                    if expect is not None:
+                        opened += part_count(expect) > part_count(pi)
                     img = e_descending(cfg, i)
                     expect = from_abacus(img) if img is not None else None
                     assert e_cpp(pi, i) == expect
+                    if expect is not None:
+                        emptied += part_count(expect) < part_count(pi)
+    assert opened > 0 and emptied > 0
 
 
 def test_f_cpp_e_cpp_inverse():

@@ -285,7 +285,7 @@ def test_path_memo_is_not_shared_with_images(n, ell):
                     if img is None:
                         continue
                     fresh = Path.from_json(img.to_json())
-                    assert img == fresh and not hasattr(img, "_signatures")
+                    assert img == fresh and img._signatures is None
                     assert op(img, i) == op(fresh, i)
                     assert img._signatures == fresh._signatures
                     assert img._signatures is not p._signatures
@@ -319,7 +319,11 @@ def test_derived_paths_share_ground_elements(n, ell):
 
 def test_pruned_path_is_the_path_its_constructor_builds():
     # _pruned_path builds its Path unchecked; it is the Path that
-    # Path(n, ell, weight, elements) builds, with the parent's ground table
+    # Path(n, ell, weight, elements) builds, with the parent's ground table.
+    # Both drop trailing ground elements, so a path has one form
+    g = ground_state_path((1, 1, 0), 3, 2)
+    trailing = Path(3, 2, g.weight, (g.ground(1),))
+    assert trailing == g and hash(trailing) == hash(g) and trailing.elements == ()
     built = 0
     for n, ell in [(2, 2), (3, 2), (2, 3)]:
         for coeffs in all_level_coeffs(n, ell):
@@ -336,7 +340,10 @@ def test_pruned_path_is_the_path_its_constructor_builds():
                     assert out == want and hash(out) == hash(want)
                     assert repr(out) == repr(want)
                     assert out._grounds is q._grounds
-                    assert not hasattr(out, "_signatures")
+                    assert out._signatures is None
+                    padded = Path(n, ell, q.weight, [*q.elements, *tail])
+                    assert padded == q and hash(padded) == hash(q)
+                    assert Path.from_json(padded.to_json()) == padded
                     built += 1
     assert built > 0
 

@@ -174,9 +174,9 @@ def test_move_bead_moves_by_slot(parts, charge, j, delta):
 
 def test_move_bead_matches_constructor_oracle():
     # the check of part j against its neighbours refuses exactly the moves
-    # whose result the full Partition constructor refuses, in move_bead and
-    # in moved_parts; a row move_bead builds unchecked (Partition._trusted,
-    # partitions._bead_row) compares, hashes and reprs as the validated one
+    # whose result the full Partition constructor refuses; a row move_bead
+    # builds unchecked (Partition._trusted, partitions._bead_row) compares,
+    # hashes and reprs as the validated one, and so does its partition
     for lam in partitions_up_to(7):
         for charge in (-1, 0, 2):
             row = BeadRow(charge, lam)
@@ -187,16 +187,15 @@ def test_move_bead_matches_constructor_oracle():
                     except ValueError:
                         with pytest.raises(ValueError):
                             row.move_bead(j, delta)
-                        with pytest.raises(ValueError):
-                            row.moved_parts(j, delta)
                     else:
                         moved = row.move_bead(j, delta)
                         assert moved == want and hash(moved) == hash(want)
                         assert repr(moved) == repr(want)
-                        assert row.moved_parts(j, delta) == want.partition
+                        assert moved.partition == want.partition
+                        assert type(moved.partition) is Partition
 
 
-def test_hop_matches_moved_parts_on_every_legal_hop():
+def test_hop_matches_constructor_on_every_legal_hop():
     # _hop, the one builder of moved parts, against the full Partition
     # constructor on every legal move of every bead by -3..3 slots
     hops = 0

@@ -106,6 +106,28 @@ def test_constructor_refuses_non_integers(cls, values):
     cls(tuple(int(v) for v in values))  # the integers alone are accepted
 
 
+# (id, the call): a row that is a plain tuple, not a Partition, is refused
+# by the constructor before any rule reads it
+NOT_PARTITION_ROWS = [
+    ("is_descending",
+     lambda: abacus.is_descending(AbacusConfig(3, 1, (BeadRow(0, (1, 3)),)))),
+    ("is_valid_cpp",
+     lambda: cylindric.is_valid_cpp(CylindricPlanePartition(3, 1, (0,), ((1, 3),)))),
+    ("to_abacus",
+     lambda: cylindric.to_abacus(CylindricPlanePartition(3, 1, (0,), ((1, 3),)))),
+    ("AbacusConfig-pair",
+     lambda: AbacusConfig(3, 2, (VACUUM, (0, Partition())))),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [pytest.param(c, id=i) for i, c in NOT_PARTITION_ROWS]
+)
+def test_rows_that_are_not_partitions_raise_type_error(call):
+    with pytest.raises(TypeError, match="row [01] is not a"):
+        call()
+
+
 def test_coeff_beyond_truncation_raises_index_error():
     s = QSeries.one(3)
     for k in (4, -1):
