@@ -327,15 +327,13 @@ def _highest_weight_charges(coeffs):
 
 
 def _residues(psi):
-    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row,
-    read off the rows' parts padded with zeros to max_bead_index()."""
-    m, n = psi.max_bead_index(), psi.n
-    rows = []
-    for row in psi.rows:
-        c, parts = row.charge, row.partition
-        padded = parts + (0,) * (m - len(parts))
-        rows.append([(p - k + c) % n for k, p in enumerate(padded, 1)])
-    return list(zip(*rows))
+    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row:
+    bead k of a row sits at slot part(k) - k + charge."""
+    n, rows = psi.n, psi.rows
+    return [
+        tuple([((p[k - 1] if k <= len(p) else 0) - k + c) % n for c, p in rows])
+        for k in range(1, psi.max_bead_index() + 1)
+    ]
 
 
 def _tight_from_residues(n, charges, residues):

@@ -35,15 +35,17 @@ def gglemma(cfg):
 
 def tk_commute(cfg):
     """Every defined T_k commutes with e_i and f_i, zero patterns included."""
-    # T_k(cfg) does not depend on the color, so it is computed once per k
+    # T_k(cfg) does not depend on the color, so it is computed once per k;
+    # the images of cfg are built only when some T_k is defined to compare
     kmax = cfg.max_bead_index() + 1
     tightened = [(k, abacus.tighten(cfg, k)) for k in range(1, kmax + 1)]
+    tightened = [(k, tk) for k, tk in tightened if tk is not None]
+    if not tightened:
+        return None
     ops = (("f", crystal.f_abacus), ("e", crystal.e_abacus))
     for i in range(cfg.n):
         images = [(name, op, op(cfg, i)) for name, op in ops]
         for k, tk in tightened:
-            if tk is None:
-                continue
             for name, op, img in images:
                 if op(tk, i) != (abacus.tighten(img, k) if img is not None else None):
                     return "T_%d and %s_%d disagree at %s" % (k, name, i, cfg.label())

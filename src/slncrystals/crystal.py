@@ -10,12 +10,17 @@ last uncanceled ")" (for a raising move).
 Each bracket rule on configurations and paths reads the tokens of all n
 colors in one walk, so the operators of every color cost one walk.  A list
 of ("(" | ")", payload) tokens is cancelled by one function,
-`signature_reduce`: the grouped and path rules build (k, color) token lists,
-and `_reduce_colors` files each token under its color and reduces each
-color with it.  The gap rule builds no token list: `_gap_signatures` files
-each token as one integer under its color, sorts and cancels each color's
-integers, and decodes only the acting tokens to their (gap, row, bead)
-payloads.  Its token-list oracle is `tests/helpers.abacus_brackets`.  The n
+`signature_reduce`: the path rule builds a (k, color) token list, and
+`_reduce_colors` files each token under its color and reduces each color
+with it.  The gap and grouped rules build no token list.  `_gap_signatures`
+files each token as one integer under its color, sorts and cancels each
+color's integers, and decodes only the acting tokens to their (gap, row,
+bead) payloads; `_grouped_signatures` reads each bead set's slots off the
+rows' parts and cancels each token as it reads it, on a per-color state.
+Their token-list oracles are `tests/helpers.abacus_brackets` and
+`tests/helpers.descending_brackets`.  The path rule keeps its token list,
+`kyoto.path_brackets`: the benchmark's traced run counts its calls as the
+path model's layer signal, and its self-test requires that count.  The n
 signatures are memoised on the object they describe: the gap rule's on the
 abacus configuration (crystal_graph resets a node's memo to None once it
 has expanded it), the grouped bead-set rule's on the descending
@@ -243,16 +248,6 @@ def column_brackets(columns, n):
     return tokens
 
 
-def descending_brackets(psi):
-    """The grouped rule: column k holds the slots of the k-th beads, one
-    per row, for bead sets kmax+1 (the tail) down to 1."""
-    kmax = psi.max_bead_index()
-    columns = [
-        (k, [row.bead_slot(k) for row in psi.rows]) for k in range(kmax + 1, 0, -1)
-    ]
-    return column_brackets(columns, psi.n)
-
-
 def f_descending(psi, i):
     """Lowering via the grouped bead-set rule (descending configurations).
 
@@ -277,21 +272,69 @@ def _descending_move(psi, i, delta, name):
     The n signatures of the grouped rule are memoised on psi, once psi is
     known to be descending; a rejected configuration gets no memo.
     """
+    n = psi.n
     sigs = psi._set_signatures
     if sigs is None:
         if not is_descending(psi):
             raise ValueError("%s needs a descending configuration" % name)
-        sigs = _reduce_colors(descending_brackets(psi), psi.n)
+        sigs = _grouped_signatures(psi)
         _set_set_memo(psi, sigs)  # psi is frozen
-    sig = sigs[i % psi.n]
+    sig = sigs[i % n]
     token = sig.first_open if delta > 0 else sig.last_close
     if token is None:
         return None
     k = token[0]
-    color, pick = (i - 1, min) if delta > 0 else (i, max)
-    beads = [(row.bead_slot(k), r) for r, row in enumerate(psi.rows)]
-    _, r = pick(b for b in beads if (b[0] - color) % psi.n == 0)
+    # bead k of a row sits at slot part(k) - k + charge; f moves the lowest
+    # slot of color i-1 (the bottom row of a tie), e the highest of color i
+    # (the top row of a tie)
+    color = (i - 1 if delta > 0 else i) % n
+    slots = ((p[k - 1] if k <= len(p) else 0) - k + c for c, p in psi.rows)
+    beads = [(s, r) for r, s in enumerate(slots) if s % n == color]
+    if not beads:
+        raise AssertionError("bead set %d has no bead of color %d" % (k, color))
+    _, r = min(beads) if delta > 0 else max(beads)
     return psi.replace_row(r, psi.rows[r].move_bead(k, delta))
+
+
+def _grouped_signatures(psi):
+    """The grouped rule's Signature of each color 0..n-1, payload (k, color).
+
+    Bead set k holds the k-th bead of every row, at slot s = part(k) - k +
+    charge; a bead on slot s gives a ")" of color s mod n and a "(" of
+    color s + 1 mod n.  The sets are read from the tail, set kmax + 1, down
+    to set 1, each giving all its ")" before its "(".  In the tail the ")"
+    of each set cancel the "(" of the set beyond it, so set kmax + 1 gives
+    only its "(".  Widening the window by whole sets changes nothing
+    (checked in the tests), and `tests/helpers.descending_brackets` builds
+    this token list.
+
+    No token list is built: each color keeps the state `signature_reduce`
+    keeps, the depth and bottom set of its uncanceled "(", and the count
+    and last set of its uncanceled ")".
+    """
+    n, rows = psi.n, psi.rows
+    kmax = max([len(p) for _, p in rows])
+    depth, bottom, closes, last = [0] * n, [0] * n, [0] * n, [0] * n
+    for k in range(kmax + 1, 0, -1):
+        slots = [(p[k - 1] if k <= len(p) else 0) - k + c for c, p in rows]
+        if k <= kmax:  # the tail set gives no ")"
+            for s in slots:
+                x = s % n
+                if depth[x]:
+                    depth[x] -= 1
+                else:
+                    closes[x] += 1
+                    last[x] = k
+        for s in slots:
+            x = (s + 1) % n
+            if not depth[x]:
+                bottom[x] = k
+            depth[x] += 1
+    # tuple.__new__ skips the NamedTuple's argument binding
+    return tuple([
+        tuple.__new__(Signature, ((b, i) if d else None, (c, i) if m else None, m, d))
+        for i, (d, b, m, c) in enumerate(zip(depth, bottom, closes, last))
+    ])
 
 
 # ---------------------------------------------------------------------------

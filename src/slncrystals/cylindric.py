@@ -68,6 +68,16 @@ class CylindricPlanePartition:
         )
 
 
+def _cpp(n, ell, profile, rows):
+    """A CylindricPlanePartition built unchecked: its fields are set in its
+    __dict__, past the frozen dataclass's __init__ and __post_init__, for
+    cylinders whose n, ell, profile and rows (ell Partitions) are valid by
+    construction."""
+    pi = object.__new__(CylindricPlanePartition)
+    vars(pi).update(n=n, ell=ell, profile=profile, rows=rows)
+    return pi
+
+
 def _profile_ext(pi, i):
     """The first column of diagonal i of the periodic array, any integer i."""
     q, r = divmod(i, pi.ell)
@@ -107,12 +117,9 @@ def from_abacus(psi):
     """
     if not is_descending(psi):
         raise ValueError("from_abacus needs a descending configuration")
-    return CylindricPlanePartition(
-        psi.n,
-        psi.ell,
-        tuple(r.charge for r in psi.rows),
-        tuple(r.partition.conjugate() for r in psi.rows),
-    )
+    rows = psi.rows
+    profile = tuple([c for c, _ in rows])
+    return _cpp(psi.n, psi.ell, profile, tuple([p.conjugate() for _, p in rows]))
 
 
 def to_abacus(pi):

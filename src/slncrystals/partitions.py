@@ -15,6 +15,7 @@ of its diagonal by one, and `_hop` builds that diagonal too.
 
 from __future__ import annotations
 
+import functools
 from operator import index
 from typing import NamedTuple
 
@@ -46,9 +47,14 @@ class Partition(tuple):
     def size(self):
         return sum(self)
 
+    @functools.lru_cache(maxsize=4096)
     def conjugate(self):
         """Column c has one cell per part >= c, so the part(j) - part(j + 1)
-        columns that end at part j have j cells each."""
+        columns that end at part j have j cells each.
+
+        Memoised per process on the 4,096 partitions last conjugated: the
+        cylinder bijection conjugates every row of every configuration it
+        maps, and the same small partitions recur."""
         cols = []
         j, below = len(self), 0
         for p in reversed(self):  # part j, then part j - 1, ...
@@ -132,11 +138,13 @@ class BeadRow(NamedTuple):
 
         Only part j changes, so checking it against parts j-1 and j+1 is
         the whole of the `Partition` check on the result, which `_hop`
-        then builds.
+        then builds, provided the row holds a `Partition`.
         """
         if j < 1:
             raise ValueError("bead index must be positive")
         parts = self.partition
+        if not isinstance(parts, Partition):
+            raise TypeError("the row's partition is not a Partition: %r" % (parts,))
         m = len(parts)
         # parts j-1, j and j+1 read as zero beyond the last part
         if j <= m:

@@ -18,7 +18,7 @@ from slncrystals.abacus import (
     enumerate_tight,
     highest_weight_config,
 )
-from slncrystals.crystal import signature_reduce
+from slncrystals.crystal import column_brackets, signature_reduce
 from slncrystals.cylindric import CylindricPlanePartition, _box_tokens, hw_of_cpp
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect, path_brackets
 from slncrystals.partitions import BeadRow, Partition, partitions_of
@@ -392,6 +392,36 @@ def abacus_brackets(psi):
             prev = p
     tokens.sort(key=lambda t: t[1])
     return tokens
+
+
+def descending_brackets(psi):
+    """The grouped rule's tokens of every color as ("(" | ")", (k, color))
+    pairs: column k holds the slots of the k-th beads, one per row, for
+    bead sets kmax+1 (the tail) down to 1.
+
+    A token-list oracle for `crystal._grouped_signatures`, which cancels the
+    same tokens as it reads them."""
+    kmax = psi.max_bead_index()
+    columns = [
+        (k, [row.bead_slot(k) for row in psi.rows]) for k in range(kmax + 1, 0, -1)
+    ]
+    return column_brackets(columns, psi.n)
+
+
+def grouped_move_by_bead_slots(psi, i, raising):
+    """f_i (e_i when raising) of the grouped rule, read off the token list:
+    reduce the color-i tokens of `descending_brackets`, and in the bead set
+    k that the acting token names move the bead of the least (bead_slot,
+    row) pair on a slot of color i-1 one slot right, or the bead of the
+    greatest pair on a slot of color i one slot left."""
+    sig = signature_reduce(tokens_of_color(descending_brackets(psi), i, psi.n))
+    k = sig.last_close if raising else sig.first_open
+    if k is None:
+        return None
+    color, pick = (i, max) if raising else (i - 1, min)
+    beads = [(row.bead_slot(k), r) for r, row in enumerate(psi.rows)]
+    _, r = pick(b for b in beads if (b[0] - color) % psi.n == 0)
+    return psi.replace_row(r, psi.rows[r].move_bead(k, -1 if raising else 1))
 
 
 def abacus_brackets_by_gap_scan(psi, i):

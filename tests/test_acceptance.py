@@ -21,6 +21,7 @@ from slncrystals.abacus import (
     lambda_part,
     loosen,
     recombine,
+    tighten,
     weight,
 )
 from slncrystals.crystal import (
@@ -179,6 +180,19 @@ def test_ac05_tightening_structure_suite():
                 if img is not None:
                     assert is_tight(img)
     report(5, "tightening commutation, source characterization, tight closure")
+
+
+def test_ac05_tk_commute_input_defines_some_t_k():
+    # tk_commute compares only at a defined T_k: on an input where none is
+    # defined it passes having compared nothing
+    n, ell = 3, 2
+    for coeffs in all_level_coeffs(n, ell):
+        defined = sum(
+            tighten(cfg, k) is not None
+            for cfg in descending_configs(n, ell, coeffs, 6)
+            for k in range(1, cfg.max_bead_index() + 2)
+        )
+        assert defined > 0, coeffs
 
 
 def test_ac06_slack_decomposition():

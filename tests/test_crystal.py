@@ -10,10 +10,10 @@ from slncrystals.abacus import (
     weight,
 )
 from slncrystals.crystal import (
+    _grouped_signatures,
     _reduce_colors,
     _signatures,
     crystal_graph,
-    descending_brackets,
     e_abacus,
     e_descending,
     e_partition,
@@ -38,12 +38,14 @@ from helpers import (
     assert_same_as_validated,
     bracket_window,
     config,
+    descending_brackets,
     descending_configs,
     descending_tokens_widened,
     eps_phi_by_iteration,
     fig4,
     fig9,
     gap_rule_by_slots,
+    grouped_move_by_bead_slots,
     minus_simple_root,
     partition_brackets_by_column_scan,
     partitions_up_to,
@@ -156,6 +158,29 @@ def test_descending_rule_matches_gap_rule(n, ell):
             for i in range(n):
                 assert f_descending(cfg, i) == f_abacus(cfg, i)
                 assert e_descending(cfg, i) == e_abacus(cfg, i)
+
+
+# (n, ell, degree): every descending configuration of every level weight
+GROUPED_RULE_CASES = [
+    (1, 3, 6), (2, 2, 6), (3, 2, 5), (2, 3, 5), (4, 2, 4), (3, 3, 4), (5, 2, 4),
+]
+
+
+@pytest.mark.parametrize("n,ell,degree", GROUPED_RULE_CASES)
+def test_grouped_signatures_match_token_list(n, ell, degree):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, degree):
+            want = _reduce_colors(descending_brackets(cfg), n)
+            assert _grouped_signatures(cfg) == want
+
+
+@pytest.mark.parametrize("n,ell,degree", GROUPED_RULE_CASES)
+def test_grouped_moves_match_bead_slot_pick(n, ell, degree):
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, degree):
+            for i in range(n):
+                assert f_descending(cfg, i) == grouped_move_by_bead_slots(cfg, i, False)
+                assert e_descending(cfg, i) == grouped_move_by_bead_slots(cfg, i, True)
 
 
 def test_descending_rule_preserves_descent():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -116,6 +118,19 @@ def test_from_abacus_matches_white_bead_counts():
     for coeffs in all_level_coeffs(3, 2):
         for cfg in descending_configs(3, 2, coeffs, 5):
             assert from_abacus(cfg) == cpp_by_white_beads(cfg)
+
+
+def test_from_abacus_builds_what_the_constructor_builds():
+    # from_abacus builds its image unchecked, through cylindric._cpp
+    for coeffs in all_level_coeffs(3, 2):
+        for cfg in descending_configs(3, 2, coeffs, 4):
+            pi = from_abacus(cfg)
+            want = CylindricPlanePartition(pi.n, pi.ell, pi.profile, pi.rows)
+            assert type(pi) is CylindricPlanePartition
+            assert pi == want and hash(pi) == hash(want) and repr(pi) == repr(want)
+            assert type(pi.profile) is tuple and type(pi.rows) is tuple
+            assert all(type(row) is Partition for row in pi.rows)
+            assert pickle.loads(pickle.dumps(pi)) == pi == copy.deepcopy(pi)
 
 
 def test_compact_gives_all_zero():

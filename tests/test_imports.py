@@ -2,8 +2,9 @@
 top-level function it defines, public or private, is used somewhere in the
 library, no module has an `assert` statement (`python -O` drops them;
 an invariant check raises AssertionError explicitly), and `Partition`,
-`BeadRow`, `AbacusConfig` and `Path` are built unchecked, by
-`object.__new__`, only in their one trusted constructor each.
+`BeadRow`, `AbacusConfig`, `CylindricPlanePartition`, `PerfectElem` and
+`Path` are built unchecked, by `object.__new__` or `tuple.__new__`, only in
+their one trusted constructor each.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals with the stdlib ast module; only the assert check reads the
@@ -105,6 +106,7 @@ def test_module_has_no_assert_statement(module):
 TRUSTED_CONSTRUCTORS = {
     "AbacusConfig": "abacus._config",
     "BeadRow": "partitions._bead_row",
+    "CylindricPlanePartition": "cylindric._cpp",
     "Partition": "partitions.Partition._trusted",
     "PerfectElem": "kyoto.PerfectElem._trusted",
     "Path": "kyoto._pruned_path",

@@ -221,7 +221,7 @@ def test_to_path_charge_rule_on_shifted_tight_configs(n, ell, nmax):
 def test_path_brackets_match_descending_brackets():
     # token-for-token: the path string, widened to the configuration's bead
     # sets, equals the grouped abacus string
-    from slncrystals.crystal import descending_brackets
+    from helpers import descending_brackets
 
     for coeffs in all_level_coeffs(3, 2):
         for cfg in tight_configs(3, 2, coeffs, 5):

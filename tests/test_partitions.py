@@ -88,6 +88,22 @@ def test_conjugate_counts_parts_per_column():
     assert big.conjugate() == P((1,) * 10**6)
     assert big.conjugate().conjugate() == big
 
+def test_conjugate_memo_is_bounded_and_exact():
+    maxsize = Partition.conjugate.cache_parameters()["maxsize"]
+    assert maxsize is not None and maxsize <= 10_000
+    Partition.conjugate.cache_clear()
+    for lam in partitions_up_to(12):
+        cols = [sum(1 for p in lam if p >= c) for c in range(1, lam.part(1) + 1)]
+        conj = lam.conjugate()
+        assert type(conj) is Partition and conj == tuple(cols)
+        assert lam.conjugate() is conj  # the memo's entry
+        assert conj.conjugate() == lam
+    # more distinct partitions than the memo holds: it stays at its bound
+    for lam in partitions_up_to(22):
+        lam.conjugate()
+    assert Partition.conjugate.cache_info().currsize == maxsize
+
+
 def test_figure1_bead_positions():
     row = BeadRow(0, FIG1)
     got = [b for b in range(-13, 12) if row.occupied(b)]

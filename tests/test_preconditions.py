@@ -45,6 +45,7 @@ CASES = [
      lambda: partitions.combine_quotient((VACUUM,), 2)),
     ("from_occupied", "below floor", lambda: BeadRow.from_occupied([-3, 0], -2)),
     ("to_abacus", "not a valid", lambda: cylindric.to_abacus(BAD_CPP)),
+    ("from_abacus", "from_abacus needs", lambda: cylindric.from_abacus(UNSORTED)),
     ("reflect", "reflect needs", lambda: cylindric.reflect(BAD_CPP)),
     ("QSeries", "nmax", lambda: QSeries([1], -1)),
     ("euler_inverse", "m >= 1", lambda: qseries.euler_inverse(0, 4)),
@@ -126,6 +127,16 @@ NOT_PARTITION_ROWS = [
 def test_rows_that_are_not_partitions_raise_type_error(call):
     with pytest.raises(TypeError, match="row [01] is not a"):
         call()
+
+
+def test_move_bead_refuses_a_row_that_is_not_a_partition():
+    # the neighbour check reads parts j-1, j and j+1 only, so on the plain
+    # tuple (1, 3, 5) it would pass and build the Partition (3, 3, 5)
+    row = BeadRow(0, (1, 3, 5))
+    for j, delta in ((1, 2), (1, -1), (4, 1)):
+        with pytest.raises(TypeError, match="not a Partition"):
+            row.move_bead(j, delta)
+    assert BeadRow(0, Partition((5, 3, 1))).move_bead(1, 2).partition == (7, 3, 1)
 
 
 def test_coeff_beyond_truncation_raises_index_error():
