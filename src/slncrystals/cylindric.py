@@ -117,9 +117,8 @@ def from_abacus(psi):
     """
     if not is_descending(psi):
         raise ValueError("from_abacus needs a descending configuration")
-    rows = psi.rows
-    profile = tuple([c for c, _ in rows])
-    return _cpp(psi.n, psi.ell, profile, tuple([p.conjugate() for _, p in rows]))
+    rows = tuple([p.conjugate() for _, p in psi.rows])
+    return _cpp(psi.n, psi.ell, psi.charges(), rows)
 
 
 def to_abacus(pi):
