@@ -312,8 +312,7 @@ def _grouped_signatures(psi):
     keeps, the depth and bottom set of its uncanceled "(", and the count
     and last set of its uncanceled ")".
     """
-    n, rows = psi.n, psi.rows
-    kmax = max([len(p) for _, p in rows])
+    n, rows, kmax = psi.n, psi.rows, psi.max_bead_index()
     depth, bottom, closes, last = [0] * n, [0] * n, [0] * n, [0] * n
     for k in range(kmax + 1, 0, -1):
         slots = [(p[k - 1] if k <= len(p) else 0) - k + c for c, p in rows]
