@@ -25,6 +25,7 @@ from .partitions import (
     Partition,
     _bead_row,
     _json_int,
+    _set_slots,
     add_ribbon,
     partitions_of,
     remove_ribbon,
@@ -327,11 +328,10 @@ def _highest_weight_charges(coeffs):
 
 
 def _residues(psi):
-    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row:
-    bead k of a row sits at slot part(k) - k + charge."""
+    """The residues mod n of bead sets 1, ..., max_bead_index(), row by row."""
     n, rows = psi.n, psi.rows
     return [
-        tuple([((p[k - 1] if k <= len(p) else 0) - k + c) % n for c, p in rows])
+        tuple([s % n for s in _set_slots(rows, k)])
         for k in range(1, psi.max_bead_index() + 1)
     ]
 

@@ -53,6 +53,7 @@ from .partitions import (
     Partition,
     _bead_row,
     _hop,
+    _set_slots,
     add_ribbon,
     addable_ribbons,
     remove_ribbon,
@@ -284,11 +285,10 @@ def _descending_move(psi, i, delta, name):
     if token is None:
         return None
     k = token[0]
-    # bead k of a row sits at slot part(k) - k + charge; f moves the lowest
-    # slot of color i-1 (the bottom row of a tie), e the highest of color i
-    # (the top row of a tie)
+    # f moves the lowest slot of color i-1 (the bottom row of a tie), e the
+    # highest of color i (the top row of a tie)
     color = (i - 1 if delta > 0 else i) % n
-    slots = ((p[k - 1] if k <= len(p) else 0) - k + c for c, p in psi.rows)
+    slots = _set_slots(psi.rows, k)
     beads = [(s, r) for r, s in enumerate(slots) if s % n == color]
     if not beads:
         raise AssertionError("bead set %d has no bead of color %d" % (k, color))
@@ -315,7 +315,7 @@ def _grouped_signatures(psi):
     n, rows, kmax = psi.n, psi.rows, psi.max_bead_index()
     depth, bottom, closes, last = [0] * n, [0] * n, [0] * n, [0] * n
     for k in range(kmax + 1, 0, -1):
-        slots = [(p[k - 1] if k <= len(p) else 0) - k + c for c, p in rows]
+        slots = _set_slots(rows, k)
         if k <= kmax:  # the tail set gives no ")"
             for s in slots:
                 x = s % n

@@ -193,6 +193,12 @@ def _bead_row(charge, partition):
     return tuple.__new__(BeadRow, (charge, partition))
 
 
+def _set_slots(rows, k):
+    """The slot of bead k of each (charge, partition) row, bead set k of a
+    configuration: `BeadRow.bead_slot(k)` of every row in one pass."""
+    return [(p[k - 1] if k <= len(p) else 0) - k + c for c, p in rows]
+
+
 def _hop(parts, j, delta):
     """The parts with part j raised by delta, for a move known to be legal
     (`BeadRow.move_bead` checks one; a gap rule token and an addable or
