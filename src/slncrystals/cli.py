@@ -59,6 +59,8 @@ def _read_json(args):
         return json.loads(raw)
     except json.JSONDecodeError as err:
         raise InputError("bad JSON input: %s" % err)
+    except RecursionError:
+        raise InputError("bad JSON input: nested too deeply")
 
 
 def _load_model(model, data):

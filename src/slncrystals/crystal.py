@@ -8,28 +8,25 @@ pairs, and acts at the first uncanceled "(" (for a lowering move) or the
 last uncanceled ")" (for a raising move).
 
 Each bracket rule on configurations and paths reads the tokens of all n
-colors in one walk, so the operators of every color cost one walk.  A list
-of ("(" | ")", payload) tokens is cancelled by one function,
-`signature_reduce`: the path rule builds a (k, color) token list, and
-`_reduce_colors` files each token under its color and reduces each color
-with it.  The gap and grouped rules build no token list.  `_gap_signatures`
-files each token as one integer under its color, sorts and cancels each
-color's integers, and decodes only the acting tokens to their (gap, row,
-bead) payloads; `_grouped_signatures` reads each bead set's slots off the
-rows' parts and cancels each token as it reads it, on a per-color state.
-Their token-list oracles are `tests/helpers.abacus_brackets` and
-`tests/helpers.descending_brackets`.  The path rule keeps its token list,
-`kyoto.path_brackets`: the benchmark's traced run counts its calls as the
-path model's layer signal, and its self-test requires that count.  The n
+colors in one walk, so the operators of every color cost one walk, and
+none of them builds a token list.  `_gap_signatures` files each token as
+one integer under its color, sorts and cancels each color's integers, and
+decodes only the acting tokens to their (gap, row, bead) payloads.  The
+signature rule on bead sets is stated once, in `_bead_set_signatures`,
+which cancels each token as it reads it, on a per-color state: the
+grouped rule (`_grouped_signatures`) feeds it a descending configuration's
+bead sets, and the path rule (`kyoto.path_brackets`) a path's elements.
+Their token lists exist only as test oracles in `tests/helpers.py`:
+`abacus_brackets`, `descending_brackets` and `path_tokens`, reduced per
+color by `signature_reduce`, the one canceller of token lists.  The n
 signatures are memoised on the object they describe: the gap rule's on the
 abacus configuration (crystal_graph resets a node's memo to None once it
-has expanded it), the grouped bead-set rule's on the descending
-configuration, and the path rule's on the Path (in kyoto).  The two
-configuration memos are slots that AbacusConfig declares,
-`_gap_signatures` and `_set_signatures`, and Path declares its
-`_signatures` field the same way: each defaults to None until a rule fills
-it, is read as a plain attribute, and is no part of ==, hash, repr, copy
-or pickle.
+has expanded it), the grouped rule's on the descending configuration, and
+the path rule's on the Path (in kyoto).  The two configuration memos are
+slots that AbacusConfig declares, `_gap_signatures` and `_set_signatures`,
+and Path declares its `_signatures` field the same way: each defaults to
+None until a rule fills it, is read as a plain attribute, and is no part
+of ==, hash, repr, copy or pickle.
 The column rule on partitions, partition_brackets, stays per color: no
 benchmark workload uses it.
 
@@ -45,6 +42,7 @@ adding or removing a box raises or lowers one part of its diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -94,18 +92,6 @@ def signature_reduce(tokens):
             raise ValueError("bad token %r" % char)
     # tuple.__new__ skips the NamedTuple's argument binding
     return tuple.__new__(Signature, (first if depth else None, last, n_close, depth))
-
-
-def _reduce_colors(tokens, n):
-    """`signature_reduce` of the tokens of each color 0..n-1: each token is
-    filed under its color, in order, and each color is reduced on its own.
-    The payloads are the bead-set rules' (k, color), with color in 0..n-1
-    as `column_brackets` gives it."""
-    by_color = [[] for _ in range(n)]
-    file = [bucket.append for bucket in by_color]
-    for token in tokens:
-        file[token[1][1]](token)
-    return tuple(map(signature_reduce, by_color))
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +215,6 @@ def _move_named_bead(psi, token, delta):
 # signature rule on bead sets: descending configurations and paths
 
 
-def column_brackets(columns, n):
-    """Tokens of the signature rule on bead sets, every color; the payload
-    is (k, color) for the set index k.
-
-    `columns` lists (k, residues) from the vacuum side in.  A residue r of
-    column k gives a ")" of color r and a "(" of color r+1 (mod n), and the
-    column gives all its ")" before its "(".  The first column stands for
-    the untouched tail beyond the last displaced set.  There the ")" of
-    each column cancel the "(" of the column beyond it, so the first column
-    gives only its "(".  Widening the window by whole columns does not
-    change the outcome (checked in the tests).
-    """
-    tokens = []
-    for c, (k, residues) in enumerate(columns):
-        if c:
-            tokens += [(")", (k, r % n)) for r in residues]
-        tokens += [("(", (k, (r + 1) % n)) for r in residues]
-    return tokens
-
-
 def f_descending(psi, i):
     """Lowering via the grouped bead-set rule (descending configurations).
 
@@ -299,32 +265,42 @@ def _descending_move(psi, i, delta, name):
 def _grouped_signatures(psi):
     """The grouped rule's Signature of each color 0..n-1, payload (k, color).
 
-    Bead set k holds the k-th bead of every row, at slot s = part(k) - k +
-    charge; a bead on slot s gives a ")" of color s mod n and a "(" of
-    color s + 1 mod n.  The sets are read from the tail, set kmax + 1, down
-    to set 1, each giving all its ")" before its "(".  In the tail the ")"
-    of each set cancel the "(" of the set beyond it, so set kmax + 1 gives
-    only its "(".  Widening the window by whole sets changes nothing
-    (checked in the tests), and `tests/helpers.descending_brackets` builds
-    this token list.
+    It is `_bead_set_signatures` of the bead sets: set k holds the k-th
+    bead of every row, at slot s = part(k) - k + charge, and the tail set
+    is kmax + 1.  `tests/helpers.descending_brackets` builds its token list.
+    """
+    sets = partial(_set_slots, psi.rows)
+    return _bead_set_signatures(sets, psi.max_bead_index() + 1, psi.n)
+
+
+def _bead_set_signatures(column, top, n):
+    """The signature rule on bead sets: the Signature of each color 0..n-1,
+    payload (k, color).
+
+    column(k) lists the entries of set k, for k from top down to 1: a
+    descending configuration's bead slots, or a path's element b_k.  An
+    entry s gives a ")" of color s mod n and a "(" of color s + 1 mod n,
+    and each set gives all its ")" before its "(".  Set `top` stands for
+    the untouched tail beyond it, where the ")" of each set cancel the "("
+    of the set beyond it, so set `top` gives only its "(".  Widening the
+    window by whole sets changes nothing (checked in the tests).
 
     No token list is built: each color keeps the state `signature_reduce`
     keeps, the depth and bottom set of its uncanceled "(", and the count
     and last set of its uncanceled ")".
     """
-    n, rows, kmax = psi.n, psi.rows, psi.max_bead_index()
     depth, bottom, closes, last = [0] * n, [0] * n, [0] * n, [0] * n
-    for k in range(kmax + 1, 0, -1):
-        slots = _set_slots(rows, k)
-        if k <= kmax:  # the tail set gives no ")"
-            for s in slots:
+    for k in range(top, 0, -1):
+        entries = column(k)
+        if k < top:  # the tail set gives no ")"
+            for s in entries:
                 x = s % n
                 if depth[x]:
                     depth[x] -= 1
                 else:
                     closes[x] += 1
                     last[x] = k
-        for s in slots:
+        for s in entries:
             x = (s + 1) % n
             if not depth[x]:
                 bottom[x] = k

@@ -22,8 +22,9 @@ mod n] copies of each value v in b_k.
 
 to_path is the crystal isomorphism sending a tight descending abacus
 configuration to the path whose k-th element collects the residues of the
-k-th beads, one per row; so the tensor product rule is the bead-set rule
-crystal.column_brackets.  Its domain is the crystal of
+k-th beads, one per row; so the tensor product rule is the grouped
+bead-set rule on configurations, and both are computed by one canceller,
+crystal._bead_set_signatures.  Its domain is the crystal of
 highest_weight_config(w), n >= 2, whose charges are the residues of w
 sorted down; so to_path checks the charges by their order alone: each in
 [0, n), weakly decreasing from the bottom row up.  A tight configuration
@@ -32,8 +33,11 @@ inverts to_path with the abacus placement (abacus._tight_from_residues):
 bead set k is the weakly decreasing run of the integers with the residues
 of b_k, placed as low as tightness allows.
 
-The path rule reads the tokens of every color in one pass, and the n
-signatures are memoised on the Path, as the gap rule's are on a
+The path rule, path_brackets, reads the brackets of every color in one
+pass over b_{K+1}, ..., b_1 and builds no token list (the token list is
+the test oracle tests/helpers.path_tokens).  It keeps its name because the
+benchmark's layer tracer counts its calls as the path model's signal.  The
+n signatures are memoised on the Path, as the gap rule's are on a
 configuration: `_signatures` is a declared field that reads None until the
 rule fills it.  A Path also keeps the ground elements it has built, one per
 residue class of the position.  The table depends on n and the weight only,
@@ -61,7 +65,7 @@ from .abacus import (
     is_descending,
     is_tight,
 )
-from .crystal import _reduce_colors, column_brackets
+from .crystal import _bead_set_signatures
 from .partitions import _json_int, _json_ints
 
 
@@ -255,17 +259,16 @@ def ground_state_path(w, n, ell):
 
 
 def path_brackets(path):
-    """Bracket tokens of the signature rule, every color, rightmost factor
-    last; the payload is (k, color).
+    """The signature rule's Signature of each color 0..n-1, payload (k,
+    color): `crystal._bead_set_signatures` of b_{K+1}, ..., b_1 (K the last
+    deviation), the rule the grouped rule applies to bead sets.
 
-    The bead-set rule read on b_{K+1}, ..., b_1 (K the last deviation):
-    b_k gives ")" of color i per entry i and "(" of color i per entry i-1,
-    its eps_i and phi_i, and the ground tail collapses to the "(" of
-    b_{K+1}.
+    b_k gives a ")" of color i per entry i and a "(" of color i per entry
+    i-1, its eps_i and phi_i, and the ground tail collapses to the "(" of
+    b_{K+1}.  `benchmarks/layertrace.py` counts its calls as the path
+    model's layer signal, which is why it keeps the name path_brackets.
     """
-    K = path.last_position()
-    columns = [(k, path.element(k)) for k in range(K + 1, 0, -1)]
-    return column_brackets(columns, path.n)
+    return _bead_set_signatures(path.element, path.last_position() + 1, path.n)
 
 
 def _with_element(path, k, elem):
@@ -284,20 +287,21 @@ def e_path(path, i):
 def _path_move(path, i, delta):
     """f_path for delta +1, e_path for delta -1.
 
-    The n signatures of the path rule are memoised on the path.
+    The n signatures of the path rule, `path_brackets`, are memoised on
+    the path: one call per path, on its first f_path or e_path.
     """
     sigs = path._signatures
     if sigs is None:
-        sigs = _reduce_colors(path_brackets(path), path.n)
+        sigs = path_brackets(path)
         object.__setattr__(path, "_signatures", sigs)  # path is frozen
     sig = sigs[i % path.n]
     token = sig.first_open if delta > 0 else sig.last_close
     if token is None:
         return None
     k = token[0]
-    # column_brackets gives column k a "(" of color i only for an entry of b_k
-    # congruent to i-1 and a ")" only for one congruent to i, so the perfect
-    # crystal operator finds an entry to change
+    # the bead-set rule gives b_k a "(" of color i only for an entry i-1 and a
+    # ")" only for an entry i, so the perfect crystal operator finds an entry
+    # to change
     elem = (f_perfect if delta > 0 else e_perfect)(path.element(k), i, path.n)
     if elem is None:
         raise AssertionError(

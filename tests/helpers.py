@@ -18,9 +18,9 @@ from slncrystals.abacus import (
     enumerate_tight,
     highest_weight_config,
 )
-from slncrystals.crystal import column_brackets, signature_reduce
+from slncrystals.crystal import signature_reduce
 from slncrystals.cylindric import CylindricPlanePartition, _box_tokens, hw_of_cpp
-from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect, path_brackets
+from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import level_weights
 
@@ -394,13 +394,51 @@ def abacus_brackets(psi):
     return tokens
 
 
+def column_brackets(columns, n):
+    """Tokens of the signature rule on bead sets, every color; the payload
+    is (k, color) for the set index k.
+
+    `columns` lists (k, residues) from the vacuum side in.  A residue r of
+    column k gives a ")" of color r and a "(" of color r+1 (mod n), and the
+    column gives all its ")" before its "(".  The first column stands for
+    the untouched tail beyond the last displaced set, so it gives only its
+    "(".  The token-list form of `crystal._bead_set_signatures`.
+    """
+    tokens = []
+    for c, (k, residues) in enumerate(columns):
+        if c:
+            tokens += [(")", (k, r % n)) for r in residues]
+        tokens += [("(", (k, (r + 1) % n)) for r in residues]
+    return tokens
+
+
+def _reduce_colors(tokens, n):
+    """`signature_reduce` of the tokens of each color 0..n-1: each token is
+    filed under its color, in order, and each color is reduced on its own.
+    The payloads are the bead-set rules' (k, color), with color in 0..n-1
+    as `column_brackets` gives it."""
+    by_color = [[] for _ in range(n)]
+    for token in tokens:
+        by_color[token[1][1]].append(token)
+    return tuple(map(signature_reduce, by_color))
+
+
+def path_tokens(path):
+    """The path rule's tokens of every color as ("(" | ")", (k, color))
+    pairs, read on b_{K+1}, ..., b_1 (K the last deviation): the token-list
+    oracle for `kyoto.path_brackets`."""
+    K = path.last_position()
+    return column_brackets([(k, path.element(k)) for k in range(K + 1, 0, -1)], path.n)
+
+
 def descending_brackets(psi):
     """The grouped rule's tokens of every color as ("(" | ")", (k, color))
     pairs: column k holds the slots of the k-th beads, one per row, for
     bead sets kmax+1 (the tail) down to 1.
 
-    A token-list oracle for `crystal._grouped_signatures`, which cancels the
-    same tokens as it reads them."""
+    A token-list oracle for `crystal._grouped_signatures`, whose canceller,
+    `crystal._bead_set_signatures`, cancels the same tokens as it reads
+    them."""
     kmax = psi.max_bead_index()
     columns = [
         (k, [row.bead_slot(k) for row in psi.rows]) for k in range(kmax + 1, 0, -1)
@@ -702,7 +740,7 @@ def eps_phi_perfect(b, n):
 
 def eps_phi_path(path, i):
     """(eps_i, phi_i) of a path from its reduced bracket string."""
-    sig = signature_reduce(tokens_of_color(path_brackets(path), i, path.n))
+    sig = signature_reduce(tokens_of_color(path_tokens(path), i, path.n))
     return sig.n_close, sig.n_open
 
 

@@ -189,6 +189,15 @@ def test_convert_parse_error_exit_2():
     assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize("src,dst", [("abacus", "cpp"), ("path", "abacus")])
+def test_convert_deeply_nested_json_exit_2(src, dst):
+    # json.loads raises RecursionError on deep nesting; that is unparsable
+    # input, one error line and no traceback
+    rc, out, err = run_cli(["convert", src, dst], stdin="[" * 200_000)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: bad JSON input") and err.count("\n") == 1
+
+
 def test_convert_takes_no_weight_exit_2():
     # convert reads no weight, so argparse refuses the option
     with pytest.raises(SystemExit) as exc:
@@ -658,6 +667,20 @@ def _broken_bijection(monkeypatch):
     monkeypatch.setattr(cylindric, "cpp_weight", lambda pi: real(pi) + 1)
 
 
+def _broken_from_abacus(monkeypatch):
+    from slncrystals import cylindric
+
+    real = cylindric.from_abacus
+
+    def broken(psi):
+        # increasing profile entries, which no cylinder of ell >= 2 has
+        pi = real(psi)
+        profile = tuple(range(pi.ell))
+        return cylindric.CylindricPlanePartition(pi.n, pi.ell, profile, pi.rows)
+
+    monkeypatch.setattr(cylindric, "from_abacus", broken)
+
+
 def _broken_kyoto(monkeypatch):
     from slncrystals import kyoto
 
@@ -683,6 +706,8 @@ def _broken_dimq(monkeypatch):
 # of the failure that names that side)
 BREAKERS = [
     ("bijection", "bijection", _broken_bijection, "weight mismatch"),
+    ("bijection-image", "bijection", _broken_from_abacus,
+     "image not a cylindric plane partition"),
     ("gglemma", "gglemma", _broken_gglemma, "f rules disagree"),
     ("gglemma-e", "gglemma", _broken_gglemma_e, "e rules disagree"),
     ("kyoto", "kyoto", _broken_kyoto, "path model disagrees"),

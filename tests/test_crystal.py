@@ -11,7 +11,6 @@ from slncrystals.abacus import (
 )
 from slncrystals.crystal import (
     _grouped_signatures,
-    _reduce_colors,
     _signatures,
     crystal_graph,
     e_abacus,
@@ -31,6 +30,7 @@ from slncrystals.abacus import AbacusConfig, loosen
 
 from helpers import (
     FIG2,
+    _reduce_colors,
     abacus_brackets,
     abacus_brackets_by_gap_scan,
     abacus_configs,

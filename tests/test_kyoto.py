@@ -15,7 +15,8 @@ from slncrystals.abacus import (
     is_descending,
     is_tight,
 )
-from slncrystals.crystal import e_abacus, f_abacus
+from slncrystals import kyoto
+from slncrystals.crystal import _grouped_signatures, e_abacus, f_abacus
 from slncrystals.kyoto import (
     Path,
     PerfectElem,
@@ -32,6 +33,7 @@ from slncrystals.kyoto import (
 from slncrystals.crystal import signature_reduce
 
 from helpers import (
+    _reduce_colors,
     abacus_configs,
     all_level_coeffs,
     all_perfect_elems,
@@ -43,6 +45,7 @@ from helpers import (
     fig10,
     is_descending_by_bead_slots,
     is_tight_by_fits,
+    path_tokens,
     path_tokens_widened,
     perfect_eps_phi_by_iteration,
     residues_by_bead_position,
@@ -227,7 +230,7 @@ def test_path_brackets_match_descending_brackets():
         for cfg in tight_configs(3, 2, coeffs, 5):
             p = to_path(cfg)
             for i in range(3):
-                own = tokens_of_color(path_brackets(p), i, 3)
+                own = tokens_of_color(path_tokens(p), i, 3)
                 assert path_tokens_widened(p, i, 0) == own
                 ab = [c for c, _ in tokens_of_color(descending_brackets(cfg), i, 3)]
                 extra = cfg.max_bead_index() - p.last_position()
@@ -240,7 +243,7 @@ def test_path_window_stability():
         for cfg in tight_configs(3, 2, coeffs, 4):
             p = to_path(cfg)
             for i in range(3):
-                base = signature_reduce(tokens_of_color(path_brackets(p), i, 3))
+                base = signature_reduce(tokens_of_color(path_tokens(p), i, 3))
                 for extra in (2, 5):
                     wide = signature_reduce(path_tokens_widened(p, i, extra))
                     assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
@@ -256,6 +259,51 @@ def _f_path_widened(path, i, extra):
     from slncrystals.kyoto import _with_element
 
     return _with_element(path, k, elem)
+
+
+# (n, ell, degree): every tight configuration of every level weight
+SHARED_RULE_CASES = [(2, 2, 6), (3, 2, 6), (2, 3, 5), (4, 2, 5), (3, 3, 4), (5, 2, 4)]
+
+
+@pytest.mark.parametrize("n,ell,degree", SHARED_RULE_CASES)
+def test_path_brackets_match_token_list_and_grouped_rule(n, ell, degree):
+    # the path rule and the grouped rule share one canceller: the path's
+    # signatures equal its reduced token list, payloads included, and each
+    # color's bracket counts equal the grouped rule's on the configuration
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in tight_configs(n, ell, coeffs, degree):
+            p = to_path(cfg)
+            sigs = path_brackets(p)
+            assert sigs == _reduce_colors(path_tokens(p), n)
+            grouped = _grouped_signatures(cfg)
+            assert [(s.n_close, s.n_open) for s in sigs] == [
+                (s.n_close, s.n_open) for s in grouped
+            ]
+
+
+def test_path_brackets_runs_once_per_path(monkeypatch):
+    # the benchmark's layer tracer counts kyoto.path_brackets calls as the
+    # path model's signal: the first f_path or e_path on a fresh path calls
+    # it once, through the module, and later operators read the memo
+    calls = []
+    real = kyoto.path_brackets
+
+    def counted(path):
+        calls.append(path)
+        return real(path)
+
+    monkeypatch.setattr(kyoto, "path_brackets", counted)
+    for first in (f_path, e_path):
+        for cfg in tight_configs(3, 2, (1, 1, 0), 4):
+            p = to_path(cfg)
+            assert p._signatures is None
+            del calls[:]
+            first(p, 1)
+            assert len(calls) == 1 and calls[0] is p
+            for i in range(3):
+                f_path(p, i)
+                e_path(p, i)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n,ell", [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3)])
