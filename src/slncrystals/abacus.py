@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import index
@@ -211,17 +212,14 @@ def _shift_bead_set(psi, k, m):
     """Move bead set k m extended rows down: row i takes the k-th bead of
     extended row i + m (m < 0 moves it up).
 
-    With a[r] part k of row r plus its charge, bead k of row r sits at
-    slot a[r] - k, so row i's bead moves by a[r] - n*q - a[i], (q, r) as
-    in `_fits`.  `BeadRow.move_bead` checks each move.
+    With a[r] the slot of bead k of row r (`_set_slots`), row i's bead
+    moves by a[r] - n*q - a[i], (q, r) as in `_fits`.
+    `BeadRow.move_bead` checks each move.
     """
     if k < 1:
         raise ValueError("bead index must be positive")
     n, ell, rows = psi.n, psi.ell, psi.rows
-    a = []
-    for row in rows:
-        parts = row.partition
-        a.append((parts[k - 1] if k <= len(parts) else 0) + row.charge)
+    a = _set_slots(rows, k)
     moved = []
     for i, row in enumerate(rows):
         q, r = divmod(i + m, ell)
@@ -253,30 +251,15 @@ def loosen(psi, k):
 
 
 def is_tight(psi):
-    """True iff no tighten(psi, k) is possible.
+    """True iff no tighten(psi, k) is possible: no bead set k fits one row
+    down, `_fits(psi, k, 1)` for no k >= 1.
 
-    Bead k of row i sits at slot part(k) - k + c_i, so `_fits(psi, k, 1)`
-    says that, for every row i, part k plus the charge of extended row
-    i + 1 (the bottom row, n slots left, for the top row) is at least part
-    k + 1 plus the charge of row i.  Beyond max_bead_index() every part is
-    0, and no set fits: the charges around the rows would have to rise,
-    but they drop by n.  So the sets up to max_bead_index() decide it; the
-    loop stops at the first set that fits, and each set at the first row
-    that blocks it.
+    Beyond max_bead_index() every part is 0, and no set fits: the charges
+    around the rows would have to rise, but they drop by n.  So the sets up
+    to max_bead_index() decide it, and the search stops at the first set
+    that fits.  `_fits` builds no image, as `tighten` would.
     """
-    # plain (charge, parts) pairs: a BeadRow unpacks slower than a tuple
-    rows = [(r.charge, r.partition) for r in psi.rows]
-    c0, p0 = rows[0]
-    rows.append((c0 - psi.n, p0))  # extended row ell
-    for k in range(1, max(len(p) for _, p in rows) + 1):
-        for i in range(psi.ell):
-            c, p = rows[i]
-            d, u = rows[i + 1]
-            if (u[k - 1] if k <= len(u) else 0) + d < (p[k] if k < len(p) else 0) + c:
-                break  # row i blocks set k
-        else:
-            return False  # set k fits one row down
-    return True
+    return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 1))
 
 
 def highest_weight(psi0):
@@ -422,7 +405,7 @@ def gl_move(psi, p, direction):
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    g, lam = _decompose(psi, "lambda_part")
+    g, lam = _decompose(psi, "gl_move")
     move = remove_ribbon if direction == "down" else add_ribbon
     try:
         lam = move(lam, 1, p + 1)
@@ -472,17 +455,39 @@ def _rows_of_size(charge, size):
     return tuple(_bead_row(charge, lam) for lam in partitions_of(size))
 
 
-@functools.lru_cache(maxsize=256)
+# the most integers, tuples times parts, that a kept `_compositions` result
+# holds: a bound on the tuples alone would keep the 2,000 weights of level 1
+# at n = 2,000, 4 million integers
+_CACHED_SPLITS = 4096
+
+
 def _compositions(total, parts):
     """The tuples of `parts` nonnegative integers summing to total, in
-    lexicographic order, without recursion: stars and bars, with parts - 1
-    bars at increasing positions among total + parts - 1, part j the stars
-    between bar j - 1 and bar j."""
+    lexicographic order.
+
+    A result of at most _CACHED_SPLITS integers comes from a bounded
+    per-process cache, since every enumeration asks for the same few
+    splits; a larger one is yielded lazily and none of it is kept, so its
+    first tuple comes at once.
+    """
+    if total < 0 or math.comb(total + parts - 1, parts - 1) * parts > _CACHED_SPLITS:
+        return _splits(total, parts)
+    return _split_table(total, parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _split_table(total, parts):
+    """`_compositions` of a small split, built once and kept."""
+    return tuple(_splits(total, parts))
+
+
+def _splits(total, parts):
+    """`_compositions` one tuple at a time, without recursion: stars and
+    bars, with parts - 1 bars at increasing positions among total + parts
+    - 1, part j the stars between bar j - 1 and bar j."""
     span = total + parts - 1
-    return tuple(
-        tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (span,)))
-        for bars in itertools.combinations(range(span), parts - 1)
-    )
+    for bars in itertools.combinations(range(span), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (span,)))
 
 
 def right_moves(psi):

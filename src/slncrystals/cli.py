@@ -63,15 +63,32 @@ def _read_json(args):
         raise InputError("bad JSON input: nested too deeply")
 
 
+# each model's JSON reader, its map to the abacus (which may read the
+# parsed arguments) and its map from the abacus; the maps look the
+# library's functions up when they run, so they call what the modules bind
+MODELS = {
+    "partition": (
+        Partition.from_json,
+        lambda lam, args: AbacusConfig(args.n, args.ell, ell_quotient(lam, args.ell)),
+        lambda psi: combine_quotient(psi.rows, psi.ell),
+    ),
+    "abacus": (AbacusConfig.from_json, lambda psi, args: psi, lambda psi: psi),
+    "cpp": (
+        cylindric.CylindricPlanePartition.from_json,
+        lambda cpp, args: cylindric.to_abacus(cpp),
+        lambda psi: cylindric.from_abacus(psi),
+    ),
+    "path": (
+        kyoto.Path.from_json,
+        lambda path, args: kyoto.from_path(path),
+        lambda psi: kyoto.to_path(psi),
+    ),
+}
+
+
 def _load_model(model, data):
     try:
-        if model == "partition":
-            return Partition.from_json(data)
-        if model == "abacus":
-            return AbacusConfig.from_json(data)
-        if model == "cpp":
-            return cylindric.CylindricPlanePartition.from_json(data)
-        return kyoto.Path.from_json(data)
+        return MODELS[model][0](data)
     except KeyError as err:
         raise InputError(
             "input does not parse as %s: missing field %r" % (model, err.args[0])
@@ -80,40 +97,21 @@ def _load_model(model, data):
         raise InputError("input does not parse as %s: %s" % (model, err))
 
 
-def _to_abacus_form(model, obj, args):
-    if model == "abacus":
-        return obj
-    if model == "partition":
-        return AbacusConfig(args.n, args.ell, ell_quotient(obj, args.ell))
-    if model == "cpp":
-        return cylindric.to_abacus(obj)
-    return kyoto.from_path(obj)
-
-
-def _from_abacus_form(model, psi):
-    if model == "abacus":
-        return psi.to_json()
-    if model == "partition":
-        return combine_quotient(psi.rows, psi.ell).to_json()
-    if model == "cpp":
-        return cylindric.from_abacus(psi).to_json()
-    return kyoto.to_path(psi).to_json()
-
-
 def cmd_convert(args):
     obj = _load_model(args.src, _read_json(args))
     # the library checks each conversion's precondition and raises ValueError
     try:
-        psi = _to_abacus_form(args.src, obj, args)
+        psi = MODELS[args.src][1](obj, args)
         if args.rotate_colors:
             # relabel which gap carries color 0 by shifting every row
             psi = AbacusConfig(
                 psi.n, psi.ell, tuple(r.shifted(args.rotate_colors) for r in psi.rows)
             )
+        out = MODELS[args.dst][2](psi)
         if args.dst == "cpp" and args.format == "text":
-            out = cylindric.render_text(cylindric.from_abacus(psi))
+            out = cylindric.render_text(out)
         else:
-            out = json.dumps(_from_abacus_form(args.dst, psi)) + "\n"
+            out = json.dumps(out.to_json()) + "\n"
     except ValueError as err:
         raise ValidationError(err)
     sys.stdout.write(out)
@@ -208,8 +206,8 @@ def build_parser():
         p.add_argument("--rotate-colors", type=int, default=0)
 
     p = sub.add_parser("convert", help="convert between model JSON encodings")
-    p.add_argument("src", choices=["partition", "abacus", "cpp", "path"])
-    p.add_argument("dst", choices=["partition", "abacus", "cpp", "path"])
+    p.add_argument("src", choices=list(MODELS))
+    p.add_argument("dst", choices=list(MODELS))
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.add_argument("--format", choices=["json", "text"], default="json")
     common(p, weight=False)

@@ -322,6 +322,8 @@ def partition_brackets(lam, i, n, ell):
     Boxes above column k are colored by floor(k / ell) mod n.  "(" marks an
     addable ell-ribbon with rightmost column k, ")" a removable one.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     tokens = [("(", k) for k in addable_ribbons(lam, ell)]
     tokens += [(")", k) for k in removable_ribbons(lam, ell)]
     tokens = [t for t in tokens if (t[1] // ell) % n == i % n]

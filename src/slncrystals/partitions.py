@@ -210,19 +210,26 @@ def _hop(parts, j, delta):
     return parts[: j - 1] + (p,) + parts[j:] if p else parts[: j - 1]
 
 
+def _ribbon_beads(lam, length):
+    """The floor -len(lam) - length, below which every slot of lam's
+    charge-0 row is occupied, and the set of its occupied slots at or above
+    the floor: where every `length`-ribbon of lam starts or ends."""
+    if length < 1:
+        raise ValueError("ribbon length must be positive")
+    lam = Partition(lam)
+    floor = -len(lam) - length
+    return floor, set(BeadRow(0, lam).beads(floor))
+
+
 def addable_ribbons(lam, length):
     """The rightmost column of every `length`-ribbon addable to lam."""
-    lam = Partition(lam)
-    beads = set(BeadRow(0, lam).beads(-len(lam) - length))
+    _, beads = _ribbon_beads(lam, length)
     return sorted(s + length for s in beads if s + length not in beads)
 
 
 def removable_ribbons(lam, length):
     """The rightmost column of every `length`-ribbon removable from lam."""
-    lam = Partition(lam)
-    floor = -len(lam) - length
-    beads = set(BeadRow(0, lam).beads(floor))
-    # every slot below floor is occupied
+    floor, beads = _ribbon_beads(lam, length)
     return sorted(s for s in beads if floor <= s - length and s - length not in beads)
 
 

@@ -4,6 +4,8 @@ import operator
 import pickle
 import random
 import signal
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,6 +20,7 @@ from slncrystals.abacus import (
     _residues,
     _rows_of_size,
     _shift_bead_set,
+    _split_table,
     compactify,
     enumerate_descending,
     gamma,
@@ -419,8 +422,53 @@ def test_memo_on_one_configuration_leaves_row_sharers_alone():
 
 
 def test_enumeration_caches_are_bounded():
-    for cached in (_rows_of_size, _compositions):
+    for cached in (_rows_of_size, _split_table):
         assert isinstance(cached.cache_info().maxsize, int)
+
+
+def compositions_by_first_part(total, parts):
+    if parts == 1:
+        return [(total,)]
+    return [
+        (first,) + rest
+        for first in range(total + 1)
+        for rest in compositions_by_first_part(total - first, parts - 1)
+    ]
+
+
+# (5, 3) has 21 tuples, 63 integers, and is kept; (10, 6) has 3,003 tuples
+# and (11, 6) 4,368, yielded lazily
+@pytest.mark.parametrize(
+    "total,parts", [(0, 1), (4, 1), (5, 3), (3, 9), (10, 6), (11, 6)]
+)
+def test_compositions_match_first_part_recursion(total, parts):
+    want = compositions_by_first_part(total, parts)
+    assert list(_compositions(total, parts)) == want
+    assert list(_compositions(total, parts)) == want  # a second call agrees
+
+
+# 6,188 tuples, and the 2,000 level-one weights at n = 2,000: both more
+# than the cache keeps, so none of them stays
+@pytest.mark.parametrize("total,parts,count", [(12, 6, 6188), (1, 2000, 2000)])
+def test_large_compositions_are_not_kept(total, parts, count):
+    # a split of another total first fills the interpreter's free list of
+    # 6-tuples, which would otherwise count as retained
+    list(_compositions(13, 6))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(list(_compositions(total, parts))) == count
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 100_000
+
+
+def test_large_compositions_are_lazy():
+    # _compositions(20, 8) has 888,030 tuples; the first comes at once
+    start = time.perf_counter()
+    assert next(iter(_compositions(20, 8))) == (0,) * 7 + (20,)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_first_yield_does_not_wait_for_larger_weights():

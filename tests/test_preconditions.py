@@ -18,6 +18,7 @@ NOT_COMPACT = config(3, 2, (1, (1,)), (0, ()))
 BAD_CPP = CylindricPlanePartition(3, 2, (0, 0), (Partition((1,)), Partition((2,))))
 VACUUM = BeadRow.vacuum(0)
 L0L1 = DominantWeight((1, 1, 0))
+LAM31 = Partition((3, 1))
 
 # (id, a fragment of the message, the call)
 CASES = [
@@ -27,6 +28,7 @@ CASES = [
     ("lambda_part", "lambda_part needs", lambda: abacus.lambda_part(fig4())),
     ("recombine", "tight", lambda: abacus.recombine(fig7(), Partition((1,)))),
     ("gl_move", "direction", lambda: abacus.gl_move(fig10(), 0, "left")),
+    ("gl_move-unsorted", "gl_move needs", lambda: abacus.gl_move(fig4(), 0, "up")),
     ("highest_weight", "not descending", lambda: abacus.highest_weight(UNSORTED)),
     ("enumerate", "compact",
      lambda: list(abacus.enumerate_descending(NOT_COMPACT, 2))),
@@ -40,6 +42,23 @@ CASES = [
      lambda: qseries.Z_bruteforce(UNSORTED, 2)),
     ("add_ribbon", "ribbon length",
      lambda: partitions.add_ribbon(Partition((1,)), 0, 1)),
+    ("addable_ribbons-negative", "ribbon length",
+     lambda: partitions.addable_ribbons(LAM31, -2)),
+    ("removable_ribbons-negative", "ribbon length",
+     lambda: partitions.removable_ribbons(LAM31, -2)),
+    ("addable_ribbons-zero", "ribbon length",
+     lambda: partitions.addable_ribbons(LAM31, 0)),
+    ("removable_ribbons-zero", "ribbon length",
+     lambda: partitions.removable_ribbons(LAM31, 0)),
+    ("f_partition-ell0", "ribbon length",
+     lambda: crystal.f_partition(LAM31, 0, 3, 0)),
+    ("f_partition-n0", "n >= 1", lambda: crystal.f_partition(LAM31, 0, 0, 2)),
+    ("f_partition-ell-negative", "ribbon length",
+     lambda: crystal.f_partition(LAM31, 1, 3, -1)),
+    ("e_partition-ell-negative", "ribbon length",
+     lambda: crystal.e_partition(LAM31, 1, 3, -1)),
+    ("partition_brackets-n0", "n >= 1",
+     lambda: crystal.partition_brackets(LAM31, 0, 0, 2)),
     ("ell_quotient", "ell must", lambda: partitions.ell_quotient(Partition((1,)), 0)),
     ("combine_quotient", "expected 2 rows",
      lambda: partitions.combine_quotient((VACUUM,), 2)),
