@@ -286,6 +286,8 @@ def _charge_weight(charges, n):
 def _level_coeffs(w, n, ell):
     """The coefficients of w, a DominantWeight or a sequence, checked to be
     n of them, of level ell."""
+    if n < 1 or ell < 1:
+        raise ValueError("need n >= 1 and ell >= 1")
     coeffs = w.coeffs if isinstance(w, DominantWeight) else tuple(w)
     if len(coeffs) != n:
         raise ValueError("weight has %d coefficients, expected %d" % (len(coeffs), n))
@@ -418,12 +420,14 @@ def enumerate_descending(psi0, max_weight):
     """All descending configurations with the given compactification.
 
     Yields configurations of weight at most max_weight, grouped by weight in
-    increasing order.  psi0 must be compact.  Each candidate is a product of
-    one row of each charge and size, from `_rows_of_size`: a table is built
-    on first use, kept in a bounded per-process cache and shared by every
-    candidate and every later call that needs it, so the first yield does
-    not wait for the tables of larger weights.
+    increasing order.  psi0 must be compact and descending.  Each candidate
+    is a product of one row of each charge and size, from `_rows_of_size`:
+    a table is built on first use, kept in a bounded per-process cache and
+    shared by every candidate and every later call that needs it, so the
+    first yield does not wait for the tables of larger weights.
     """
+    if max_weight < 0:
+        raise ValueError("max_weight must be nonnegative")
     if weight(psi0) != 0:
         raise ValueError("enumeration starts from a compact configuration")
     charges = psi0.charges()
@@ -434,6 +438,8 @@ def enumerate_descending(psi0, max_weight):
                 cfg = _config(n, ell, rows)
                 if is_descending(cfg):
                     yield cfg
+                elif not w:  # the one weight-0 candidate is psi0 itself
+                    raise ValueError("enumeration needs a compact descending generator")
 
 
 def enumerate_tight(psi0, max_weight):

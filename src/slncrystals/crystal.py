@@ -1,11 +1,13 @@
 """Crystal operators on partitions and abacus configurations.
 
-All the bracket rules live here: the gap rule on arbitrary abacus
-configurations, the signature rule on bead sets (the grouped rule on
-descending configurations, and the path rule in kyoto), and the column
-rule on partitions.  Each builds a string of brackets, cancels matched "()"
-pairs, and acts at the first uncanceled "(" (for a lowering move) or the
-last uncanceled ")" (for a raising move).
+The bracket rules on partitions and configurations live here: the gap
+rule on arbitrary abacus configurations, the signature rule on bead sets
+(the grouped rule on descending configurations; kyoto's path rule reads
+the same canceller), and the column rule on partitions.  The box rule on
+cylindric plane partitions, with f_cpp and e_cpp, lives in cylindric, and
+f_path and e_path live in kyoto.  Each rule builds a string of brackets,
+cancels matched "()" pairs, and acts at the first uncanceled "(" (for a
+lowering move) or the last uncanceled ")" (for a raising move).
 
 Each bracket rule on configurations and paths reads the tokens of all n
 colors in one walk, so the operators of every color cost one walk, and
@@ -389,6 +391,8 @@ def crystal_graph(psi0, max_degree):
     """
     if weight(psi0) != 0 or not is_descending(psi0):
         raise ValueError("crystal_graph needs a compact descending generator")
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     layers = [[psi0]]
     edges = []
     for _ in range(max_degree):

@@ -10,6 +10,7 @@ profile[i] is that row's charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, takewhile
 from operator import ge
 
 from .abacus import (
@@ -76,12 +77,6 @@ def _cpp(n, ell, profile, rows):
     pi = object.__new__(CylindricPlanePartition)
     vars(pi).update(n=n, ell=ell, profile=profile, rows=rows)
     return pi
-
-
-def _profile_ext(pi, i):
-    """The first column of diagonal i of the periodic array, any integer i."""
-    q, r = divmod(i, pi.ell)
-    return pi.profile[r] - q * pi.n
 
 
 def is_valid_cpp(pi):
@@ -223,7 +218,10 @@ def reflect(pi):
     """Transpose the cylinder, swapping the roles of (n, ell).
 
     Diagonals become columns and vice versa; the total weight over one period
-    is preserved.
+    is preserved.  Diagonal r + q*ell starts at column profile[r] - q*n, and
+    these starts fall weakly as the diagonal rises, so column j's first
+    diagonal is the least r + q*ell with profile[r] - q*n <= j; the column
+    reads down from it to its first zero.
     """
     if not is_valid_cpp(pi):
         raise ValueError("reflect needs a valid cylindric plane partition")
@@ -231,21 +229,10 @@ def reflect(pi):
     new_profile = []
     new_rows = []
     for j in range(n):
-        i = 0
-        while _profile_ext(pi, i) > j:
-            i += ell
-        while _profile_ext(pi, i - 1) <= j:
-            i -= 1
+        i = min(r - ell * ((j - p) // n) for r, p in enumerate(pi.profile))
         new_profile.append(i)
-        parts = []
-        k = i
-        while True:
-            v = pi.entry(k, j)
-            if v == 0:
-                break
-            parts.append(v)
-            k += 1
-        new_rows.append(Partition(parts))
+        column = (pi.entry(k, j) for k in count(i))
+        new_rows.append(Partition(takewhile(bool, column)))
     out = CylindricPlanePartition(ell, n, tuple(new_profile), tuple(new_rows))
     if not is_valid_cpp(out):
         raise ValueError("reflect gave an invalid cylindric plane partition")

@@ -106,9 +106,11 @@ def _replace_entry(b, old, new):
     return PerfectElem._trusted(entries)
 
 
-# The largest position, n and ell Path.from_json accepts: from_path builds one
-# bead set per position and ell rows; 10^5 positions take about two seconds.
+# The largest position, n and ell Path.from_json accepts, and the largest
+# product of ell and the last position: from_path places ell beads in each
+# bead set up to the last position, and its time grows as that product.
 MAX_PATH_POSITION = 100_000
+MAX_PATH_BEADS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,9 @@ class Path:
             raise ValueError("path positions must be distinct")
         base = _empty_path(n, _highest_weight_charges(w.coeffs))
         K = max(elements, default=0)
+        if ell * K > MAX_PATH_BEADS:
+            msg = "path ell %d times last position %d exceeds %d"
+            raise ValueError(msg % (ell, K, MAX_PATH_BEADS))
         dense = [elements.get(k, base.ground(k)) for k in range(1, K + 1)]
         return _pruned_path(base, dense)
 

@@ -106,27 +106,14 @@ class BeadRow(NamedTuple):
         return self.partition.part(j) - j + self.charge
 
     def occupied(self, slot):
-        if slot < self.charge - len(self.partition):
-            return True
-        j = 1
-        while True:
-            b = self.bead_slot(j)
-            if b == slot:
-                return True
-            if b < slot:
-                return False
-            j += 1
+        return slot < self.charge - len(self.partition) or slot in self.beads(slot)
 
     def beads(self, floor):
-        """The occupied slots at or above `floor`, from right to left."""
-        slots = []
-        j = 1
-        while True:
-            b = self.bead_slot(j)
-            if b < floor:
-                return slots
-            slots.append(b)
-            j += 1
+        """The occupied slots at or above `floor`, from right to left: the
+        partition's beads, then the tail of slots below charge - len."""
+        c, parts = self.charge, self.partition
+        slots = [p - j + c for j, p in enumerate(parts, 1) if p - j + c >= floor]
+        return slots + list(range(c - len(parts) - 1, floor - 1, -1))
 
     def shifted(self, d):
         """The same row with every bead moved d slots to the right."""
@@ -251,18 +238,16 @@ def remove_ribbon(lam, length, rightmost_col):
 
 def _ribbon_move(lam, length, src, dst, what):
     """Move the bead at slot src of lam's charge-0 row to the empty slot dst;
-    the ribbon between them has `length` boxes."""
-    if length < 1:
-        raise ValueError("ribbon length must be positive")
-    row = BeadRow(0, Partition(lam))
-    floor = min(src, dst, -len(row.partition)) - 1
-    slots = set(row.beads(floor))
-    if src not in slots or dst in slots:
+    the ribbon between them has `length` boxes.  Every slot below the
+    ribbon floor is occupied, so a source below it has an occupied
+    destination and a destination below it is occupied."""
+    floor, beads = _ribbon_beads(lam, length)
+    if src not in beads or dst in beads or dst < floor:
         raise ValueError(
             "no %d-ribbon with rightmost column %d %s %r"
             % (length, max(src, dst), what, lam)
         )
-    return BeadRow.from_occupied(slots - {src} | {dst}, floor).partition
+    return BeadRow.from_occupied(beads - {src} | {dst}, floor).partition
 
 
 def ell_quotient(lam, ell):

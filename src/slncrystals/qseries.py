@@ -170,4 +170,6 @@ def Z_bruteforce(psi0, nmax):
 
 def level_weights(n, level):
     """All dominant weights of the given level, in lexicographic order."""
+    if n < 1 or level < 0:
+        raise ValueError("need n >= 1 and level >= 0")
     return [DominantWeight(c) for c in _compositions(level, n)]

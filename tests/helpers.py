@@ -760,6 +760,33 @@ def removable_boxes(pi, i):
     return [box for kind, box in _box_tokens(pi, i) if kind == ")"]
 
 
+def reflect_by_search(pi):
+    """`cylindric.reflect` by search: column j's first diagonal is found by
+    stepping up a period at a time from diagonal 0 while the diagonal starts
+    right of j, then down one diagonal at a time while the one below starts
+    at or left of j; the column is read down entry by entry to its first
+    zero.  Its time grows with the profile's distance from 0."""
+    n, ell = pi.n, pi.ell
+
+    def start(i):  # the first column of diagonal i of the periodic array
+        q, r = divmod(i, ell)
+        return pi.profile[r] - q * n
+
+    profile, rows = [], []
+    for j in range(n):
+        i = 0
+        while start(i) > j:
+            i += ell
+        while start(i - 1) <= j:
+            i -= 1
+        profile.append(i)
+        parts = []
+        while pi.entry(i + len(parts), j):
+            parts.append(pi.entry(i + len(parts), j))
+        rows.append(P(parts))
+    return CylindricPlanePartition(ell, n, tuple(profile), tuple(rows))
+
+
 def is_valid_cpp_by_cells(pi):
     """The defining conditions cell by cell: nested boundary and double
     monotonicity, comparing entries (i, j) and (i + 1, j) on every column j

@@ -353,6 +353,24 @@ def test_convert_path_n_and_ell_bound():
         assert rc == 0 and len(json.loads(out)["rows"]) == data["ell"]
 
 
+def test_convert_path_ell_times_last_position_bound():
+    # from_path places ell beads in each bead set up to the last position:
+    # 3,000 x 3,000 took about 12 s from a 9 KB input on a 2-core machine
+    top = kyoto.MAX_PATH_BEADS
+    for ell, last, want in ((1_000, top // 1_000 + 1, 2), (10, top // 10, 0)):
+        devs = {str(last): [1] * ell}
+        data = {"n": 2, "ell": ell, "weight": [ell, 0], "deviations": devs}
+        t0 = time.perf_counter()
+        rc, out, err = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+        elapsed = time.perf_counter() - t0
+        assert rc == want
+        if want:
+            assert elapsed < 0.5 and out == ""
+            assert "ell %d" % ell in err and "position %d" % last in err
+        else:
+            assert len(json.loads(out)["rows"]) == ell
+
+
 def test_convert_partition_to_abacus_linear_in_ell():
     # each of the ell strands rescanning every bead makes this quadratic in
     # ell, about 65 s on a 2-core machine

@@ -1,6 +1,8 @@
 import copy
+import itertools
 import pickle
 import random
+import time
 
 import pytest
 
@@ -29,6 +31,7 @@ from helpers import (
     FIG12_ROWS,
     addable_boxes,
     all_level_coeffs,
+    config,
     cpp_by_white_beads,
     descending_configs,
     fig8,
@@ -36,6 +39,7 @@ from helpers import (
     fig10,
     is_valid_cpp_by_cells,
     profile_offset,
+    reflect_by_search,
     reindexed,
     removable_boxes,
     t_value,
@@ -264,6 +268,58 @@ def test_reflect_weight_preserving_bijection():
         for pi in images.values():
             back = reflect(reflect(pi))
             assert back == pi
+
+
+def _shifted(pi, d):
+    """pi with every diagonal starting d columns further right."""
+    profile = tuple(p + d for p in pi.profile)
+    return CylindricPlanePartition(pi.n, pi.ell, profile, pi.rows)
+
+
+def test_reflect_matches_search_oracle_on_shifted_profiles():
+    # every descending configuration of 1 <= n, ell <= 5 at small degree,
+    # its diagonals moved left and right of the canonical profile
+    for n, ell in itertools.product(range(1, 6), repeat=2):
+        degree = max(2, 7 - n - ell)
+        for coeffs in all_level_coeffs(n, ell):
+            for cfg in descending_configs(n, ell, coeffs, degree):
+                pi = from_abacus(cfg)
+                for d in (-7, -1, 0, 3, 11):
+                    shifted = _shifted(pi, d)
+                    assert reflect(shifted) == reflect_by_search(shifted)
+
+
+def test_reflect_matches_search_oracle_on_compact_generators():
+    # every compact descending generator with c_0 in -2..n and
+    # c_{ell-1} >= c_0 - n, read from several diagonals: profiles that are
+    # no highest-weight window of their charges
+    count = 0
+    for n, ell in itertools.product(range(1, 5), repeat=2):
+        for c0 in range(-2, n + 1):
+            for rest in itertools.product(range(c0 - n, c0 + 1), repeat=ell - 1):
+                charges = (c0,) + rest
+                if list(charges) != sorted(charges, reverse=True):
+                    continue
+                pi = from_abacus(config(n, ell, *((c, ()) for c in charges)))
+                for s in (-3, 0, 2):
+                    moved = reindexed(pi, s)
+                    assert reflect(moved) == reflect_by_search(moved)
+                    count += 1
+    assert count > 1000
+
+
+def test_reflect_far_from_the_origin_is_fast():
+    # the search stepped one diagonal at a time: about 2 s at a shift of
+    # 10^7 on a 2-core machine.  Moving every diagonal m*n columns right
+    # moves the reflected profile m*ell diagonals up and keeps its rows.
+    pi = fig8()
+    m = 3_333_334
+    t0 = time.perf_counter()
+    r = reflect(_shifted(pi, m * pi.n))
+    assert time.perf_counter() - t0 < 0.1
+    want = reflect(pi)
+    assert r.rows == want.rows
+    assert r.profile == tuple(p + m * pi.ell for p in want.profile)
 
 
 def test_dual_weight_examples():

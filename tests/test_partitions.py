@@ -118,6 +118,21 @@ def test_empty_partition_rows():
     assert shifted.occupied(2) and not shifted.occupied(3)
 
 
+def test_beads_and_occupied_match_oracle():
+    # floors from below the tail up to past the top bead: a floor above the
+    # tail reads only the partition's beads
+    for c in range(-3, 4):
+        for lam in partitions_up_to(6):
+            row = BeadRow(c, lam)
+            top = c + lam.part(1)  # the slot just right of the top bead
+            window = range(c - len(lam) - 3, top + 3)
+            slots = set(occupied_slots_oracle(lam, c, window[0], top + 3))
+            for floor in window:
+                want = sorted((s for s in slots if s >= floor), reverse=True)
+                assert row.beads(floor) == want
+                assert row.occupied(floor) == (floor in slots)
+
+
 def test_bead_row_to_partition_is_inverse():
     for lam in partitions_up_to(12):
         for c in range(-3, 4):
@@ -244,6 +259,20 @@ def test_add_ribbon_errors():
         add_ribbon(P(()), 4, 10)  # source slot empty
     with pytest.raises(ValueError):
         add_ribbon(P(()), 4, -1)  # target slot occupied
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
+def test_ribbon_moves_below_the_ribbon_floor_raise(length):
+    # every slot below -len(lam) is occupied, so a rightmost column there
+    # names an occupied target to add to, or an occupied target to remove
+    # to; many of these sources and targets lie below the ribbon floor
+    # -len(lam) - length, outside the bead set the move reads
+    for lam in partitions_up_to(6):
+        for col in range(-len(lam) - 2 * length - 3, -len(lam)):
+            with pytest.raises(ValueError, match="no %d-ribbon" % length):
+                add_ribbon(lam, length, col)
+            with pytest.raises(ValueError, match="no %d-ribbon" % length):
+                remove_ribbon(lam, length, col)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4])

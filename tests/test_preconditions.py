@@ -18,6 +18,7 @@ NOT_COMPACT = config(3, 2, (1, (1,)), (0, ()))
 BAD_CPP = CylindricPlanePartition(3, 2, (0, 0), (Partition((1,)), Partition((2,))))
 VACUUM = BeadRow.vacuum(0)
 L0L1 = DominantWeight((1, 1, 0))
+GENERATOR = config(3, 2, (1, ()), (0, ()))
 LAM31 = Partition((3, 1))
 
 # (id, a fragment of the message, the call)
@@ -32,7 +33,16 @@ CASES = [
     ("highest_weight", "not descending", lambda: abacus.highest_weight(UNSORTED)),
     ("enumerate", "compact",
      lambda: list(abacus.enumerate_descending(NOT_COMPACT, 2))),
+    ("enumerate-unsorted", "compact",
+     lambda: list(abacus.enumerate_descending(UNSORTED, 2))),
+    ("enumerate-negative", "nonnegative",
+     lambda: list(abacus.enumerate_descending(GENERATOR, -1))),
     ("crystal_graph", "compact", lambda: crystal.crystal_graph(NOT_COMPACT, 2)),
+    ("crystal_graph-unsorted", "compact",
+     lambda: crystal.crystal_graph(UNSORTED, 2)),
+    ("crystal_graph-negative", "nonnegative",
+     lambda: crystal.crystal_graph(GENERATOR, -1)),
+    ("Z_bruteforce-negative", "nonnegative", lambda: qseries.Z_bruteforce(GENERATOR, -1)),
     ("f_descending", "f_descending needs",
      lambda: crystal.f_descending(UNSORTED, 1)),
     ("e_descending", "e_descending needs",
@@ -67,6 +77,14 @@ CASES = [
     ("from_abacus", "from_abacus needs", lambda: cylindric.from_abacus(UNSORTED)),
     ("reflect", "reflect needs", lambda: cylindric.reflect(BAD_CPP)),
     ("QSeries", "nmax", lambda: QSeries([1], -1)),
+    ("dual_weight-ell0", "n >= 1 and ell >= 1",
+     lambda: cylindric.dual_weight(DominantWeight((0, 0)), 2, 0)),
+    ("boundary_of-ell0", "n >= 1 and ell >= 1",
+     lambda: qseries.boundary_of(DominantWeight((0, 0)), 2, 0)),
+    ("boundary_of-n0", "n >= 1 and ell >= 1",
+     lambda: qseries.boundary_of(DominantWeight(()), 0, 0)),
+    ("level_weights-n0", "n >= 1", lambda: qseries.level_weights(0, 2)),
+    ("level_weights-negative", "level >= 0", lambda: qseries.level_weights(2, -1)),
     ("euler_inverse", "m >= 1", lambda: qseries.euler_inverse(0, 4)),
     ("times_inv_one_minus", "k >= 1",
      lambda: QSeries.one(4).times_inv_one_minus(0)),
