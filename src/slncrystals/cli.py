@@ -108,7 +108,7 @@ def cmd_convert(args):
                 psi.n, psi.ell, tuple(r.shifted(args.rotate_colors) for r in psi.rows)
             )
         out = MODELS[args.dst][2](psi)
-        if args.dst == "cpp" and args.format == "text":
+        if args.format == "text":
             out = cylindric.render_text(out)
         else:
             out = json.dumps(out.to_json()) + "\n"
@@ -249,6 +249,8 @@ def _check_domain(args):
             raise ValidationError("--%s must be >= 0" % name.replace("_", "-"))
     if getattr(args, "which", None) == "rank-level" and args.ell < 2:
         raise ValidationError("rank-level duality needs --ell >= 2")
+    if getattr(args, "format", None) == "text" and args.dst != "cpp":
+        raise ValidationError("--format text needs the destination cpp")
 
 
 def _parse_args(argv=None):

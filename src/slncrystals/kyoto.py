@@ -107,8 +107,9 @@ def _replace_entry(b, old, new):
 
 
 # The largest position, n and ell Path.from_json accepts, and the largest
-# product of ell and the last position: from_path places ell beads in each
-# bead set up to the last position, and its time grows as that product.
+# product of ell and the last position that it and to_path accept: from_path
+# places ell beads in each bead set up to the last position, to_path reads
+# them, and their time grows as that product.
 MAX_PATH_POSITION = 100_000
 MAX_PATH_BEADS = 1_000_000
 
@@ -196,11 +197,16 @@ class Path:
             raise ValueError("path positions must be distinct")
         base = _empty_path(n, _highest_weight_charges(w.coeffs))
         K = max(elements, default=0)
-        if ell * K > MAX_PATH_BEADS:
-            msg = "path ell %d times last position %d exceeds %d"
-            raise ValueError(msg % (ell, K, MAX_PATH_BEADS))
+        _check_beads(ell, K)
         dense = [elements.get(k, base.ground(k)) for k in range(1, K + 1)]
         return _pruned_path(base, dense)
+
+
+def _check_beads(ell, K):
+    """Refuse a path of ell beads in each of K bead sets above MAX_PATH_BEADS."""
+    if ell * K > MAX_PATH_BEADS:
+        msg = "path ell %d times last position %d exceeds %d"
+        raise ValueError(msg % (ell, K, MAX_PATH_BEADS))
 
 
 def _check_path(n, ell, w, elements):
@@ -328,6 +334,10 @@ def to_path(psi):
     n, charges = psi.n, psi.charges()
     if n < 2:
         raise ValueError("to_path needs n >= 2, not n = %d" % n)
+    # a tight configuration is fixed by its charges and bead-set residues,
+    # so its path's last deviation is its deepest moved bead: refuse what
+    # Path.from_json refuses, before is_tight, whose time also grows as ell x K
+    _check_beads(psi.ell, psi.max_bead_index())
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
     if not (0 <= charges[-1] and charges[0] < n and all(map(ge, charges, charges[1:]))):

@@ -103,6 +103,8 @@ class BeadRow(NamedTuple):
 
     def bead_slot(self, j):
         """Slot of the j-th bead counting from the right, j >= 1."""
+        if j < 1:
+            raise ValueError("bead index must be positive")
         return self.partition.part(j) - j + self.charge
 
     def occupied(self, slot):

@@ -25,9 +25,10 @@ from .crystal import crystal_graph
 
 
 class QSeries:
-    """A power series in q with exact integer coefficients through q^nmax."""
+    """A power series in q with exact integer coefficients through q^nmax,
+    nmax being one less than the number of coefficients."""
 
-    __slots__ = ("nmax", "coeffs")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, nmax=None):
         coeffs = list(map(index, coeffs))
@@ -35,10 +36,11 @@ class QSeries:
             nmax = len(coeffs) - 1
         if nmax < 0:
             raise ValueError("nmax must be nonnegative")
-        coeffs = coeffs[: nmax + 1]
-        coeffs += [0] * (nmax + 1 - len(coeffs))
-        self.nmax = nmax
-        self.coeffs = coeffs
+        self.coeffs = coeffs[: nmax + 1] + [0] * (nmax + 1 - len(coeffs))
+
+    @property
+    def nmax(self):
+        return len(self.coeffs) - 1
 
     @classmethod
     def one(cls, nmax):
@@ -50,27 +52,25 @@ class QSeries:
         return self.coeffs[k]
 
     def times_one_minus(self, k):
-        """Multiply by (1 - q^k)."""
+        """Multiply by (1 - q^k); k = 0 gives the zero series."""
+        if k < 0:
+            raise ValueError("need k >= 0")
         out = list(self.coeffs)
-        for d in range(self.nmax, k - 1, -1):
+        for d in range(len(out) - 1, k - 1, -1):
             out[d] -= self.coeffs[d - k]
-        return QSeries(out, self.nmax)
+        return QSeries(out)
 
     def times_inv_one_minus(self, k):
         """Multiply by the geometric series 1/(1 - q^k)."""
         if k < 1:
             raise ValueError("need k >= 1")
         out = list(self.coeffs)
-        for d in range(k, self.nmax + 1):
+        for d in range(k, len(out)):
             out[d] += out[d - k]
-        return QSeries(out, self.nmax)
+        return QSeries(out)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QSeries)
-            and self.nmax == other.nmax
-            and self.coeffs == other.coeffs
-        )
+        return isinstance(other, QSeries) and self.coeffs == other.coeffs
 
     def __repr__(self):
         return "QSeries(%r)" % (self.coeffs,)
@@ -105,19 +105,22 @@ def Z_rep(w, n, ell, nmax):
 
 @dataclass(frozen=True)
 class Boundary:
-    """The 0/1 boundary word of a cylinder: A up-steps, B down-steps."""
+    """The 0/1 boundary word of a cylinder: B marks its down-steps, and its
+    up-steps A (the complement of B) and its length N are read off B."""
 
-    N: int
-    A: tuple
     B: tuple
 
     def __post_init__(self):
-        if len(self.A) != self.N or len(self.B) != self.N:
-            raise ValueError("A and B must have length N")
-        if any(a not in (0, 1) or b not in (0, 1) for a, b in zip(self.A, self.B)):
-            raise ValueError("A and B must be 0/1 sequences")
-        if any(a == b for a, b in zip(self.A, self.B)):
-            raise ValueError("A and B must be complementary")
+        if not self.B or any(b not in (0, 1) for b in self.B):
+            raise ValueError("B must be a nonempty 0/1 word, not %r" % (self.B,))
+
+    @property
+    def N(self):
+        return len(self.B)
+
+    @property
+    def A(self):
+        return tuple(1 - b for b in self.B)
 
 
 def boundary_of(w, n, ell):
@@ -127,25 +130,20 @@ def boundary_of(w, n, ell):
     # a + m_0 + ... + m_{a-1} rises strictly with a, from 1 + m_0 to at most
     # n + ell = N, so the n residues are distinct mod N: n down-steps
     b_positions = {(a + sum(coeffs[:a])) % N for a in range(1, n + 1)}
-    B = tuple(1 if r in b_positions else 0 for r in range(N))
-    A = tuple(1 - b for b in B)
-    return Boundary(N, A, B)
+    return Boundary(tuple(1 if r in b_positions else 0 for r in range(N)))
 
 
 def Z_borodin(bd, nmax):
     """The boundary hook product for the cylinder partition function."""
     N = bd.N
+    ups = [i for i, a in enumerate(bd.A) if a]
+    downs = [j for j, b in enumerate(bd.B) if b]
     s = euler_inverse(N, nmax)
-    for i in range(N):
-        if not bd.A[i]:
-            continue
-        for j in range(N):
-            if not bd.B[j]:
-                continue
-            # Boundary makes A and B complementary, so A[i] = B[j] = 1 needs
-            # i != j, and d0 lies in 1..N-1
-            d0 = (i - j) % N
-            for e in range(d0, nmax + 1, N):
+    for i in ups:
+        for j in downs:
+            # an up-step and a down-step sit at different positions, so the
+            # first exponent (i - j) % N lies in 1..N-1
+            for e in range((i - j) % N, nmax + 1, N):
                 s = s.times_inv_one_minus(e)
     return s
 
@@ -154,17 +152,10 @@ def Z_bruteforce(psi0, nmax):
     """Count descending configurations over psi0 by weight, breadth-first."""
     if weight(psi0) != 0 or not is_descending(psi0):
         raise ValueError("Z_bruteforce needs a compact descending generator")
-    counts = [0] * (nmax + 1)
-    frontier = {psi0.key(): psi0}
-    for w in range(nmax + 1):
-        counts[w] = len(frontier)
-        if w == nmax:
-            break
-        nxt = {}
-        for cfg in frontier.values():
-            for moved in right_moves(cfg):
-                nxt[moved.key()] = moved
-        frontier = nxt
+    counts, frontier = [1], {psi0}
+    while len(counts) <= nmax:
+        frontier = {moved for cfg in frontier for moved in right_moves(cfg)}
+        counts.append(len(frontier))
     return QSeries(counts, nmax)
 
 

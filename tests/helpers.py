@@ -22,7 +22,7 @@ from slncrystals.crystal import signature_reduce
 from slncrystals.cylindric import CylindricPlanePartition, _box_tokens, hw_of_cpp
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_of
-from slncrystals.qseries import level_weights
+from slncrystals.qseries import euler_inverse, level_weights
 
 P = Partition
 
@@ -802,3 +802,21 @@ def is_valid_cpp_by_cells(pi):
             if pi.entry(i, j) < pi.entry(i + 1, j):
                 return False
     return True
+
+
+def borodin_by_two_words(bd, nmax):
+    """The boundary hook product read off the up-step word A and the
+    down-step word B together: every index pair (i, j) with A[i] = B[j] = 1
+    gives the factors 1/(1 - q^e), e = (i - j) mod N + kN, k >= 0."""
+    N = bd.N
+    s = euler_inverse(N, nmax)
+    for i in range(N):
+        if not bd.A[i]:
+            continue
+        for j in range(N):
+            if not bd.B[j]:
+                continue
+            d0 = (i - j) % N
+            for e in range(d0, nmax + 1, N):
+                s = s.times_inv_one_minus(e)
+    return s

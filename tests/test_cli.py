@@ -371,6 +371,33 @@ def test_convert_path_ell_times_last_position_bound():
             assert len(json.loads(out)["rows"]) == ell
 
 
+def test_convert_abacus_to_path_ell_times_deepest_bead_bound():
+    # 3,000 rows at n = 2, the bottom one holding 3,000 parts of 1 (93 KB):
+    # its path has 3,000 x 3,000 beads, which convert path ... refuses, and
+    # building it took about 3.3 s on a 2-core machine
+    rows = [{"charge": 0, "parts": [1] * 3_000}] + [{"charge": 0, "parts": []}] * 2_999
+    data = json.dumps({"n": 2, "ell": 3_000, "rows": rows})
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(["convert", "abacus", "path"], stdin=data)
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "ell 3000 times last position 3000 exceeds" in err
+
+
+@pytest.mark.parametrize("dst", ["partition", "abacus", "path"])
+def test_convert_text_format_needs_cpp_exit_3(dst):
+    # only a cylinder has a text rendering; the other destinations printed
+    # JSON under --format text
+    data = json.dumps({"n": 2, "ell": 2, "rows": [{"charge": 0, "parts": [1]},
+                                                  {"charge": 0, "parts": []}]})
+    argv = ["convert", "abacus", dst, "--format", "text"]
+    rc, out, err = run_cli(argv, stdin=data)
+    assert rc == 3 and out == ""
+    assert err == "error: --format text needs the destination cpp\n"
+    assert run_cli(argv[:-1] + ["json"], stdin=data)[0] == 0
+
+
 def test_convert_partition_to_abacus_linear_in_ell():
     # each of the ell strands rescanning every bead makes this quadratic in
     # ell, about 65 s on a 2-core machine

@@ -31,6 +31,7 @@ from slncrystals.kyoto import (
     to_path,
 )
 from slncrystals.crystal import signature_reduce
+from slncrystals.partitions import BeadRow, Partition
 
 from helpers import (
     _reduce_colors,
@@ -128,6 +129,22 @@ def test_J_of_generator_is_ground_path():
     p = to_path(fig9())
     assert p.element(1) == PerfectElem((0, 0, 1, 2))
     assert p.element(7) == PerfectElem((0, 0, 1, 2))
+
+
+def test_to_path_ell_times_deepest_bead_bound(monkeypatch):
+    # ell rows of charge 0 at n = 2, the bottom one holding K parts of 1: its
+    # path's last deviation is at K, so to_path refuses ell x K above the
+    # bound that Path.from_json puts on ell x last position
+    ell, K = 3, 4
+    rows = (BeadRow(0, Partition((1,) * K)),) + (BeadRow(0, Partition()),) * (ell - 1)
+    psi = AbacusConfig(2, ell, rows)
+    monkeypatch.setattr(kyoto, "MAX_PATH_BEADS", ell * K)
+    p = to_path(psi)
+    assert max(map(int, p.to_json()["deviations"])) == K
+    assert from_path(Path.from_json(p.to_json())) == psi
+    monkeypatch.setattr(kyoto, "MAX_PATH_BEADS", ell * K - 1)
+    with pytest.raises(ValueError, match="ell 3 times last position 4 exceeds 11"):
+        to_path(psi)
 
 
 def test_J_requires_tight():

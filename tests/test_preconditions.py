@@ -88,8 +88,13 @@ CASES = [
     ("euler_inverse", "m >= 1", lambda: qseries.euler_inverse(0, 4)),
     ("times_inv_one_minus", "k >= 1",
      lambda: QSeries.one(4).times_inv_one_minus(0)),
-    ("Boundary-length", "length N", lambda: Boundary(2, (1, 0), (0, 1, 0))),
-    ("Boundary-entry", "0/1", lambda: Boundary(2, (2, 0), (0, 1))),
+    ("Boundary-empty", "nonempty 0/1", lambda: Boundary(())),
+    ("Boundary-entry", "0/1", lambda: Boundary((2, 0))),
+    ("times_one_minus", "k >= 0", lambda: QSeries.one(4).times_one_minus(-1)),
+    ("bead_slot-zero", "bead index must be positive",
+     lambda: BeadRow(2, LAM31).bead_slot(0)),
+    ("bead_slot-negative", "bead index must be positive",
+     lambda: BeadRow(2, LAM31).bead_slot(-1)),
     ("DominantWeight", "nonnegative", lambda: DominantWeight((2, -1))),
     ("AbacusConfig-rows", "expected 2 rows", lambda: AbacusConfig(3, 2, (VACUUM,))),
     ("AbacusConfig-n0", "n >= 1", lambda: AbacusConfig(0, 1, (VACUUM,))),

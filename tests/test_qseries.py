@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import pytest
 
@@ -17,7 +18,7 @@ from slncrystals.qseries import (
     level_weights,
 )
 
-from helpers import all_level_coeffs, descending_configs
+from helpers import all_level_coeffs, borodin_by_two_words, descending_configs
 
 
 def test_euler_inverse_counts_partitions():
@@ -40,6 +41,11 @@ def test_ring_axioms():
     a = QSeries([1, 2, 0, 1], 8)
     # multiplying by 1/(1-q^k) then by (1-q^k) is the identity
     assert a.times_inv_one_minus(3).times_one_minus(3) == a
+    # 1 - q^0 = 0, and a series' truncation is its coefficient count
+    assert a.times_one_minus(0) == QSeries([], 8)
+    assert QSeries.__slots__ == ("coeffs",)
+    assert a.nmax == 8 and a.coeffs == [1, 2, 0, 1, 0, 0, 0, 0, 0]
+    assert QSeries([1, 2, 3], 1) == QSeries([1, 2]) != QSeries([1, 2, 0])
 
 
 def test_dimq_leading_coefficients():
@@ -103,9 +109,25 @@ def test_boundary_bit_patterns_pinned():
         assert boundary_of(DominantWeight(coeffs), 3, 2).B == bits
 
 
-def test_boundary_complementarity_enforced():
-    with pytest.raises(ValueError):
-        Boundary(3, (1, 0, 0), (1, 1, 0))
+def test_boundary_derives_length_and_up_steps():
+    # a boundary holds its down-step word B alone; its up-steps A are the
+    # complement of B and its length N is the length of B
+    assert [f.name for f in fields(Boundary)] == ["B"]
+    for bits in [(1,), (0, 1), (1, 1, 0), (1, 0, 0, 1, 0, 0, 0, 1, 0)]:
+        bd = Boundary(bits)
+        assert bd.N == len(bits)
+        assert bd.A == tuple(1 - b for b in bits)
+        assert all(a != b for a, b in zip(bd.A, bd.B))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_borodin_matches_two_word_product(n):
+    # the product paired from the up- and down-step lists equals the one read
+    # from both words over every index pair, on every level weight
+    for ell in range(1, 5):
+        for coeffs in all_level_coeffs(n, ell):
+            bd = boundary_of(DominantWeight(coeffs), n, ell)
+            assert Z_borodin(bd, 20) == borodin_by_two_words(bd, 20)
 
 
 def test_borodin_constant_term():
@@ -161,7 +183,7 @@ def test_borodin_swapping_roles_is_reflection_symmetry():
     w = DominantWeight((1, 1, 0))
     bd = boundary_of(w, 3, 2)
     zr = Z_rep(w, 3, 2, 8)
-    assert Z_borodin(Boundary(bd.N, bd.B, bd.A), 8) == zr == Z_borodin(bd, 8)
+    assert Z_borodin(Boundary(bd.A), 8) == zr == Z_borodin(bd, 8)
 
 
 def _borodin_k_from_two(bd, nmax):
