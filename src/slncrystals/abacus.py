@@ -33,36 +33,35 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class DominantWeight:
-    """Sum m_i * Lambda_i with nonnegative coefficients m_0..m_{n-1}."""
+class DominantWeight(tuple):
+    """Sum m_i * Lambda_i, the tuple of its nonnegative coefficients
+    m_0..m_{n-1}."""
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
-        if any(c < 0 for c in self.coeffs):
+    def __new__(cls, coeffs):
+        coeffs = tuple(map(index, coeffs))
+        if any(c < 0 for c in coeffs):
             raise ValueError("dominant weight needs nonnegative coefficients")
+        return tuple.__new__(cls, coeffs)
 
-    @property
-    def n(self):
-        return len(self.coeffs)
-
-    @property
-    def level(self):
-        return sum(self.coeffs)
+    n = property(len)
+    level = property(sum)
 
     def rotated(self, k):
         """Relabel Lambda_i -> Lambda_{i+k} (cyclic color rotation)."""
         n = self.n
         out = [0] * n
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self):
             out[(i + k) % n] += c
-        return DominantWeight(tuple(out))
+        return DominantWeight(out)
+
+    def __repr__(self):
+        return "DominantWeight(%r)" % (tuple(self),)
 
     def __str__(self):
         terms = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self):
             if c == 0:
                 continue
             terms.append(("L%d" % i) if c == 1 else ("%d*L%d" % (c, i)))
@@ -108,9 +107,6 @@ class AbacusConfig:
     def max_bead_index(self):
         """Largest j such that some row's j-th bead is off its vacuum slot."""
         return max(len(r.partition) for r in self.rows)
-
-    def key(self):
-        return (self.n, self.ell) + self.rows
 
     def label(self):
         """Compact deterministic string, bottom row first."""
@@ -280,20 +276,20 @@ def _charge_weight(charges, n):
     m = [0] * n
     for c in charges:
         m[c % n] += 1
-    return DominantWeight(tuple(m))
+    return DominantWeight(m)
 
 
 def _level_coeffs(w, n, ell):
-    """The coefficients of w, a DominantWeight or a sequence, checked to be
-    n of them, of level ell."""
+    """w, a DominantWeight or a sequence of coefficients, read as a
+    DominantWeight checked to have n coefficients, of level ell."""
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
-    coeffs = w.coeffs if isinstance(w, DominantWeight) else tuple(w)
-    if len(coeffs) != n:
-        raise ValueError("weight has %d coefficients, expected %d" % (len(coeffs), n))
-    if sum(coeffs) != ell:
-        raise ValueError("weight level %d does not match ell=%d" % (sum(coeffs), ell))
-    return coeffs
+    w = DominantWeight(w)
+    if w.n != n:
+        raise ValueError("weight has %d coefficients, expected %d" % (w.n, n))
+    if w.level != ell:
+        raise ValueError("weight level %d does not match ell=%d" % (w.level, ell))
+    return w
 
 
 def highest_weight_config(w, n, ell):

@@ -103,7 +103,7 @@ def rank_level(w, nmax):
         raise ValueError("rank-level duality needs n, ell >= 2")
     dual = cylindric.dual_weight(w, n, ell)
     if qseries.Z_rep(w, n, ell, nmax) != qseries.Z_rep(dual, ell, n, nmax):
-        return "rank-level duality fails for %s" % w
+        return "rank-level duality fails for %s" % (w,)
     return None
 
 
@@ -113,7 +113,7 @@ def level_one(w, nmax):
     if n < 2 or w.level != 1:
         raise ValueError("the level-one identity needs n >= 2 and a level-1 weight")
     if qseries.Z_rep(w, n, 1, nmax) != qseries.euler_inverse(1, nmax):
-        return "level-one identity fails for %s" % w
+        return "level-one identity fails for %s" % (w,)
     return None
 
 

@@ -23,6 +23,12 @@ from .abacus import AbacusConfig, DominantWeight
 from .partitions import Partition, combine_quotient, ell_quotient
 
 
+# the largest --nmax and --max-degree: a borodin series through q^1000 takes
+# about 0.1 s at n = 2, its time grows as the square of the degree, and the
+# crystal's walks grow faster still
+MAX_DEGREE = 1000
+
+
 class InputError(Exception):
     exit_code = 2
 
@@ -43,7 +49,7 @@ def parse_weight(text, n):
         if idx >= n:
             raise InputError("weight index %d out of range for n=%d" % (idx, n))
         coeffs[idx] += mult
-    return DominantWeight(tuple(coeffs))
+    return DominantWeight(coeffs)
 
 
 def _read_json(args):
@@ -165,7 +171,7 @@ def cmd_series(args):
 def cmd_enumerate(args):
     psi0 = abacus.highest_weight_config(_weight(args), args.n, args.ell)
     gen = abacus.enumerate_tight if args.tight else abacus.enumerate_descending
-    items = sorted(gen(psi0, args.nmax), key=lambda c: (abacus.weight(c), c.key()))
+    items = sorted(gen(psi0, args.nmax), key=lambda c: (abacus.weight(c), c.rows))
     for cfg in items:
         sys.stdout.write(
             json.dumps({"weight": abacus.weight(cfg), "config": cfg.to_json()}) + "\n"
@@ -245,8 +251,11 @@ def _check_domain(args):
     if args.n < 2 or args.ell < 1:
         raise ValidationError("need --n >= 2 and --ell >= 1")
     for name in ("nmax", "max_degree"):
-        if getattr(args, name, 0) < 0:
-            raise ValidationError("--%s must be >= 0" % name.replace("_", "-"))
+        value, flag = getattr(args, name, 0), "--" + name.replace("_", "-")
+        if value < 0:
+            raise ValidationError("%s must be >= 0" % flag)
+        if value > MAX_DEGREE:
+            raise ValidationError("%s %d exceeds %d" % (flag, value, MAX_DEGREE))
     if getattr(args, "which", None) == "rank-level" and args.ell < 2:
         raise ValidationError("rank-level duality needs --ell >= 2")
     if getattr(args, "format", None) == "text" and args.dst != "cpp":

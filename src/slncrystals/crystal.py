@@ -384,7 +384,7 @@ def crystal_graph(psi0, max_degree):
     first uncanceled "(" of color i names the bead (row r, index j) that
     f_i moves, so the image's parts are the node's with part j of row r
     raised by one, which `_hop` computes unchecked as `f_abacus` does.  f
-    keeps every charge, so these keys sort as `key()` does.  `f_abacus`
+    keeps every charge, so these keys sort as the nodes' rows do.  `f_abacus`
     builds each node once, for the first edge into it, and every later
     edge reuses that node.  An expanded node's gap-rule memo is reset to
     None, so no node of the graph keeps one.
@@ -425,10 +425,10 @@ def graph_to_dot(graph):
     for d, layer in enumerate(graph.layers):
         decls = []
         for node in layer:
-            ids[node.key()] = "n%d" % len(ids)
-            decls.append('%s [label="%s"];' % (ids[node.key()], node.label()))
+            ids[node] = "n%d" % len(ids)
+            decls.append('%s [label="%s"];' % (ids[node], node.label()))
         lines.append("  { rank=same; %s }" % " ".join(decls))
     for src, i, dst in graph.edges:
-        lines.append('  %s -> %s [label="%d"];' % (ids[src.key()], ids[dst.key()], i))
+        lines.append('  %s -> %s [label="%d"];' % (ids[src], ids[dst], i))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -48,9 +48,6 @@ class CylindricPlanePartition:
             raise ValueError("entry (%d, %d) is outside the boundary" % (i, j))
         return self.rows[r].part(w + 1)
 
-    def key(self):
-        return (self.n, self.ell, self.profile, self.rows)
-
     def to_json(self):
         return {
             "n": self.n,
@@ -249,7 +246,7 @@ def dual_weight(w, n, ell):
     out = [0] * ell
     for i in range(n):
         out[sum(coeffs[i:]) % ell] += 1
-    return DominantWeight(tuple(out))
+    return DominantWeight(out)
 
 
 def render_text(pi):

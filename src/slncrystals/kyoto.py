@@ -140,7 +140,7 @@ class Path:
             if r:
                 entries = sorted((v - r) % self.n for v in self.ground(0))
             else:
-                w = self.weight.coeffs
+                w = self.weight
                 entries = [v for v in range(self.n) for _ in range(w[v])]
             b = self._grounds[r] = PerfectElem._trusted(entries)
         return b
@@ -162,11 +162,12 @@ class Path:
         return {
             "n": self.n,
             "ell": self.ell,
-            "weight": list(self.weight.coeffs),
+            "weight": list(self.weight),
             "deviations": {str(k): e.to_json() for k, e in devs if e != self.ground(k)},
         }
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", DominantWeight(self.weight))
         elements = list(map(PerfectElem, self.elements))
         _check_path(self.n, self.ell, self.weight, enumerate(elements, 1))
         object.__setattr__(self, "elements", _trimmed(self, elements))
@@ -195,7 +196,7 @@ class Path:
         elements = dict(devs)
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
-        base = _empty_path(n, _highest_weight_charges(w.coeffs))
+        base = _empty_path(n, _highest_weight_charges(w))
         K = max(elements, default=0)
         _check_beads(ell, K)
         dense = [elements.get(k, base.ground(k)) for k in range(1, K + 1)]
@@ -216,7 +217,7 @@ def _check_path(n, ell, w, elements):
     Path.from_json."""
     if n < 2 or ell < 1:
         raise ValueError("a path needs n >= 2 and ell >= 1")
-    if not isinstance(w, DominantWeight) or w.n != n or w.level != ell:
+    if w.n != n or w.level != ell:
         raise ValueError("weight %s needs %d coefficients and level %d" % (w, n, ell))
     for k, e in elements:
         if len(e) != ell or not all(0 <= x < n for x in e):
@@ -265,8 +266,7 @@ def _empty_path(n, charges):
 def ground_state_path(w, n, ell):
     """The unique path with phi(b_1) = w and eps(b_k) = phi(b_{k+1}), from
     the cache of deviation-free paths."""
-    w = DominantWeight(_level_coeffs(w, n, ell))
-    return _empty_path(n, _highest_weight_charges(w.coeffs))
+    return _empty_path(n, _highest_weight_charges(_level_coeffs(w, n, ell)))
 
 
 def path_brackets(path):
@@ -344,7 +344,7 @@ def to_path(psi):
         w = _charge_weight(charges, n)
         raise ValueError(
             "to_path needs the charges %s of highest_weight_config(%s), not %s"
-            % (_highest_weight_charges(w.coeffs), w, charges)
+            % (_highest_weight_charges(w), w, charges)
         )
     elements = [PerfectElem._trusted(sorted(res)) for res in _residues(psi)]
     return _pruned_path(_empty_path(n, charges), elements)

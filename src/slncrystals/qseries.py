@@ -9,7 +9,6 @@ agreement is the central consistency check of the whole package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 
 from .abacus import (
@@ -103,24 +102,26 @@ def Z_rep(w, n, ell, nmax):
     return s
 
 
-@dataclass(frozen=True)
-class Boundary:
-    """The 0/1 boundary word of a cylinder: B marks its down-steps, and its
-    up-steps A (the complement of B) and its length N are read off B."""
+class Boundary(tuple):
+    """The 0/1 boundary word of a cylinder, 1 at its down-steps: its
+    up-steps A (the complement) and its length N are read off the word."""
 
-    B: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.B or any(b not in (0, 1) for b in self.B):
-            raise ValueError("B must be a nonempty 0/1 word, not %r" % (self.B,))
+    def __new__(cls, word):
+        word = tuple(map(index, word))
+        if not word or any(b not in (0, 1) for b in word):
+            raise ValueError("B must be a nonempty 0/1 word, not %r" % (word,))
+        return tuple.__new__(cls, word)
 
-    @property
-    def N(self):
-        return len(self.B)
+    N = property(len)
 
     @property
     def A(self):
-        return tuple(1 - b for b in self.B)
+        return tuple(1 - b for b in self)
+
+    def __repr__(self):
+        return "Boundary(%r)" % (tuple(self),)
 
 
 def boundary_of(w, n, ell):
@@ -130,14 +131,14 @@ def boundary_of(w, n, ell):
     # a + m_0 + ... + m_{a-1} rises strictly with a, from 1 + m_0 to at most
     # n + ell = N, so the n residues are distinct mod N: n down-steps
     b_positions = {(a + sum(coeffs[:a])) % N for a in range(1, n + 1)}
-    return Boundary(tuple(1 if r in b_positions else 0 for r in range(N)))
+    return Boundary(1 if r in b_positions else 0 for r in range(N))
 
 
 def Z_borodin(bd, nmax):
     """The boundary hook product for the cylinder partition function."""
     N = bd.N
     ups = [i for i, a in enumerate(bd.A) if a]
-    downs = [j for j, b in enumerate(bd.B) if b]
+    downs = [j for j, b in enumerate(bd) if b]
     s = euler_inverse(N, nmax)
     for i in ups:
         for j in downs:

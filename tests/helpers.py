@@ -222,7 +222,7 @@ def tight_configs(n, ell, coeffs, max_weight):
 
 
 def all_level_coeffs(n, level):
-    return [w.coeffs for w in level_weights(n, level)]
+    return level_weights(n, level)
 
 
 @st.composite
@@ -814,7 +814,7 @@ def borodin_by_two_words(bd, nmax):
         if not bd.A[i]:
             continue
         for j in range(N):
-            if not bd.B[j]:
+            if not bd[j]:
                 continue
             d0 = (i - j) % N
             for e in range(d0, nmax + 1, N):

@@ -40,6 +40,7 @@ from slncrystals.crystal import f_abacus, f_descending
 from slncrystals.cylindric import from_abacus
 from slncrystals.kyoto import Path, f_path, to_path
 from slncrystals.partitions import BeadRow, Partition
+from slncrystals.qseries import boundary_of
 
 from helpers import (
     abacus_configs,
@@ -258,7 +259,7 @@ def test_replace_row_indexes_like_a_list():
         rows = list(psi.rows)
         rows[r] = row
         want = AbacusConfig(psi.n, psi.ell, tuple(rows))
-        assert got == want and hash(got) == hash(want) and got.key() == want.key()
+        assert got == want and hash(got) == hash(want)
         assert repr(got) == repr(want)
     for r in (psi.ell, -psi.ell - 1):
         with pytest.raises(IndexError):
@@ -334,6 +335,7 @@ def test_copies_and_pickles_rebuild_without_memos():
     f_path(path, 0)
     assert path._signatures is not None
     values = [psi.rows[0].partition, psi.rows[0], psi, from_abacus(psi), path]
+    values += [path.weight, boundary_of(path.weight, path.n, path.ell)]
 
     def pickled(x):
         return pickle.loads(pickle.dumps(x))
@@ -596,7 +598,7 @@ def test_recombine_roundtrip():
         for cfg in descending_configs(3, 2, coeffs, 6):
             g, lam = gamma(cfg), lambda_part(cfg)
             assert recombine(g, lam) == cfg
-            key = (g.key(), lam)
+            key = (g, lam)
             assert key not in seen
             seen[key] = cfg
 
@@ -719,15 +721,22 @@ def test_enumeration_matches_bfs():
     psi0 = highest_weight_config((1, 1, 0), 3, 2)
     by_weight = {}
     for cfg in enumerate_descending(psi0, 5):
-        by_weight.setdefault(weight(cfg), set()).add(cfg.key())
-    frontier = {psi0.key(): psi0}
+        by_weight.setdefault(weight(cfg), set()).add(cfg)
+    frontier = {psi0}
     for w in range(6):
-        assert set(frontier) == by_weight.get(w, set())
-        nxt = {}
-        for cfg in frontier.values():
-            for moved in right_moves(cfg):
-                nxt[moved.key()] = moved
-        frontier = nxt
+        assert frontier == by_weight.get(w, set())
+        frontier = {moved for cfg in frontier for moved in right_moves(cfg)}
+
+
+def test_dominant_weight_is_the_tuple_of_its_coefficients():
+    # a weight has one form, read from any sequence of its coefficients, and
+    # a configuration is its own key
+    w = DominantWeight([1, 0])
+    assert isinstance(w, tuple) and DominantWeight.__slots__ == ()
+    assert w == (1, 0) and hash(w) == hash((1, 0)) and w == DominantWeight((1, 0))
+    assert (w.n, w.level, str(w), repr(w)) == (2, 1, "L0", "DominantWeight((1, 0))")
+    assert not hasattr(w, "coeffs")
+    assert not hasattr(fig10(), "key") and not hasattr(from_abacus(fig10()), "key")
 
 
 def test_json_roundtrip():

@@ -159,7 +159,7 @@ def test_ac05_tightening_structure_suite():
         # commutation with matching zero patterns
         holds(checks.tk_commute, descending_configs(n, ell, coeffs, 6))
         # sources are exactly the loosenings of the generator
-        orbit = {psi0.key()}
+        orbit = {psi0}
         frontier = [psi0]
         while frontier:
             cur = frontier.pop()
@@ -167,12 +167,12 @@ def test_ac05_tightening_structure_suite():
                 continue
             for k in range(1, cur.max_bead_index() + 2):
                 nxt = loosen(cur, k)
-                if nxt is not None and nxt.key() not in orbit:
-                    orbit.add(nxt.key())
+                if nxt is not None and nxt not in orbit:
+                    orbit.add(nxt)
                     frontier.append(nxt)
         for cfg in descending_configs(n, ell, coeffs, 6):
             is_source = all(e_abacus(cfg, i) is None for i in range(n))
-            assert is_source == (cfg.key() in orbit)
+            assert is_source == (cfg in orbit)
         # the tight part is closed under the operators
         for cfg in tight_configs(n, ell, coeffs, 6):
             for i in range(n):
@@ -205,7 +205,7 @@ def test_ac06_slack_decomposition():
             assert compactify(g) == compactify(cfg)
             assert weight(cfg) == weight(g) + n * lam.size
             assert recombine(g, lam) == cfg
-            key = (g.key(), lam)
+            key = (g, lam)
             assert key not in seen
             seen[key] = cfg
         for cfg in descending_configs(n, ell, coeffs, 6):

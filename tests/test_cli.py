@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slncrystals import checks, cli, cylindric, kyoto
+from slncrystals import abacus, checks, cli, cylindric, kyoto, qseries
 from slncrystals.abacus import DominantWeight
 
 from helpers import (
@@ -137,8 +137,9 @@ def _cap_address_space():
 
 @pytest.mark.parametrize("n, nmax", [(2, 10**8), (10**8, 2)])
 def test_memory_error_exits_3_without_traceback(n, nmax):
-    # a series of 10^8 coefficients, or a weight of 10^8 coefficients, does
-    # not fit in 400 MB: one error line and exit 3, never exit 1
+    # a series of 10^8 coefficients is refused by the --nmax cap, and a
+    # weight of 10^8 coefficients does not fit in 400 MB: one error line and
+    # exit 3, never exit 1
     argv = ["series", "--kind", "borodin", "--n", str(n), "--ell", "1",
             "--weight", "L0", "--nmax", str(nmax)]
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -513,6 +514,39 @@ def test_convert_to_path_rotated_roundtrip():
 def test_out_of_domain_arguments_exit_3(argv):
     rc, out, err = run_cli(argv)
     assert rc == 3 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "--weight", "L0+L1", "--max-degree", "1001"],
+        ["series", "--weight", "L0+L1", "--nmax", "1001"],
+        ["enumerate", "--weight", "L0+L1", "--nmax", "1001"],
+        ["verify", "gglemma", "--nmax", "1001"],
+    ],
+)
+def test_degree_above_the_cap_exits_3_before_any_work(argv, monkeypatch):
+    # the engines these commands call first fail the test if reached
+    def work(*args):
+        raise AssertionError("the request reached %s" % (args,))
+
+    for module, name in ((abacus, "highest_weight_config"), (qseries, "Z_rep"),
+                         (checks, "run")):
+        monkeypatch.setattr(module, name, work)
+    start = time.perf_counter()
+    rc, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 0.5
+    assert (rc, out) == (3, "")
+    assert err == "error: %s 1001 exceeds %d\n" % (argv[-2], cli.MAX_DEGREE)
+
+
+def test_borodin_series_at_the_cap_exits_0():
+    argv = ["series", "--kind", "borodin", "--n", "2", "--ell", "1",
+            "--weight", "L0", "--nmax", str(cli.MAX_DEGREE)]
+    rc, out, err = run_cli(argv)
+    assert (rc, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 1001 and lines[-1].startswith("1000\t")
 
 
 def test_graph_single_node():

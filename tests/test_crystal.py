@@ -288,10 +288,10 @@ def test_crystal_graph_edges_are_f_abacus(n, ell):
         assert graph.edges == want
         assert all(got[0] is x for got, (x, _, _) in zip(graph.edges, want))
         for d, layer in enumerate(graph.layers[1:]):
-            held = {cfg.key(): cfg for cfg in layer}
+            held = {cfg: cfg for cfg in layer}
             targets = [t for s, _, t in graph.edges if weight(s) == d]
-            assert all(held[t.key()] is t for t in targets)
-            assert {t.key() for t in targets} == set(held)
+            assert all(held[t] is t for t in targets)
+            assert set(targets) == set(held)
 
 
 @pytest.mark.parametrize("n,ell", [(3, 2), (2, 3)])
@@ -561,7 +561,7 @@ def test_sources_are_loosenings_of_generator():
     # vertices with all e_i = 0 are exactly the T_k*-orbit of the generator
     for coeffs in all_level_coeffs(3, 2):
         psi0 = highest_weight_config(coeffs, 3, 2)
-        orbit = {psi0.key()}
+        orbit = {psi0}
         frontier = [psi0]
         while frontier:
             cur = frontier.pop()
@@ -569,12 +569,12 @@ def test_sources_are_loosenings_of_generator():
                 continue
             for k in range(1, cur.max_bead_index() + 2):
                 nxt = loosen(cur, k)
-                if nxt is not None and nxt.key() not in orbit:
-                    orbit.add(nxt.key())
+                if nxt is not None and nxt not in orbit:
+                    orbit.add(nxt)
                     frontier.append(nxt)
         for cfg in descending_configs(3, 2, coeffs, 6):
             is_source = all(e_abacus(cfg, i) is None for i in range(3))
-            assert is_source == (cfg.key() in orbit)
+            assert is_source == (cfg in orbit)
 
 
 def test_crystal_graph_layers():
@@ -585,19 +585,19 @@ def test_crystal_graph_layers():
     assert len(graph.layers[1]) == sum(1 for m in (1, 2, 1) if m)
     # layers enumerate exactly the tight configurations of each weight
     for d, layer in enumerate(graph.layer_sizes()):
-        got = {c.key() for c in graph.layers[d]}
+        got = set(graph.layers[d])
         expect = {
-            c.key() for c in tight_configs(3, 4, (1, 2, 1), 4) if weight(c) == d
+            c for c in tight_configs(3, 4, (1, 2, 1), 4) if weight(c) == d
         }
         assert got == expect
 
 
 def test_crystal_graph_connectivity():
     graph = crystal_graph(fig9(), 4)
-    incoming = {c.key() for _, _, t in graph.edges for c in [t]}
+    incoming = {t for _, _, t in graph.edges}
     for layer in graph.layers[1:]:
         for node in layer:
-            assert node.key() in incoming
+            assert node in incoming
 
 
 def test_dot_output_deterministic():

@@ -262,8 +262,8 @@ def test_reflect_weight_preserving_bijection():
             pi = from_abacus(cfg)
             r = reflect(pi)
             assert cpp_weight(r) == cpp_weight(pi)
-            assert r.key() not in images
-            images[r.key()] = pi
+            assert r not in images
+            images[r] = pi
         # reflecting twice returns the original
         for pi in images.values():
             back = reflect(reflect(pi))

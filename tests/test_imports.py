@@ -4,7 +4,8 @@ library, no module has an `assert` statement (`python -O` drops them;
 an invariant check raises AssertionError explicitly), and `Partition`,
 `BeadRow`, `AbacusConfig`, `CylindricPlanePartition`, `PerfectElem` and
 `Path` are built unchecked, by `object.__new__` or `tuple.__new__`, only in
-their one trusted constructor each.
+their one trusted constructor each, while `DominantWeight` and `Boundary`,
+which have none, are never built unchecked.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals with the stdlib ast module; only the assert check reads the
@@ -112,12 +113,16 @@ TRUSTED_CONSTRUCTORS = {
     "Path": "kyoto._pruned_path",
 }
 
+# the types with no trusted constructor: built only by their own __new__
+CHECKED_ONLY = ("DominantWeight", "Boundary")
+
 
 def unchecked_construction_sites(sources):
     """(type, "module.qualified name") of every `object.__new__(X)` or
     `tuple.__new__(X, ...)` call in `sources` (module name -> source) with X
-    one of TRUSTED_CONSTRUCTORS; `cls` reads as the class that encloses the
-    call.  A call in X's own `__new__`, which validates, is not listed."""
+    one of TRUSTED_CONSTRUCTORS or CHECKED_ONLY; `cls` reads as the class
+    that encloses the call.  A call in X's own `__new__`, which validates,
+    is not listed."""
     sites = []
 
     def visit(node, scope, cls):
@@ -134,7 +139,8 @@ def unchecked_construction_sites(sources):
         ):
             made = ast.unparse(node.args[0]) if node.args else ""
             made = cls if made == "cls" else made
-            if made in TRUSTED_CONSTRUCTORS and scope[-2:] != [made, "__new__"]:
+            checked = made in TRUSTED_CONSTRUCTORS or made in CHECKED_ONLY
+            if checked and scope[-2:] != [made, "__new__"]:
                 sites.append((made, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, scope, cls)
@@ -145,6 +151,8 @@ def unchecked_construction_sites(sources):
 
 
 def test_unchecked_construction_sites_finds_a_second_site():
+    # a DominantWeight or Boundary built anywhere but its own __new__ is
+    # listed too, as those types have no trusted constructor
     sources = {
         "partitions": (
             "class Partition(tuple):\n"
@@ -166,12 +174,26 @@ def test_unchecked_construction_sites_finds_a_second_site():
             "    return object.__new__(AbacusConfig)\n"
             "def shortcut(row):\n"
             "    return object.__new__(BeadRow)\n"
+            "class DominantWeight(tuple):\n"
+            "    def __new__(cls, coeffs):\n"
+            "        return tuple.__new__(cls, coeffs)\n"
+            "def _weight(coeffs):\n"
+            "    return tuple.__new__(DominantWeight, coeffs)\n"
+        ),
+        "qseries": (
+            "class Boundary(tuple):\n"
+            "    def __new__(cls, word):\n"
+            "        return tuple.__new__(cls, word)\n"
+            "    def flipped(self):\n"
+            "        return tuple.__new__(Boundary, self[::-1])\n"
         ),
     }
     assert unchecked_construction_sites(sources) == [
         ("AbacusConfig", "abacus._config"),
         ("BeadRow", "abacus.shortcut"),
         ("BeadRow", "partitions._bead_row"),
+        ("Boundary", "qseries.Boundary.flipped"),
+        ("DominantWeight", "abacus._weight"),
         ("Partition", "partitions.Partition._trusted"),
         ("Partition", "partitions.shortcut"),
     ]

@@ -97,7 +97,7 @@ def test_perfectness_level(n, ell):
 def test_eps_phi_closed_form_matches_iteration(n, ell):
     for b in all_perfect_elems(n, ell):
         eps, phi = eps_phi_perfect(b, n)
-        assert (eps.coeffs, phi.coeffs) == perfect_eps_phi_by_iteration(b, n)
+        assert (eps, phi) == perfect_eps_phi_by_iteration(b, n)
 
 
 def test_ground_chain_unique_links():
@@ -171,7 +171,7 @@ def test_to_path_rejects_charges_from_path_cannot_give(charges, count):
             for k in range(1, psi.max_bead_index() + 1)
         }
         p = Path.from_json(
-            {"n": 3, "ell": 2, "weight": list(w.coeffs), "deviations": residues}
+            {"n": 3, "ell": 2, "weight": list(w), "deviations": residues}
         )
         assert from_path(p) != psi
         with pytest.raises(ValueError, match="charges"):
@@ -190,7 +190,7 @@ def _check_to_path_charge_rule(psi):
         case, want = "tight", "to_path needs a tight descending configuration"
     else:
         w = _charge_weight(charges, n)
-        hw = _highest_weight_charges(w.coeffs)
+        hw = _highest_weight_charges(w)
         case, want = "accepted", None
         if charges != hw:
             case = "charges"
@@ -482,6 +482,13 @@ def test_from_path_on_random_paths(n, ell):
             cfg = from_path(p)
             assert is_descending(cfg) and is_tight(cfg)
             assert to_path(cfg) == p
+
+
+def test_path_reads_its_weight_as_a_dominant_weight():
+    # a plain tuple of n coefficients of level ell is the same weight
+    p = Path(3, 2, (1, 1, 0), ())
+    assert p == Path(3, 2, DominantWeight((1, 1, 0)), ())
+    assert type(p.weight) is DominantWeight
 
 
 def test_path_constructor_checks_what_from_json_checks():

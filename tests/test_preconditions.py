@@ -20,6 +20,9 @@ VACUUM = BeadRow.vacuum(0)
 L0L1 = DominantWeight((1, 1, 0))
 GENERATOR = config(3, 2, (1, ()), (0, ()))
 LAM31 = Partition((3, 1))
+# a plain tuple of level 1 at n = 3 that is not dominant: every weight
+# reader takes it through DominantWeight, which refuses it
+NEGATIVE = (2, -1, 0)
 
 # (id, a fragment of the message, the call)
 CASES = [
@@ -96,6 +99,16 @@ CASES = [
     ("bead_slot-negative", "bead index must be positive",
      lambda: BeadRow(2, LAM31).bead_slot(-1)),
     ("DominantWeight", "nonnegative", lambda: DominantWeight((2, -1))),
+    ("highest_weight_config-negative", "nonnegative",
+     lambda: abacus.highest_weight_config(NEGATIVE, 3, 1)),
+    ("boundary_of-negative", "nonnegative",
+     lambda: qseries.boundary_of(NEGATIVE, 3, 1)),
+    ("dual_weight-negative", "nonnegative",
+     lambda: cylindric.dual_weight(NEGATIVE, 3, 1)),
+    ("ground_state_path-negative", "nonnegative",
+     lambda: kyoto.ground_state_path(NEGATIVE, 3, 1)),
+    ("dimq_crystal-negative", "nonnegative",
+     lambda: qseries.dimq_crystal(NEGATIVE, 3, 1, 4)),
     ("AbacusConfig-rows", "expected 2 rows", lambda: AbacusConfig(3, 2, (VACUUM,))),
     ("AbacusConfig-n0", "n >= 1", lambda: AbacusConfig(0, 1, (VACUUM,))),
     ("CylindricPlanePartition-ell0", "ell >= 1",
@@ -136,6 +149,7 @@ NON_INTEGER_CASES = [
     ("QSeries", QSeries, (1, 2.5)),
     ("Partition-str", Partition, ("2", 1)),
     ("DominantWeight-str", DominantWeight, (1, "1", 0)),
+    ("Boundary", Boundary, (1.0, 0)),
 ]
 
 
