@@ -156,6 +156,12 @@ def is_descending(psi):
     the top row to the bottom one), iff part(j) of row i minus part(j) of
     row i + 1 is at least d - c for every j.  Beyond the parts of both rows
     this says d - c <= 0, and then it holds beyond the parts of row i + 1.
+
+    In column form: with w(k)_i = part k of row i plus its charge, which is
+    `_set_slots(rows, k)[i] + k`, and sigma(w) = (w_1, ..., w_{ell-1},
+    w_0 - n), the column moved one extended row down, psi is descending iff
+    sigma(w(k)) <= w(k) coordinatewise for every k >= 1, including the
+    column of charges beyond the parts.
     """
     rows = psi.rows
     for i, lower in enumerate(rows):
@@ -192,6 +198,8 @@ def _fits(psi, k, m):
     row i + m is row r = (i + m) mod ell shifted n*q slots left, with q =
     floor((i + m) / ell).  So row i asks that part k of row r plus its
     charge, less n*q, be at least part k + 1 of row i plus its charge.
+    In the column form of `is_descending`, that is w(k+1) <= sigma^m(w(k))
+    coordinatewise.
     """
     n, ell, rows = psi.n, psi.ell, psi.rows
     for i, row in enumerate(rows):
@@ -253,7 +261,9 @@ def is_tight(psi):
     Beyond max_bead_index() every part is 0, and no set fits: the charges
     around the rows would have to rise, but they drop by n.  So the sets up
     to max_bead_index() decide it, and the search stops at the first set
-    that fits.  `_fits` builds no image, as `tighten` would.
+    that fits.  `_fits` builds no image, as `tighten` would.  In the column
+    form of `is_descending`: psi is tight iff no k <= max_bead_index() has
+    w(k+1) <= sigma(w(k)).
     """
     return not any(_fits(psi, k, 1) for k in range(1, psi.max_bead_index() + 1))
 

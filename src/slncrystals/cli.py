@@ -6,8 +6,9 @@ coefficients), verify (run a named identity suite), enumerate (list
 descending or tight configurations by weight).
 
 Exit codes: 2 for unparsable input, 3 for input that parses but fails the
-validation required by the requested operation or needs more memory than
-the process can get, 1 for a failed verify.
+validation required by the requested operation, needs more memory than
+the process can get or holds an integer too large for an index (an
+OverflowError), 1 for a failed verify.
 """
 
 from __future__ import annotations
@@ -293,8 +294,11 @@ def main(argv=None):
     except (InputError, ValidationError) as err:
         sys.stderr.write("error: %s\n" % err)
         return err.exit_code
-    except MemoryError:
-        sys.stderr.write("error: out of memory: the request is too large\n")
+    except (MemoryError, OverflowError) as err:
+        # a MemoryError carries no message; an OverflowError names the
+        # integer that does not fit an index, such as a part of 10^30
+        reason = str(err) or "out of memory"
+        sys.stderr.write("error: %s: the request is too large\n" % reason)
         return ValidationError.exit_code
 
 

@@ -10,7 +10,7 @@ profile[i] is that row's charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, takewhile
+from itertools import accumulate, count, takewhile
 from operator import ge
 
 from .abacus import (
@@ -244,8 +244,9 @@ def dual_weight(w, n, ell):
     """
     coeffs = _level_coeffs(w, n, ell)
     out = [0] * ell
-    for i in range(n):
-        out[sum(coeffs[i:]) % ell] += 1
+    # the suffix sums c_i + ... + c_{n-1}, as running sums from the top
+    for s in accumulate(reversed(coeffs)):
+        out[s % ell] += 1
     return DominantWeight(out)
 
 

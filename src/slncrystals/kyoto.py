@@ -33,6 +33,13 @@ inverts to_path with the abacus placement (abacus._tight_from_residues):
 bead set k is the weakly decreasing run of the integers with the residues
 of b_k, placed as low as tightness allows.
 
+Both directions keep one size rule, `_check_size`: n, ell and the last
+position K are each at most MAX_PATH_POSITION, and ell x K is at most
+MAX_PATH_BEADS.  Path.from_json refuses a larger path it reads, and to_path
+a larger path it would write, so to_path gives no path that Path.from_json
+would refuse.  The rule costs O(1), and both apply it before any work that
+grows with n, ell or K.
+
 The path rule, path_brackets, reads the brackets of every color in one
 pass over b_{K+1}, ..., b_1 and builds no token list (the token list is
 the test oracle tests/helpers.path_tokens).  It keeps its name because the
@@ -106,10 +113,10 @@ def _replace_entry(b, old, new):
     return PerfectElem._trusted(entries)
 
 
-# The largest position, n and ell Path.from_json accepts, and the largest
-# product of ell and the last position that it and to_path accept: from_path
-# places ell beads in each bead set up to the last position, to_path reads
-# them, and their time grows as that product.
+# The largest n, ell and last position, and the largest product of ell and
+# the last position, of a path that Path.from_json reads and to_path writes
+# (`_check_size`): from_path places ell beads in each bead set up to the last
+# position, to_path reads them, and their time grows as that product.
 MAX_PATH_POSITION = 100_000
 MAX_PATH_BEADS = 1_000_000
 
@@ -131,17 +138,15 @@ class Path:
         """The k-th ground state element: w[(v + k) mod n] copies of each v.
 
         It depends on k mod n only, and is built once per residue class:
-        b_n lists each v w[v] times, and b_k is b_n with k subtracted from
-        every entry, so only b_n costs O(n).
+        b_n lists each v w[v] times, the charges of highest_weight_config
+        sorted up, and b_k is b_n with k subtracted from every entry, so
+        only b_n costs O(n).
         """
         r = k % self.n
         b = self._grounds.get(r)
         if b is None:
-            if r:
-                entries = sorted((v - r) % self.n for v in self.ground(0))
-            else:
-                w = self.weight
-                entries = [v for v in range(self.n) for _ in range(w[v])]
+            base = self.ground(0) if r else _highest_weight_charges(self.weight)
+            entries = sorted((v - r) % self.n for v in base)
             b = self._grounds[r] = PerfectElem._trusted(entries)
         return b
 
@@ -175,9 +180,6 @@ class Path:
     @classmethod
     def from_json(cls, data):
         n, ell = _json_int(data["n"], "n"), _json_int(data["ell"], "ell")
-        for name, v in (("n", n), ("ell", ell)):
-            if v > MAX_PATH_POSITION:
-                raise ValueError("path %s %d exceeds %d" % (name, v, MAX_PATH_POSITION))
         w = DominantWeight(_json_ints(data["weight"], "weight"))
         devs = []
         deviations = data.get("deviations", {})
@@ -187,7 +189,7 @@ class Path:
             if not re.fullmatch("[0-9]+", k):
                 raise ValueError("path position %r is not a decimal integer" % k)
             k = int(k)
-            if not 1 <= k <= MAX_PATH_POSITION:
+            if k < 1:
                 raise ValueError(
                     "path position %d is not in [1, %d]" % (k, MAX_PATH_POSITION)
                 )
@@ -196,15 +198,22 @@ class Path:
         elements = dict(devs)
         if len(elements) != len(devs):
             raise ValueError("path positions must be distinct")
-        base = _empty_path(n, _highest_weight_charges(w))
         K = max(elements, default=0)
-        _check_beads(ell, K)
+        _check_size(n, ell, K)
+        base = _empty_path(n, _highest_weight_charges(w))
         dense = [elements.get(k, base.ground(k)) for k in range(1, K + 1)]
         return _pruned_path(base, dense)
 
 
-def _check_beads(ell, K):
-    """Refuse a path of ell beads in each of K bead sets above MAX_PATH_BEADS."""
+def _check_size(n, ell, K):
+    """Refuse a path of rank n and level ell whose last deviation is at
+    position K if n, ell or K exceeds MAX_PATH_POSITION (the error names the
+    largest), or ell x K exceeds MAX_PATH_BEADS: the one size rule of
+    Path.from_json and to_path.  to_path runs it on every call, so an
+    accepted path costs three comparisons and a product, no tuple."""
+    if n > MAX_PATH_POSITION or ell > MAX_PATH_POSITION or K > MAX_PATH_POSITION:
+        v, name = max((n, "n"), (ell, "ell"), (K, "position"))
+        raise ValueError("path %s %d exceeds %d" % (name, v, MAX_PATH_POSITION))
     if ell * K > MAX_PATH_BEADS:
         msg = "path ell %d times last position %d exceeds %d"
         raise ValueError(msg % (ell, K, MAX_PATH_BEADS))
@@ -336,8 +345,9 @@ def to_path(psi):
         raise ValueError("to_path needs n >= 2, not n = %d" % n)
     # a tight configuration is fixed by its charges and bead-set residues,
     # so its path's last deviation is its deepest moved bead: refuse what
-    # Path.from_json refuses, before is_tight, whose time also grows as ell x K
-    _check_beads(psi.ell, psi.max_bead_index())
+    # Path.from_json refuses, before the weight, whose time grows as n, and
+    # is_tight, whose time grows as ell x K
+    _check_size(n, psi.ell, psi.max_bead_index())
     if not is_descending(psi) or not is_tight(psi):
         raise ValueError("to_path needs a tight descending configuration")
     if not (0 <= charges[-1] and charges[0] < n and all(map(ge, charges, charges[1:]))):
@@ -354,5 +364,5 @@ def from_path(path):
     """Inverse of to_path: the tight configuration with the charges of
     highest_weight_config(path.weight) whose k-th bead set has the residues
     b_k, placed as low as tightness allows (abacus._tight_from_residues)."""
-    charges = _highest_weight_charges(_level_coeffs(path.weight, path.n, path.ell))
+    charges = _highest_weight_charges(path.weight)
     return _tight_from_residues(path.n, charges, path.elements)

@@ -9,6 +9,7 @@ agreement is the central consistency check of the whole package.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import index
 
 from .abacus import (
@@ -129,8 +130,9 @@ def boundary_of(w, n, ell):
     coeffs = _level_coeffs(w, n, ell)
     N = n + ell
     # a + m_0 + ... + m_{a-1} rises strictly with a, from 1 + m_0 to at most
-    # n + ell = N, so the n residues are distinct mod N: n down-steps
-    b_positions = {(a + sum(coeffs[:a])) % N for a in range(1, n + 1)}
+    # n + ell = N, so the n residues are distinct mod N: n down-steps.  The
+    # prefix sums m_0 + ... + m_{a-1} are running sums, so this is linear in n
+    b_positions = {(a + s) % N for a, s in enumerate(accumulate(coeffs), 1)}
     return Boundary(1 if r in b_positions else 0 for r in range(N))
 
 

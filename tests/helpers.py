@@ -51,6 +51,26 @@ def fits_by_bead_position(psi, k, m):
     )
 
 
+def column(psi, k):
+    """w(k), the column of bead set k in shifted coordinates: part k of each
+    row plus its charge, bottom row first.  Beyond the parts it is the
+    charges."""
+    return tuple(row.partition.part(k) + row.charge for row in psi.rows)
+
+
+def sigma(w, n, m=1):
+    """sigma^m(w), sigma(w) = (w_1, ..., w_{ell-1}, w_0 - n): the column w
+    moved m extended rows down, one step at a time."""
+    for _ in range(m):
+        w = w[1:] + (w[0] - n,)
+    return w
+
+
+def below(u, v):
+    """u <= v coordinatewise."""
+    return all(a <= b for a, b in zip(u, v))
+
+
 def shift_bead_set_by_bead_position(psi, k, m):
     """`abacus._shift_bead_set` read bead by bead: row i moves its k-th bead
     (`BeadRow.bead_slot`) onto the k-th bead of extended row i + m

@@ -39,7 +39,7 @@ from slncrystals.abacus import (
 from slncrystals.crystal import f_abacus, f_descending
 from slncrystals.cylindric import from_abacus
 from slncrystals.kyoto import Path, f_path, to_path
-from slncrystals.partitions import BeadRow, Partition
+from slncrystals.partitions import BeadRow, Partition, _set_slots
 from slncrystals.qseries import boundary_of
 
 from helpers import (
@@ -47,6 +47,8 @@ from helpers import (
     all_level_coeffs,
     assert_same_as_validated,
     bead_position,
+    below,
+    column,
     config,
     descending_by_validated_product,
     descending_configs,
@@ -62,6 +64,7 @@ from helpers import (
     partitions_up_to,
     residues_by_bead_position,
     shift_bead_set_by_bead_position,
+    sigma,
     slack,
 )
 
@@ -192,6 +195,58 @@ def test_parts_reads_match_bead_reads(n, ell, nmax):
 def test_parts_reads_match_bead_reads_on_arbitrary_configs(cfg):
     assert is_tight(cfg) == is_tight_by_fits(cfg)
     assert _residues(cfg) == residues_by_bead_position(cfg)
+
+
+def _random_config(rng):
+    """A configuration with 1 <= n, ell <= 5, charges -3..3 and at most
+    four parts of at most 5 per row; a few of them are descending."""
+    n, ell = rng.randint(1, 5), rng.randint(1, 5)
+    rows = []
+    for _ in range(ell):
+        parts = [rng.randint(1, 5) for _ in range(rng.randint(0, 4))]
+        rows.append(BeadRow(rng.randint(-3, 3), P(sorted(parts, reverse=True))))
+    return AbacusConfig(n, ell, tuple(rows))
+
+
+def _sigma_forms_agree(psi):
+    """Check _fits, is_descending and is_tight against their sigma forms,
+    and the column against `_set_slots`; return is_descending(psi)."""
+    n, top = psi.n, psi.max_bead_index()
+    for k in range(1, top + 3):
+        w = column(psi, k)
+        assert w == tuple(s + k for s in _set_slots(psi.rows, k))
+        for m in range(2 * psi.ell + 2):
+            assert _fits(psi, k, m) == below(column(psi, k + 1), sigma(w, n, m))
+    # beyond max_bead_index() every column is the charges, so k up to
+    # top + 1 covers every k >= 1
+    descending = all(below(sigma(column(psi, k), n), column(psi, k))
+                     for k in range(1, top + 2))
+    assert is_descending(psi) == descending
+    tight = not any(below(column(psi, k + 1), sigma(column(psi, k), n))
+                    for k in range(1, top + 1))
+    assert is_tight(psi) == tight
+    return descending
+
+
+def test_rules_match_their_sigma_form_on_random_configs():
+    # w(k) is bead set k's column, part k of each row plus its charge, and
+    # sigma moves a column one extended row down: _fits(psi, k, m) iff
+    # w(k+1) <= sigma^m(w(k)); descending iff sigma(w(k)) <= w(k) for all
+    # k >= 1; tight iff no k <= max_bead_index() has w(k+1) <= sigma(w(k))
+    rng = random.Random(2007)
+    descending = sum(_sigma_forms_agree(_random_config(rng)) for _ in range(3000))
+    assert descending > 0
+
+
+@pytest.mark.parametrize("n,ell,nmax", [(2, 2, 7), (3, 2, 6), (2, 3, 5), (4, 2, 4)])
+def test_rules_match_their_sigma_form_on_descending_configs(n, ell, nmax):
+    tight = total = 0
+    for coeffs in all_level_coeffs(n, ell):
+        for cfg in descending_configs(n, ell, coeffs, nmax):
+            assert _sigma_forms_agree(cfg)
+            tight += is_tight(cfg)
+            total += 1
+    assert 0 < tight < total
 
 
 def _outcome(call, *args):

@@ -386,6 +386,96 @@ def test_convert_abacus_to_path_ell_times_deepest_bead_bound():
     assert "ell 3000 times last position 3000 exceeds" in err
 
 
+def _config_past_position_bound():
+    """The (3, 2) configuration of weight L0 + L1 whose deepest bead is
+    MAX_PATH_POSITION + 1: from_path of a path one position past the bound,
+    built unchecked through _pruned_path.  Its ell x K is only 200,002."""
+    base = kyoto._empty_path(3, (1, 0))
+    last = kyoto.MAX_PATH_POSITION + 1
+    elements = [base.ground(k) for k in range(1, last)]
+    # [0, 0] is no ground element of L0 + L1
+    elements.append(kyoto.PerfectElem((0, 0)))
+    psi = kyoto.from_path(kyoto._pruned_path(base, elements))
+    assert psi.max_bead_index() == last
+    return psi.to_json()
+
+
+_EMPTY_ROW = {"charge": 0, "parts": []}
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [
+        ({"n": 100_001, "ell": 1, "rows": [_EMPTY_ROW]}, "path n 100001 exceeds"),
+        ({"n": 2, "ell": 100_001, "rows": [_EMPTY_ROW] * 100_001},
+         "path ell 100001 exceeds"),
+        (None, "path position 100001 exceeds"),
+        # a path of 10^8 ground elements took 24 s and printed 300 MB
+        ({"n": 10**8, "ell": 1, "rows": [_EMPTY_ROW]}, "path n 100000000 exceeds"),
+        # ended in an OverflowError traceback, exit 1
+        ({"n": 2**63, "ell": 1, "rows": [_EMPTY_ROW]}, "path n %d exceeds" % 2**63),
+    ],
+    ids=["n", "ell", "position", "n-1e8", "n-2^63"],
+)
+def test_convert_abacus_to_path_keeps_the_path_size_rule(data, field):
+    # to_path writes only what Path.from_json reads: n, ell and the last
+    # position at most MAX_PATH_POSITION.  The first three printed a path
+    # that convert path ... refused with exit 2.  The bound is on the time
+    # past reading the input: the 2.8 MB of 100,001 rows alone take 0.3 to
+    # 0.5 s to read on a 2-core machine.
+    text = json.dumps(_config_past_position_bound() if data is None else data)
+    t0 = time.perf_counter()
+    abacus.AbacusConfig.from_json(json.loads(text))
+    t1 = time.perf_counter()
+    rc, out, err = run_cli(["convert", "abacus", "path"], stdin=text)
+    assert time.perf_counter() - t1 < 0.5 + (t1 - t0)
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+@pytest.mark.parametrize(
+    "n,ell,weight,deviations",
+    [
+        # n at MAX_PATH_POSITION
+        (100_000, 1, [1] + [0] * 99_999, {"1": [5]}),
+        # the last position at MAX_PATH_POSITION
+        (3, 2, [1, 1, 0], {"100000": [0, 0]}),
+        # ell x K at MAX_PATH_BEADS
+        (2, 10, [10, 0], {"100000": [1] * 10}),
+    ],
+    ids=["n", "position", "ell-times-position"],
+)
+def test_convert_abacus_path_roundtrip_at_the_size_bounds(n, ell, weight, deviations):
+    # convert abacus path gives back the path that convert path abacus
+    # read, so the configuration round-trips through it too
+    data = {"n": n, "ell": ell, "weight": weight, "deviations": deviations}
+    rc, psi, _ = run_cli(["convert", "path", "abacus"], stdin=json.dumps(data))
+    rc2, out, _ = run_cli(["convert", "abacus", "path"], stdin=psi)
+    assert rc == rc2 == 0 and json.loads(out) == data
+
+
+_HUGE_CYLINDER = {"n": 2, "ell": 1, "profile": [0], "rows": [[10**30]]}
+
+
+@pytest.mark.parametrize(
+    "src,dst,data",
+    [
+        ("cpp", "abacus", _HUGE_CYLINDER),
+        ("cpp", "partition", _HUGE_CYLINDER),
+        ("cpp", "path", _HUGE_CYLINDER),
+        ("abacus", "cpp", {"n": 2, "ell": 1, "rows": [{"charge": 0, "parts": [10**30]}]}),
+    ],
+)
+def test_convert_part_too_large_for_an_index_exit_3(src, dst, data):
+    # conjugating a part of 10^30 raised OverflowError: a traceback, exit 1
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(["convert", src, dst], stdin=json.dumps(data))
+    assert time.perf_counter() - t0 < 0.5
+    assert rc == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the request is too large" in err
+
+
 @pytest.mark.parametrize("dst", ["partition", "abacus", "path"])
 def test_convert_text_format_needs_cpp_exit_3(dst):
     # only a cylinder has a text rendering; the other destinations printed

@@ -334,6 +334,29 @@ def test_dual_weight_examples():
         )
 
 
+def test_dual_weight_matches_its_definition():
+    # one Lambda'_{c_i + ... + c_{n-1} mod ell} per i, each sum taken afresh:
+    # the quadratic definition of the running sums
+    for n in range(1, 6):
+        for ell in range(1, 6):
+            for coeffs in all_level_coeffs(n, ell):
+                want = [0] * ell
+                for i in range(n):
+                    want[sum(coeffs[i:]) % ell] += 1
+                assert dual_weight(DominantWeight(coeffs), n, ell) == tuple(want)
+
+
+def test_dual_weight_linear_in_n():
+    # summing c_i + ... + c_{n-1} afresh for each i took 5.2 s at n = 40,000
+    n = 10**6
+    w = DominantWeight((1,) + (0,) * (n - 2) + (1,))
+    t0 = time.perf_counter()
+    dual = dual_weight(w, n, 2)
+    assert time.perf_counter() - t0 < 1
+    # the suffix sums are 2 at i = 0 and 1 at every other i
+    assert dual == (1, n - 1)
+
+
 def test_dual_weight_consistency_with_reflect():
     # the highest-weight cylinder reflects to the dual weight itself; the
     # same array read from diagonal s on needs the rotation s mod ell

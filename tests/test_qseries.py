@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -92,6 +93,28 @@ def test_boundary_of_has_n_down_steps():
             for coeffs in all_level_coeffs(n, ell):
                 bd = boundary_of(DominantWeight(coeffs), n, ell)
                 assert (sum(bd), sum(bd.A)) == (n, ell)
+
+
+def test_boundary_of_matches_its_definition():
+    # down-steps at a + m_0 + ... + m_{a-1} mod n + ell, a = 1..n, each sum
+    # taken afresh: the quadratic definition of the running sums
+    for n in range(1, 6):
+        for ell in range(1, 6):
+            for coeffs in all_level_coeffs(n, ell):
+                downs = {(a + sum(coeffs[:a])) % (n + ell) for a in range(1, n + 1)}
+                want = tuple(int(r in downs) for r in range(n + ell))
+                assert boundary_of(DominantWeight(coeffs), n, ell) == want
+
+
+def test_boundary_of_linear_in_n():
+    # summing m_0 + ... + m_{a-1} afresh for each a took 5.8 s at n = 40,000
+    n = 10**6
+    w = DominantWeight((1,) + (0,) * (n - 1))
+    t0 = time.perf_counter()
+    bd = boundary_of(w, n, 1)
+    assert time.perf_counter() - t0 < 1
+    # the down-steps sit at 2, ..., n + 1 mod n + 1: only 1 is an up-step
+    assert bd.N == n + 1 and sum(bd) == n and bd[1] == 0
 
 
 def test_boundary_bit_patterns_pinned():
