@@ -40,6 +40,8 @@ class DominantWeight(tuple):
     __slots__ = ()
 
     def __new__(cls, coeffs):
+        if type(coeffs) is DominantWeight:  # checked when it was built
+            return coeffs
         coeffs = tuple(map(index, coeffs))
         if any(c < 0 for c in coeffs):
             raise ValueError("dominant weight needs nonnegative coefficients")
@@ -269,16 +271,25 @@ def is_tight(psi):
 
 
 def highest_weight(psi0):
-    """The dominant weight of a compact descending configuration.
+    """The dominant weight of a compact descending configuration, which
+    `_check_generator` asks of psi0.
 
     m_i counts the rows whose last bead sits at a slot b with b + 1 = i
     mod n, i.e. the rows whose charge is congruent to i.
     """
-    if weight(psi0) != 0:
-        raise ValueError("configuration is not compact")
-    if not is_descending(psi0):
-        raise ValueError("configuration is not descending")
+    _check_generator(psi0, 0, "highest_weight")
     return _charge_weight(psi0.charges(), psi0.n)
+
+
+def _check_generator(psi0, nmax, name):
+    """Refuse a generator psi0 that is not compact and descending, as the
+    highest weight vector of a crystal is, and a bound nmax below 0: the
+    one rule of every walk from a generator and of `highest_weight`.  name,
+    the caller, goes in the error."""
+    if weight(psi0) != 0 or not is_descending(psi0):
+        raise ValueError("%s needs a compact descending generator" % name)
+    if nmax < 0:
+        raise ValueError("%s needs a nonnegative bound" % name)
 
 
 def _charge_weight(charges, n):
@@ -291,14 +302,14 @@ def _charge_weight(charges, n):
 
 def _level_coeffs(w, n, ell):
     """w, a DominantWeight or a sequence of coefficients, read as a
-    DominantWeight checked to have n coefficients, of level ell."""
+    DominantWeight checked to have n coefficients, of level ell: the one
+    rank-and-level rule of every reader of a weight, whose error names the
+    weight, n and ell."""
     if n < 1 or ell < 1:
         raise ValueError("need n >= 1 and ell >= 1")
     w = DominantWeight(w)
-    if w.n != n:
-        raise ValueError("weight has %d coefficients, expected %d" % (w.n, n))
-    if w.level != ell:
-        raise ValueError("weight level %d does not match ell=%d" % (w.level, ell))
+    if w.n != n or w.level != ell:
+        raise ValueError("weight %s needs %d coefficients and level %d" % (w, n, ell))
     return w
 
 
@@ -426,26 +437,24 @@ def enumerate_descending(psi0, max_weight):
     """All descending configurations with the given compactification.
 
     Yields configurations of weight at most max_weight, grouped by weight in
-    increasing order.  psi0 must be compact and descending.  Each candidate
-    is a product of one row of each charge and size, from `_rows_of_size`:
-    a table is built on first use, kept in a bounded per-process cache and
-    shared by every candidate and every later call that needs it, so the
-    first yield does not wait for the tables of larger weights.
+    increasing order.  `_check_generator` asks that psi0 be compact and
+    descending and max_weight nonnegative, on the first next().  Each
+    candidate is a product of one row of each charge and size, from
+    `_rows_of_size`: a table is built on first use, kept in a bounded
+    per-process cache and shared by every candidate and every later call
+    that needs it, so the first yield does not wait for the tables of
+    larger weights.  The one weight-0 candidate is psi0 itself, already
+    checked, so it is yielded without a second descent check.
     """
-    if max_weight < 0:
-        raise ValueError("max_weight must be nonnegative")
-    if weight(psi0) != 0:
-        raise ValueError("enumeration starts from a compact configuration")
+    _check_generator(psi0, max_weight, "enumerate_descending")
     charges = psi0.charges()
     ell, n = psi0.ell, psi0.n
     for w in range(max_weight + 1):
         for sizes in _compositions(w, ell):
             for rows in itertools.product(*map(_rows_of_size, charges, sizes)):
                 cfg = _config(n, ell, rows)
-                if is_descending(cfg):
+                if not w or is_descending(cfg):
                     yield cfg
-                elif not w:  # the one weight-0 candidate is psi0 itself
-                    raise ValueError("enumeration needs a compact descending generator")
 
 
 def enumerate_tight(psi0, max_weight):

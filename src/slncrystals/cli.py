@@ -45,8 +45,10 @@ def parse_weight(text, n):
         m = re.fullmatch(r"(?:([0-9]+)\*)?L([0-9]+)", term)
         if not m:
             raise InputError("cannot parse weight term %r" % term)
-        mult = int(m.group(1)) if m.group(1) else 1
-        idx = int(m.group(2))
+        try:
+            mult, idx = int(m.group(1) or 1), int(m.group(2))
+        except ValueError as err:  # past the interpreter's digit limit
+            raise InputError("cannot read weight term: %s" % err)
         if idx >= n:
             raise InputError("weight index %d out of range for n=%d" % (idx, n))
         coeffs[idx] += mult
@@ -64,7 +66,7 @@ def _read_json(args):
         raise InputError("cannot read input: %s" % err)
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or past the digit limit
         raise InputError("bad JSON input: %s" % err)
     except RecursionError:
         raise InputError("bad JSON input: nested too deeply")
@@ -126,15 +128,17 @@ def cmd_convert(args):
 
 
 def _weight(args):
-    """The --weight argument, color-rotated; its level must be --ell."""
+    """The --weight argument, color-rotated when --rotate-colors is not 0,
+    read through the rank-and-level rule `abacus._level_coeffs`."""
     if args.weight is None:
         raise InputError("--weight is required")
-    w = parse_weight(args.weight, args.n).rotated(args.rotate_colors)
-    if w.level != args.ell:
-        raise ValidationError(
-            "weight level %d does not match --ell %d" % (w.level, args.ell)
-        )
-    return w
+    w = parse_weight(args.weight, args.n)
+    if args.rotate_colors:
+        w = w.rotated(args.rotate_colors)
+    try:
+        return abacus._level_coeffs(w, args.n, args.ell)
+    except ValueError as err:
+        raise ValidationError(err)
 
 
 def cmd_graph(args):

@@ -48,7 +48,7 @@ from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
-from .abacus import _set_gap_memo, _set_set_memo, is_descending, weight
+from .abacus import _check_generator, _set_gap_memo, _set_set_memo, is_descending
 from .partitions import (
     Partition,
     _bead_row,
@@ -375,7 +375,8 @@ class CrystalGraph:
 
 
 def crystal_graph(psi0, max_degree):
-    """BFS closure of a compact descending generator under all f_i.
+    """BFS closure of a compact descending generator under all f_i;
+    `_check_generator` refuses any other psi0 and a negative max_degree.
 
     Layer d holds the configurations of principal degree d; every f_i edge
     raises the degree by one.
@@ -389,10 +390,7 @@ def crystal_graph(psi0, max_degree):
     edge reuses that node.  An expanded node's gap-rule memo is reset to
     None, so no node of the graph keeps one.
     """
-    if weight(psi0) != 0 or not is_descending(psi0):
-        raise ValueError("crystal_graph needs a compact descending generator")
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    _check_generator(psi0, max_degree, "crystal_graph")
     layers = [[psi0]]
     edges = []
     for _ in range(max_degree):

@@ -221,13 +221,12 @@ def _check_size(n, ell, K):
 
 def _check_path(n, ell, w, elements):
     """Refuse a path unless n >= 2, ell >= 1, w is a DominantWeight of n
-    coefficients and level ell, and each (k, b_k) in `elements` has ell
-    entries in [0, n): the checks of the Path constructor and of
-    Path.from_json."""
+    coefficients and level ell (the rank-and-level rule `_level_coeffs`),
+    and each (k, b_k) in `elements` has ell entries in [0, n): the checks
+    of the Path constructor and of Path.from_json."""
     if n < 2 or ell < 1:
         raise ValueError("a path needs n >= 2 and ell >= 1")
-    if w.n != n or w.level != ell:
-        raise ValueError("weight %s needs %d coefficients and level %d" % (w, n, ell))
+    _level_coeffs(w, n, ell)
     for k, e in elements:
         if len(e) != ell or not all(0 <= x < n for x in e):
             raise ValueError(

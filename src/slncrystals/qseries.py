@@ -14,12 +14,11 @@ from operator import index
 
 from .abacus import (
     DominantWeight,
+    _check_generator,
     _compositions,
     _level_coeffs,
     highest_weight_config,
-    is_descending,
     right_moves,
-    weight,
 )
 from .crystal import crystal_graph
 
@@ -152,9 +151,10 @@ def Z_borodin(bd, nmax):
 
 
 def Z_bruteforce(psi0, nmax):
-    """Count descending configurations over psi0 by weight, breadth-first."""
-    if weight(psi0) != 0 or not is_descending(psi0):
-        raise ValueError("Z_bruteforce needs a compact descending generator")
+    """Count descending configurations over psi0 by weight, breadth-first.
+    `_check_generator` asks that psi0 be compact and descending and nmax
+    nonnegative."""
+    _check_generator(psi0, nmax, "Z_bruteforce")
     counts, frontier = [1], {psi0}
     while len(counts) <= nmax:
         frontier = {moved for cfg in frontier for moved in right_moves(cfg)}

@@ -17,6 +17,7 @@ from slncrystals.abacus import (
     _compositions,
     _config,
     _fits,
+    _level_coeffs,
     _residues,
     _rows_of_size,
     _shift_bead_set,
@@ -792,6 +793,16 @@ def test_dominant_weight_is_the_tuple_of_its_coefficients():
     assert (w.n, w.level, str(w), repr(w)) == (2, 1, "L0", "DominantWeight((1, 0))")
     assert not hasattr(w, "coeffs")
     assert not hasattr(fig10(), "key") and not hasattr(from_abacus(fig10()), "key")
+
+
+def test_dominant_weight_of_a_dominant_weight_is_itself():
+    # a weight is checked once, when it is built; a plain sequence is read
+    # and checked every time
+    w = DominantWeight((2, 0, 1))
+    assert DominantWeight(w) is w
+    assert _level_coeffs(w, 3, 3) is w
+    for plain in ((2, 0, 1), [2, 0, 1]):
+        assert DominantWeight(plain) is not w and DominantWeight(plain) == w
 
 
 def test_json_roundtrip():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -56,6 +57,40 @@ def test_non_ascii_weight_digits_exit_2():
             "--nmax", "2"]
     rc, out, err = run_cli(argv)
     assert rc == 2 and out == "" and "cannot parse weight term" in err
+
+
+# an integer of more digits than int() and json.loads read by default (4,300)
+_PAST_DIGIT_LIMIT = "1" * 5000
+
+
+@pytest.mark.parametrize("weight", [_PAST_DIGIT_LIMIT + "*L0", "L" + _PAST_DIGIT_LIMIT],
+                         ids=["coefficient", "index"])
+def test_weight_integer_past_the_digit_limit_exit_2(weight):
+    argv = ["series", "--n", "3", "--ell", "2", "--weight", weight, "--nmax", "2"]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("src,dst,stdin", [
+    ("abacus", "cpp", '{"n": 3, "ell": 2, "rows": [{"charge": %s, "parts": []}, '
+                      '{"charge": 0, "parts": []}]}' % _PAST_DIGIT_LIMIT),
+    ("path", "abacus", '{"n": 3, "ell": 2, "weight": [1, 1, 0], '
+                       '"deviations": {"1": [0, %s]}}' % _PAST_DIGIT_LIMIT),
+], ids=["abacus-charge", "path-entry"])
+def test_convert_json_integer_past_the_digit_limit_exit_2(src, dst, stdin):
+    # json.dumps refuses such an int too, so the digits are written out
+    rc, out, err = run_cli(["convert", src, dst], stdin)
+    assert (rc, out) == (2, "") and err.startswith("error: bad JSON input")
+    assert err.count("\n") == 1
+
+
+def test_weight_level_past_the_digit_limit_exit_3():
+    # each term parses, but their sum, the level, has 4,301 digits; the
+    # refusal is one error line, not a traceback from formatting the level
+    big = "9" * 4300
+    argv = ["series", "--n", "3", "--ell", "2", "--weight", "%s*L0+%s*L1" % (big, big)]
+    rc, out, err = run_cli(argv)
+    assert (rc, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_convert_figure10_to_cpp():
@@ -779,6 +814,36 @@ def test_rotate_colors_shifts_weight():
     assert rc == rc2 == 0 and out == out2
 
 
+def test_rotate_colors_zero_keeps_the_parsed_weight(monkeypatch):
+    # the parsed weight is already a checked DominantWeight: no rotation
+    # at 0 and no copy through the rank-and-level rule
+    w = DominantWeight((1, 1, 0))
+    monkeypatch.setattr(cli, "parse_weight", lambda text, n: w)
+    argv = ["series", "--n", "3", "--ell", "2", "--weight", "L0+L1"]
+    for rotate in ([], ["--rotate-colors", "0"]):
+        assert cli._weight(cli._parse_args(argv + rotate)) is w
+    rotated = cli._weight(cli._parse_args(argv + ["--rotate-colors", "1"]))
+    assert rotated == (0, 1, 1)
+
+
+def test_wrong_rank_or_level_gives_one_message_naming_weight_n_and_ell():
+    # the library's rank-and-level rule, through every reader of a weight
+    msg = "weight %s needs %d coefficients and level %d"
+    for coeffs, n, ell in (((1, 1), 3, 2), ((1, 0, 0), 3, 2), ((2, 1, 0), 3, 2)):
+        w = DominantWeight(coeffs)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg % (w, n, ell))):
+            abacus._level_coeffs(w, n, ell)
+        with pytest.raises(ValueError, match="^%s$" % re.escape(msg % (w, n, ell))):
+            kyoto.Path(n, ell, w, ())
+        data = {"n": n, "ell": ell, "weight": list(coeffs), "deviations": {}}
+        rc, out, err = run_cli(["convert", "path", "abacus"], json.dumps(data))
+        assert (rc, out) == (2, "")
+        assert err == "error: input does not parse as path: %s\n" % (msg % (w, n, ell))
+    for argv in (["series"], ["verify", "gglemma"]):
+        rc, out, err = run_cli(argv + ["--n", "3", "--ell", "2", "--weight", "L0"])
+        assert (rc, out, err) == (3, "", "error: %s\n" % (msg % ("L0", 3, 2)))
+
+
 @pytest.mark.parametrize("which", ["gglemma", "rank-level"])
 def test_verify_weight_level_mismatch_exit_3(which):
     rc, out, err = run_cli(["verify", which, "--weight", "L0", "--n", "3", "--ell", "2"])
@@ -946,9 +1011,18 @@ def model_json(draw, model):
     return kyoto.to_path(cfg).to_json()
 
 
+# more digits than int() and json.loads read by default (4,300)
+past_digit_limit = st.integers(4301, 4400).map(lambda k: "7" * k)
+
+
 @st.composite
 def weight_text(draw, n, ell):
-    """A weight of rank n, level ell most of the time, or stray text."""
+    """A weight of rank n, level ell most of the time, or stray text, or a
+    term with an integer past the digit limit."""
+    if draw(st.integers(0, 19)) == 0:
+        digits = draw(past_digit_limit)
+        return draw(st.sampled_from(["%s*L0" % digits, "L%s" % digits,
+                                     "L0+%s*L1" % digits]))
     if draw(st.integers(0, 3)) == 0:
         return draw(st.text(alphabet="L0123*+ x", max_size=8))
     m = [0] * max(n, 1)
@@ -980,6 +1054,12 @@ def cli_cases(draw):
         stdin = json.dumps(data)
         if draw(st.integers(0, 9)) == 0:
             stdin = draw(st.text(max_size=10))
+        elif draw(st.integers(0, 9)) == 0:
+            # one integer past the digit limit, written out (json.dumps
+            # refuses such an int) over a number of the text or at its start
+            numbers = list(re.finditer("[0-9]+", stdin)) or [re.match("", stdin)]
+            m = draw(st.sampled_from(numbers))
+            stdin = stdin[:m.start()] + draw(past_digit_limit) + stdin[m.end():]
     elif command == "verify":
         argv.append(draw(st.sampled_from(checks.SUITES)))
     n = draw(st.integers(2, 4)) if draw(st.integers(0, 4)) else draw(st.integers(-1, 1))

@@ -33,7 +33,7 @@ CASES = [
     ("recombine", "tight", lambda: abacus.recombine(fig7(), Partition((1,)))),
     ("gl_move", "direction", lambda: abacus.gl_move(fig10(), 0, "left")),
     ("gl_move-unsorted", "gl_move needs", lambda: abacus.gl_move(fig4(), 0, "up")),
-    ("highest_weight", "not descending", lambda: abacus.highest_weight(UNSORTED)),
+    ("highest_weight", "compact descending", lambda: abacus.highest_weight(UNSORTED)),
     ("enumerate", "compact",
      lambda: list(abacus.enumerate_descending(NOT_COMPACT, 2))),
     ("enumerate-unsorted", "compact",
@@ -129,6 +129,38 @@ CASES = [
 def test_precondition_raises_value_error(match, call):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# (id, the call, the name in its error, whether it takes a bound): every
+# walk from a generator, and highest_weight, keeps one generator rule;
+# enumerate_tight filters enumerate_descending, whose name the error gives
+GENERATOR_RULE = [
+    ("crystal_graph", crystal.crystal_graph, "crystal_graph", True),
+    ("enumerate_descending",
+     lambda psi0, nmax: list(abacus.enumerate_descending(psi0, nmax)),
+     "enumerate_descending", True),
+    ("enumerate_tight", lambda psi0, nmax: list(abacus.enumerate_tight(psi0, nmax)),
+     "enumerate_descending", True),
+    ("Z_bruteforce", qseries.Z_bruteforce, "Z_bruteforce", True),
+    ("highest_weight", lambda psi0, nmax: abacus.highest_weight(psi0),
+     "highest_weight", False),
+]
+
+
+@pytest.mark.parametrize(
+    "call,name,bounded", [pytest.param(c, n, b, id=i) for i, c, n, b in GENERATOR_RULE]
+)
+def test_every_walk_refuses_a_generator_that_is_not_compact_descending(
+    call, name, bounded
+):
+    message = "^%s needs a compact descending generator$" % name
+    for psi0 in (NOT_COMPACT, UNSORTED):
+        with pytest.raises(ValueError, match=message):
+            call(psi0, 2)
+    if bounded:
+        with pytest.raises(ValueError, match="^%s needs a nonnegative" % name):
+            call(GENERATOR, -1)
+    call(GENERATOR, 0)  # the generator itself is accepted, at bound 0
 
 
 def test_rejected_configuration_keeps_no_memo():
