@@ -39,13 +39,11 @@ from .crystal import (
     e_abacus,
     e_descending,
     e_partition,
-    eps_phi,
     f_abacus,
     f_descending,
     f_partition,
     graph_to_dot,
     signature_reduce,
-    wt,
 )
 from .cylindric import (
     CylindricPlanePartition,

@@ -459,10 +459,13 @@ def enumerate_descending(psi0, max_weight):
 
 def enumerate_tight(psi0, max_weight):
     """The tight configurations among enumerate_descending(psi0, max_weight),
-    in its order: enumerate_descending filtered by is_tight.  It consumes
-    every descending configuration, and the benchmark's audit
-    (benchmarks/workloads.py) counts each of those yields as well as the
-    tight ones it passes on."""
+    in its order: enumerate_descending filtered by is_tight.  It refuses a
+    bad psi0 or max_weight in its own name, as its first step, and then
+    calls enumerate_descending (which checks them again) with the same two
+    arguments.  It consumes every descending configuration, and the
+    benchmark's audit (benchmarks/workloads.py) counts each of those yields
+    as well as the tight ones it passes on."""
+    _check_generator(psi0, max_weight, "enumerate_tight")
     for cfg in enumerate_descending(psi0, max_weight):
         if is_tight(cfg):
             yield cfg

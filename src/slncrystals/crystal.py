@@ -7,7 +7,10 @@ the same canceller), and the column rule on partitions.  The box rule on
 cylindric plane partitions, with f_cpp and e_cpp, lives in cylindric, and
 f_path and e_path live in kyoto.  Each rule builds a string of brackets,
 cancels matched "()" pairs, and acts at the first uncanceled "(" (for a
-lowering move) or the last uncanceled ")" (for a raising move).
+lowering move) or the last uncanceled ")" (for a raising move).  A
+Signature holds only the payloads of those two acting tokens: eps_i and
+phi_i, the numbers of uncanceled ")" and "(", are read by no operator,
+and only the test oracles count them.
 
 Each bracket rule on configurations and paths reads the tokens of all n
 colors in one walk, so the operators of every color cost one walk, and
@@ -62,22 +65,23 @@ from .partitions import (
 
 
 class Signature(NamedTuple):
-    """Result of canceling matched "()" pairs in a bracket string."""
+    """The two acting tokens left by canceling matched "()" pairs in a
+    bracket string: the payloads that f and e read, and nothing else."""
 
     first_open: object  # payload of first uncanceled "(", or None
     last_close: object  # payload of last uncanceled ")", or None
-    n_close: int
-    n_open: int
 
 
 def signature_reduce(tokens):
-    """Cancel "()" pairs in a sequence of ("(" | ")", payload) tokens.
+    """Cancel "()" pairs in a sequence of ("(" | ")", payload) tokens and
+    return the Signature of the first uncanceled "(" and the last
+    uncanceled ")".
 
     The uncanceled "(" form a stack of which only the bottom is read, so
     the stack is kept as its depth and its bottom: the "(" that last
-    raised the depth from zero.
+    raised the depth from zero.  An uncanceled ")" is one met at depth 0.
     """
-    depth = n_close = 0
+    depth = 0
     first = last = None
     for char, payload in tokens:
         if char == "(":
@@ -88,12 +92,11 @@ def signature_reduce(tokens):
             if depth:
                 depth -= 1
             else:
-                n_close += 1
                 last = payload
         else:
             raise ValueError("bad token %r" % char)
     # tuple.__new__ skips the NamedTuple's argument binding
-    return tuple.__new__(Signature, (first if depth else None, last, n_close, depth))
+    return tuple.__new__(Signature, (first if depth else None, last))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +167,7 @@ def _gap_signatures(psi):
     sigs = []
     for bucket in buckets:
         bucket.sort()
-        depth = n_close = 0
+        depth = 0
         first = last = None
         for key in bucket:
             if key & 1:
@@ -174,18 +177,17 @@ def _gap_signatures(psi):
             elif depth:
                 depth -= 1
             else:
-                n_close += 1
                 last = key
         if depth:
             g, rest = divmod(first, unit)
             first = (g, rest >> shift, (rest & mask) >> 1)
         else:
             first = None
-        if n_close:
+        if last is not None:
             g, rest = divmod(last, unit)
             last = (g, rest >> shift, (rest & mask) >> 1)
         # tuple.__new__ skips the NamedTuple's argument binding (~8% of this rule)
-        sigs.append(tuple.__new__(Signature, (first, last, n_close, depth)))
+        sigs.append(tuple.__new__(Signature, (first, last)))
     return tuple(sigs)
 
 
@@ -288,10 +290,11 @@ def _bead_set_signatures(column, top, n):
     window by whole sets changes nothing (checked in the tests).
 
     No token list is built: each color keeps the state `signature_reduce`
-    keeps, the depth and bottom set of its uncanceled "(", and the count
-    and last set of its uncanceled ")".
+    keeps, the depth and bottom set of its uncanceled "(", and the last set
+    of its uncanceled ")".  Sets count from 1, so a last set of 0 means the
+    color has no uncanceled ")".
     """
-    depth, bottom, closes, last = [0] * n, [0] * n, [0] * n, [0] * n
+    depth, bottom, last = [0] * n, [0] * n, [0] * n
     for k in range(top, 0, -1):
         entries = column(k)
         if k < top:  # the tail set gives no ")"
@@ -300,7 +303,6 @@ def _bead_set_signatures(column, top, n):
                 if depth[x]:
                     depth[x] -= 1
                 else:
-                    closes[x] += 1
                     last[x] = k
         for s in entries:
             x = (s + 1) % n
@@ -309,8 +311,8 @@ def _bead_set_signatures(column, top, n):
             depth[x] += 1
     # tuple.__new__ skips the NamedTuple's argument binding
     return tuple([
-        tuple.__new__(Signature, ((b, i) if d else None, (c, i) if m else None, m, d))
-        for i, (d, b, m, c) in enumerate(zip(depth, bottom, closes, last))
+        tuple.__new__(Signature, ((b, i) if d else None, (c, i) if c else None))
+        for i, (d, b, c) in enumerate(zip(depth, bottom, last))
     ])
 
 
@@ -344,21 +346,6 @@ def e_partition(lam, i, n, ell):
     if sig.last_close is None:
         return None
     return remove_ribbon(lam, ell, sig.last_close)
-
-
-# ---------------------------------------------------------------------------
-# string functions and weights
-
-
-def eps_phi(psi, i):
-    """(eps_i, phi_i) of an abacus configuration from uncanceled brackets."""
-    sig = _signatures(psi)[i % psi.n]
-    return sig.n_close, sig.n_open
-
-
-def wt(psi):
-    """phi - eps coordinatewise: the weight's tuple of Lambda_i coefficients."""
-    return tuple(s.n_open - s.n_close for s in _signatures(psi))
 
 
 # ---------------------------------------------------------------------------

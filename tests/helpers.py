@@ -389,6 +389,25 @@ def signature_oracle(brackets):
     return "".join(s) if isinstance(brackets, str) else s
 
 
+def _uncanceled_counts(tokens):
+    """(number of ")", number of "(") that `signature_oracle` leaves."""
+    left = [char for char, _ in signature_oracle(tokens)]
+    return left.count(")"), left.count("(")
+
+
+def eps_phi(psi, i):
+    """(eps_i, phi_i) of an abacus configuration under the gap rule: the
+    ")" and "(" left of its color-i tokens by the deletion oracle.  Read off
+    the token list, independent of `crystal._gap_signatures`."""
+    n = psi.n
+    return _uncanceled_counts([t for t in abacus_brackets(psi) if t[1][0] % n == i % n])
+
+
+def wt(psi):
+    """phi - eps at every color: the weight's tuple of Lambda_i coefficients."""
+    return tuple(phi - eps for eps, phi in (eps_phi(psi, i) for i in range(psi.n)))
+
+
 def abacus_brackets(psi):
     """The gap rule's tokens of every color as ("(" | ")", (gap, row, bead))
     pairs, sorted by payload: gaps left to right, rows bottom to top.
@@ -759,9 +778,9 @@ def eps_phi_perfect(b, n):
 
 
 def eps_phi_path(path, i):
-    """(eps_i, phi_i) of a path from its reduced bracket string."""
-    sig = signature_reduce(tokens_of_color(path_tokens(path), i, path.n))
-    return sig.n_close, sig.n_open
+    """(eps_i, phi_i) of a path: the ")" and "(" that the deletion oracle
+    leaves of its color-i tokens."""
+    return _uncanceled_counts(tokens_of_color(path_tokens(path), i, path.n))
 
 
 def tokens_of_color(tokens, i, n):

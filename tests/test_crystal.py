@@ -16,14 +16,12 @@ from slncrystals.crystal import (
     e_abacus,
     e_descending,
     e_partition,
-    eps_phi,
     f_abacus,
     f_descending,
     f_partition,
     graph_to_dot,
     partition_brackets,
     signature_reduce,
-    wt,
 )
 from slncrystals.partitions import Partition, ell_quotient
 from slncrystals.abacus import AbacusConfig, loosen
@@ -41,6 +39,7 @@ from helpers import (
     descending_brackets,
     descending_configs,
     descending_tokens_widened,
+    eps_phi,
     eps_phi_by_iteration,
     fig4,
     fig9,
@@ -52,6 +51,7 @@ from helpers import (
     signature_oracle,
     tight_configs,
     tokens_of_color,
+    wt,
 )
 
 P = Partition
@@ -63,13 +63,11 @@ def tokens(s):
 
 def test_signature_trivial():
     sig = signature_reduce(tokens("()"))
-    assert (sig.n_close, sig.n_open) == (0, 0)
     assert sig.first_open is None and sig.last_close is None
 
 
 def test_signature_simple():
     sig = signature_reduce(tokens(")(("))
-    assert (sig.n_close, sig.n_open) == (1, 2)
     assert sig.first_open == 1  # leftmost surviving "("
     assert sig.last_close == 0
 
@@ -77,14 +75,14 @@ def test_signature_simple():
 @settings(max_examples=300)
 @given(st.text(alphabet="()", max_size=24))
 def test_signature_against_deletion_oracle(s):
-    reduced = signature_oracle(s)
+    # the acting tokens are the first "(" and the last ")" that deleting
+    # adjacent "()" pairs leaves, payloads included
+    left = signature_oracle(tokens(s))
+    opens = [j for char, j in left if char == "("]
+    closes = [j for char, j in left if char == ")"]
     sig = signature_reduce(tokens(s))
-    assert sig.n_close == reduced.count(")")
-    assert sig.n_open == reduced.count("(")
-    if sig.n_open:
-        assert s[sig.first_open] == "("
-    if sig.n_close:
-        assert s[sig.last_close] == ")"
+    assert sig.first_open == (opens[0] if opens else None)
+    assert sig.last_close == (closes[-1] if closes else None)
 
 
 @settings(max_examples=300)
@@ -103,7 +101,7 @@ def test_reduce_colors_matches_per_color_reduce(n, chars):
         opens = [p for char, p in left if char == "("]
         closes = [p for char, p in left if char == ")"]
         want = (opens[0] if opens else None, closes[-1] if closes else None)
-        assert sigs[c] == want + (len(closes), len(opens))
+        assert sigs[c] == want
 
 
 @settings(max_examples=200)
@@ -200,7 +198,6 @@ def test_descending_bracket_window_stability():
             base = signature_reduce(own)
             for extra in (3, 6):
                 wide = signature_reduce(descending_tokens_widened(cfg, i, extra))
-                assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
                 assert base.first_open == wide.first_open
                 assert base.last_close == wide.last_close
 
@@ -401,7 +398,7 @@ def test_gap_rule_with_one_color():
     tokens = abacus_brackets(cfg)
     assert sig == signature_reduce(tokens)
     assert [c for c, _ in tokens] == ["(", "(", ")", "("]
-    assert sig == ((-1, 0, 2), None, 0, 2)
+    assert sig == ((-1, 0, 2), None)
     for i in range(3):
         assert f_abacus(cfg, i) == gap_rule_by_slots(cfg, 0, raising=False)
         assert e_abacus(cfg, i) == gap_rule_by_slots(cfg, 0, raising=True)

@@ -1,15 +1,17 @@
 """Every name a library module imports is used in that module, every
 top-level function it defines, public or private, is used somewhere in the
-library, no module has an `assert` statement (`python -O` drops them;
-an invariant check raises AssertionError explicitly), and `Partition`,
-`BeadRow`, `AbacusConfig`, `CylindricPlanePartition`, `PerfectElem` and
-`Path` are built unchecked, by `object.__new__` or `tuple.__new__`, only in
-their one trusted constructor each, while `DominantWeight` and `Boundary`,
-which have none, are never built unchecked.
+library or, if the package re-exports it, read from the package by a
+test or benchmark module, no module has an `assert` statement (`python -O`
+drops them; an invariant check raises AssertionError explicitly), and
+`Partition`, `BeadRow`, `AbacusConfig`, `CylindricPlanePartition`,
+`PerfectElem` and `Path` are built unchecked, by `object.__new__` or
+`tuple.__new__`, only in their one trusted constructor each, while
+`DominantWeight` and `Boundary`, which have none, are never built
+unchecked.
 
 No linter ships with the project, so this reads each module of
-src/slncrystals with the stdlib ast module; only the assert check reads the
-package's __init__.py.
+src/slncrystals with the stdlib ast module; only the assert check and the
+re-export rule read the package's __init__.py.
 """
 
 import ast
@@ -19,7 +21,8 @@ import pytest
 
 import src_size
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "slncrystals"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "slncrystals"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -47,10 +50,27 @@ def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
 
 
-def unreferenced_functions(sources, init_source):
+def package_names_read(source):
+    """The names that `source`, a module outside the package, reads from
+    it: imported from `slncrystals` or one of its modules, or read as an
+    attribute.  A bare name is not counted, since a test helper of the
+    same name would hide the package's."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "slncrystals":
+                used.update(alias.name for alias in node.names)
+    return used
+
+
+def unreferenced_functions(sources, init_source, outside_sources):
     """The top-level functions of `sources` (module name -> source), public
-    or private, that no module reads by name or attribute and `init_source`
-    does not re-export, as "module.name"."""
+    or private, that no module of `sources` reads by name or attribute, and
+    that are not both re-exported by `init_source` and read from the
+    package by one of `outside_sources` (the test and benchmark modules),
+    as "module.name".  A re-export alone is no use."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     used = set()
     for tree in trees.values():
@@ -59,9 +79,11 @@ def unreferenced_functions(sources, init_source):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+    exported = set()
     for node in ast.walk(ast.parse(init_source)):
         if isinstance(node, ast.ImportFrom):
-            used.update(alias.asname or alias.name for alias in node.names)
+            exported.update(alias.asname or alias.name for alias in node.names)
+    used |= exported & set().union(*map(package_names_read, outside_sources))
     return sorted(
         "%s.%s" % (name, node.name)
         for name, tree in trees.items()
@@ -72,19 +94,36 @@ def unreferenced_functions(sources, init_source):
 
 
 def test_unreferenced_functions_finds_an_unused_function():
+    # b.exported is re-exported and a test reads it; b.dead is re-exported
+    # but a test reads only a helper of that name; a._private is read only
+    # outside the library
     sources = {
         "a": "def kept():\n    pass\ndef lost():\n    pass\ndef _private():\n    pass\n",
-        "b": "from . import a\ndef called():\n    a.kept()\ndef exported():\n    pass\n",
+        "b": (
+            "from . import a\ndef called():\n    a.kept()\n"
+            "def exported():\n    pass\ndef dead():\n    pass\n"
+        ),
         "c": "class C:\n    def method(self):\n        called()\n",
     }
-    init = "from .b import exported\n"
-    assert unreferenced_functions(sources, init) == ["a._private", "a.lost"]
+    init = "from .b import dead, exported\n"
+    outside = [
+        "import slncrystals\nfrom slncrystals.a import _private\n"
+        "from helpers import dead\nslncrystals.exported()\n_private()\ndead()\n"
+    ]
+    assert unreferenced_functions(sources, init, outside) == [
+        "a._private", "a.lost", "b.dead",
+    ]
 
 
 def test_every_public_function_is_used_or_exported():
     sources = {module[:-3]: (SRC / module).read_text() for module in MODULES}
     init = (SRC / "__init__.py").read_text()
-    assert unreferenced_functions(sources, init) == []
+    outside = [
+        p.read_text()
+        for folder in ("tests", "benchmarks")
+        for p in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unreferenced_functions(sources, init, outside) == []
 
 
 def assert_lines(source):

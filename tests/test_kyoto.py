@@ -263,7 +263,7 @@ def test_path_window_stability():
                 base = signature_reduce(tokens_of_color(path_tokens(p), i, 3))
                 for extra in (2, 5):
                     wide = signature_reduce(path_tokens_widened(p, i, extra))
-                    assert (base.n_close, base.n_open) == (wide.n_close, wide.n_open)
+                    assert base == wide
                     assert f_path(p, i) == _f_path_widened(p, i, extra)
 
 
@@ -285,17 +285,14 @@ SHARED_RULE_CASES = [(2, 2, 6), (3, 2, 6), (2, 3, 5), (4, 2, 5), (3, 3, 4), (5, 
 @pytest.mark.parametrize("n,ell,degree", SHARED_RULE_CASES)
 def test_path_brackets_match_token_list_and_grouped_rule(n, ell, degree):
     # the path rule and the grouped rule share one canceller: the path's
-    # signatures equal its reduced token list, payloads included, and each
-    # color's bracket counts equal the grouped rule's on the configuration
+    # signatures equal its reduced token list, payloads included, and the
+    # grouped rule's on the configuration
     for coeffs in all_level_coeffs(n, ell):
         for cfg in tight_configs(n, ell, coeffs, degree):
             p = to_path(cfg)
             sigs = path_brackets(p)
             assert sigs == _reduce_colors(path_tokens(p), n)
-            grouped = _grouped_signatures(cfg)
-            assert [(s.n_close, s.n_open) for s in sigs] == [
-                (s.n_close, s.n_open) for s in grouped
-            ]
+            assert sigs == _grouped_signatures(cfg)
 
 
 def test_path_brackets_runs_once_per_path(monkeypatch):

@@ -132,15 +132,15 @@ def test_precondition_raises_value_error(match, call):
 
 
 # (id, the call, the name in its error, whether it takes a bound): every
-# walk from a generator, and highest_weight, keeps one generator rule;
-# enumerate_tight filters enumerate_descending, whose name the error gives
+# walk from a generator, and highest_weight, keeps one generator rule, and
+# each refuses a bad generator in its own name
 GENERATOR_RULE = [
     ("crystal_graph", crystal.crystal_graph, "crystal_graph", True),
     ("enumerate_descending",
      lambda psi0, nmax: list(abacus.enumerate_descending(psi0, nmax)),
      "enumerate_descending", True),
     ("enumerate_tight", lambda psi0, nmax: list(abacus.enumerate_tight(psi0, nmax)),
-     "enumerate_descending", True),
+     "enumerate_tight", True),
     ("Z_bruteforce", qseries.Z_bruteforce, "Z_bruteforce", True),
     ("highest_weight", lambda psi0, nmax: abacus.highest_weight(psi0),
      "highest_weight", False),
