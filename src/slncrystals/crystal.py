@@ -8,9 +8,11 @@ cylindric plane partitions, with f_cpp and e_cpp, lives in cylindric, and
 f_path and e_path live in kyoto.  Each rule builds a string of brackets,
 cancels matched "()" pairs, and acts at the first uncanceled "(" (for a
 lowering move) or the last uncanceled ")" (for a raising move).  A
-Signature holds only the payloads of those two acting tokens: eps_i and
-phi_i, the numbers of uncanceled ")" and "(", are read by no operator,
-and only the test oracles count them.
+color's signature is the plain pair (first_open, last_close) of the
+payloads of those two acting tokens, each None when the color has no such
+token, and every reader unpacks it into named locals.  eps_i and phi_i,
+the numbers of uncanceled ")" and "(", are read by no operator, and only
+the test oracles count them.
 
 Each bracket rule on configurations and paths reads the tokens of all n
 colors in one walk, so the operators of every color cost one walk, and
@@ -49,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import NamedTuple
 
 from .abacus import _check_generator, _set_gap_memo, _set_set_memo, is_descending
 from .partitions import (
@@ -64,18 +65,11 @@ from .partitions import (
 )
 
 
-class Signature(NamedTuple):
-    """The two acting tokens left by canceling matched "()" pairs in a
-    bracket string: the payloads that f and e read, and nothing else."""
-
-    first_open: object  # payload of first uncanceled "(", or None
-    last_close: object  # payload of last uncanceled ")", or None
-
-
 def signature_reduce(tokens):
     """Cancel "()" pairs in a sequence of ("(" | ")", payload) tokens and
-    return the Signature of the first uncanceled "(" and the last
-    uncanceled ")".
+    return the signature (first_open, last_close): the payloads of the
+    first uncanceled "(" and the last uncanceled ")", each None if there
+    is none.
 
     The uncanceled "(" form a stack of which only the bottom is read, so
     the stack is kept as its depth and its bottom: the "(" that last
@@ -95,8 +89,7 @@ def signature_reduce(tokens):
                 last = payload
         else:
             raise ValueError("bad token %r" % char)
-    # tuple.__new__ skips the NamedTuple's argument binding
-    return tuple.__new__(Signature, (first if depth else None, last))
+    return (first if depth else None, last)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +97,8 @@ def signature_reduce(tokens):
 
 
 def _signatures(psi):
-    """The gap rule's Signature of each color 0..n-1, memoised on psi."""
+    """The gap rule's signature (first_open, last_close) of each color
+    0..n-1, memoised on psi."""
     sigs = psi._gap_signatures
     if sigs is None:
         sigs = _gap_signatures(psi)
@@ -113,7 +107,8 @@ def _signatures(psi):
 
 
 def _gap_signatures(psi):
-    """The gap rule's tokens of every color, reduced in one pass per color.
+    """The gap rule's tokens of every color, reduced in one pass per color
+    to its signature (first_open, last_close).
 
     Gap g sits between slots g-1 and g and carries color g mod n.  A bead
     that can hop right across the gap gives "(", one that can hop left gives
@@ -186,19 +181,20 @@ def _gap_signatures(psi):
         if last is not None:
             g, rest = divmod(last, unit)
             last = (g, rest >> shift, (rest & mask) >> 1)
-        # tuple.__new__ skips the NamedTuple's argument binding (~8% of this rule)
-        sigs.append(tuple.__new__(Signature, (first, last)))
+        sigs.append((first, last))
     return tuple(sigs)
 
 
 def f_abacus(psi, i):
     """Advance the bead at the first uncanceled "(", or None."""
-    return _move_named_bead(psi, _signatures(psi)[i % psi.n].first_open, +1)
+    first_open, _ = _signatures(psi)[i % psi.n]
+    return _move_named_bead(psi, first_open, +1)
 
 
 def e_abacus(psi, i):
     """Retract the bead at the last uncanceled ")", or None."""
-    return _move_named_bead(psi, _signatures(psi)[i % psi.n].last_close, -1)
+    _, last_close = _signatures(psi)[i % psi.n]
+    return _move_named_bead(psi, last_close, -1)
 
 
 def _move_named_bead(psi, token, delta):
@@ -250,8 +246,8 @@ def _descending_move(psi, i, delta, name):
             raise ValueError("%s needs a descending configuration" % name)
         sigs = _grouped_signatures(psi)
         _set_set_memo(psi, sigs)  # psi is frozen
-    sig = sigs[i % n]
-    token = sig.first_open if delta > 0 else sig.last_close
+    first_open, last_close = sigs[i % n]
+    token = first_open if delta > 0 else last_close
     if token is None:
         return None
     k = token[0]
@@ -267,7 +263,8 @@ def _descending_move(psi, i, delta, name):
 
 
 def _grouped_signatures(psi):
-    """The grouped rule's Signature of each color 0..n-1, payload (k, color).
+    """The grouped rule's signature (first_open, last_close) of each color
+    0..n-1, payload (k, color).
 
     It is `_bead_set_signatures` of the bead sets: set k holds the k-th
     bead of every row, at slot s = part(k) - k + charge, and the tail set
@@ -278,8 +275,8 @@ def _grouped_signatures(psi):
 
 
 def _bead_set_signatures(column, top, n):
-    """The signature rule on bead sets: the Signature of each color 0..n-1,
-    payload (k, color).
+    """The signature rule on bead sets: the signature (first_open,
+    last_close) of each color 0..n-1, payload (k, color).
 
     column(k) lists the entries of set k, for k from top down to 1: a
     descending configuration's bead slots, or a path's element b_k.  An
@@ -309,9 +306,8 @@ def _bead_set_signatures(column, top, n):
             if not depth[x]:
                 bottom[x] = k
             depth[x] += 1
-    # tuple.__new__ skips the NamedTuple's argument binding
     return tuple([
-        tuple.__new__(Signature, ((b, i) if d else None, (c, i) if c else None))
+        ((b, i) if d else None, (c, i) if c else None)
         for i, (d, b, c) in enumerate(zip(depth, bottom, last))
     ])
 
@@ -335,17 +331,13 @@ def partition_brackets(lam, i, n, ell):
 
 
 def f_partition(lam, i, n, ell):
-    sig = signature_reduce(partition_brackets(lam, i, n, ell))
-    if sig.first_open is None:
-        return None
-    return add_ribbon(lam, ell, sig.first_open)
+    first_open, _ = signature_reduce(partition_brackets(lam, i, n, ell))
+    return add_ribbon(lam, ell, first_open) if first_open is not None else None
 
 
 def e_partition(lam, i, n, ell):
-    sig = signature_reduce(partition_brackets(lam, i, n, ell))
-    if sig.last_close is None:
-        return None
-    return remove_ribbon(lam, ell, sig.last_close)
+    _, last_close = signature_reduce(partition_brackets(lam, i, n, ell))
+    return remove_ribbon(lam, ell, last_close) if last_close is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +376,10 @@ def crystal_graph(psi0, max_degree):
         seen = {}  # the rows' parts -> the node built for them
         for node in layers[-1]:
             parts = [row.partition for row in node.rows]
-            for i, sig in enumerate(_signatures(node)):
-                if sig.first_open is None:
+            for i, (first_open, _) in enumerate(_signatures(node)):
+                if first_open is None:
                     continue
-                _, r, j = sig.first_open
+                _, r, j = first_open
                 old = parts[r]
                 parts[r] = _hop(old, j, 1)
                 key = tuple(parts)
@@ -397,8 +389,7 @@ def crystal_graph(psi0, max_degree):
                     img = seen[key] = f_abacus(node, i)
                 edges.append((node, i, img))
             _set_gap_memo(node, None)  # filled by _signatures
-        if not seen:
-            break
+        # never empty: no ")" follows the "(" just above the highest bead of all rows
         layers.append([seen[key] for key in sorted(seen)])
     return CrystalGraph(layers, edges)
 

@@ -184,12 +184,14 @@ def cpp_brackets(pi, i):
 
 def f_cpp(pi, i):
     """Add the box at the first uncanceled "(", or None."""
-    return _with_box(pi, signature_reduce(cpp_brackets(pi, i)).first_open, +1)
+    first_open, _ = signature_reduce(cpp_brackets(pi, i))
+    return _with_box(pi, first_open, +1)
 
 
 def e_cpp(pi, i):
     """Remove the box at the last uncanceled ")", or None."""
-    return _with_box(pi, signature_reduce(cpp_brackets(pi, i)).last_close, -1)
+    _, last_close = signature_reduce(cpp_brackets(pi, i))
+    return _with_box(pi, last_close, -1)
 
 
 def _with_box(pi, box, delta):

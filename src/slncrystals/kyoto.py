@@ -278,9 +278,10 @@ def ground_state_path(w, n, ell):
 
 
 def path_brackets(path):
-    """The signature rule's Signature of each color 0..n-1, payload (k,
-    color): `crystal._bead_set_signatures` of b_{K+1}, ..., b_1 (K the last
-    deviation), the rule the grouped rule applies to bead sets.
+    """The signature rule's signature (first_open, last_close) of each
+    color 0..n-1, payload (k, color): `crystal._bead_set_signatures` of
+    b_{K+1}, ..., b_1 (K the last deviation), the rule the grouped rule
+    applies to bead sets.
 
     b_k gives a ")" of color i per entry i and a "(" of color i per entry
     i-1, its eps_i and phi_i, and the ground tail collapses to the "(" of
@@ -313,8 +314,8 @@ def _path_move(path, i, delta):
     if sigs is None:
         sigs = path_brackets(path)
         object.__setattr__(path, "_signatures", sigs)  # path is frozen
-    sig = sigs[i % path.n]
-    token = sig.first_open if delta > 0 else sig.last_close
+    first_open, last_close = sigs[i % path.n]
+    token = first_open if delta > 0 else last_close
     if token is None:
         return None
     k = token[0]

@@ -491,8 +491,10 @@ def grouped_move_by_bead_slots(psi, i, raising):
     k that the acting token names move the bead of the least (bead_slot,
     row) pair on a slot of color i-1 one slot right, or the bead of the
     greatest pair on a slot of color i one slot left."""
-    sig = signature_reduce(tokens_of_color(descending_brackets(psi), i, psi.n))
-    k = sig.last_close if raising else sig.first_open
+    first_open, last_close = signature_reduce(
+        tokens_of_color(descending_brackets(psi), i, psi.n)
+    )
+    k = last_close if raising else first_open
     if k is None:
         return None
     color, pick = (i, max) if raising else (i - 1, min)
@@ -537,8 +539,8 @@ def gap_rule_by_slots(psi, i, raising):
     from slot g-1 to g for f, from g to g-1 for e.  The row is rebuilt from
     its occupied slots; the bead index in the payload is not used.
     """
-    sig = signature_reduce(abacus_brackets_by_gap_scan(psi, i))
-    token = sig.last_close if raising else sig.first_open
+    first_open, last_close = signature_reduce(abacus_brackets_by_gap_scan(psi, i))
+    token = last_close if raising else first_open
     if token is None:
         return None
     g, r_idx, _ = token

@@ -59,6 +59,12 @@ def test_non_ascii_weight_digits_exit_2():
     assert rc == 2 and out == "" and "cannot parse weight term" in err
 
 
+@pytest.mark.parametrize("command", ["graph", "series", "enumerate"])
+def test_missing_weight_exit_2(command):
+    rc, out, err = run_cli([command, "--n", "3", "--ell", "2"])
+    assert rc == 2 and out == "" and "--weight is required" in err
+
+
 # an integer of more digits than int() and json.loads read by default (4,300)
 _PAST_DIGIT_LIMIT = "1" * 5000
 

@@ -23,6 +23,7 @@ from slncrystals.crystal import (
     partition_brackets,
     signature_reduce,
 )
+from slncrystals.kyoto import path_brackets, to_path
 from slncrystals.partitions import Partition, ell_quotient
 from slncrystals.abacus import AbacusConfig, loosen
 
@@ -62,14 +63,14 @@ def tokens(s):
 
 
 def test_signature_trivial():
-    sig = signature_reduce(tokens("()"))
-    assert sig.first_open is None and sig.last_close is None
+    first_open, last_close = signature_reduce(tokens("()"))
+    assert first_open is None and last_close is None
 
 
 def test_signature_simple():
-    sig = signature_reduce(tokens(")(("))
-    assert sig.first_open == 1  # leftmost surviving "("
-    assert sig.last_close == 0
+    first_open, last_close = signature_reduce(tokens(")(("))
+    assert first_open == 1  # leftmost surviving "("
+    assert last_close == 0
 
 
 @settings(max_examples=300)
@@ -80,9 +81,9 @@ def test_signature_against_deletion_oracle(s):
     left = signature_oracle(tokens(s))
     opens = [j for char, j in left if char == "("]
     closes = [j for char, j in left if char == ")"]
-    sig = signature_reduce(tokens(s))
-    assert sig.first_open == (opens[0] if opens else None)
-    assert sig.last_close == (closes[-1] if closes else None)
+    first_open, last_close = signature_reduce(tokens(s))
+    assert first_open == (opens[0] if opens else None)
+    assert last_close == (closes[-1] if closes else None)
 
 
 @settings(max_examples=300)
@@ -108,14 +109,14 @@ def test_reduce_colors_matches_per_color_reduce(n, chars):
 @given(st.text(alphabet="()", max_size=20))
 def test_signature_action_positions(s):
     # acting at the reported position agrees with the deletion oracle's ends
-    sig = signature_reduce(tokens(s))
+    first_open, last_close = signature_reduce(tokens(s))
     reduced = signature_oracle(s)
-    if sig.first_open is not None:
+    if first_open is not None:
         # flipping the first uncanceled "(" to ")" removes one open bracket
-        t = s[: sig.first_open] + ")" + s[sig.first_open + 1 :]
+        t = s[:first_open] + ")" + s[first_open + 1 :]
         assert signature_oracle(t).count("(") == reduced.count("(") - 1
-    if sig.last_close is not None:
-        t = s[: sig.last_close] + "(" + s[sig.last_close + 1 :]
+    if last_close is not None:
+        t = s[:last_close] + "(" + s[last_close + 1 :]
         assert signature_oracle(t).count(")") == reduced.count(")") - 1
 
 
@@ -198,8 +199,7 @@ def test_descending_bracket_window_stability():
             base = signature_reduce(own)
             for extra in (3, 6):
                 wide = signature_reduce(descending_tokens_widened(cfg, i, extra))
-                assert base.first_open == wide.first_open
-                assert base.last_close == wide.last_close
+                assert base == wide  # first_open and last_close
 
 
 def test_descending_rule_rejects_non_descending():
@@ -420,11 +420,10 @@ def _gap_images_match_checked_moves(cfg):
     j, delta) of each move made, for the callers to see which kinds of move
     they covered."""
     moves = []
-    sigs = _signatures(cfg)
-    for i in range(cfg.n):
+    for i, (first_open, last_close) in enumerate(_signatures(cfg)):
         for op, token, delta in (
-            (f_abacus, sigs[i].first_open, 1),
-            (e_abacus, sigs[i].last_close, -1),
+            (f_abacus, first_open, 1),
+            (e_abacus, last_close, -1),
         ):
             img = op(cfg, i)
             if token is None:
@@ -578,6 +577,9 @@ def test_crystal_graph_layers():
     psi0 = fig9()
     graph = crystal_graph(psi0, 4)
     assert graph.layers[0] == [psi0]
+    # every degree up to the bound has a layer, and no layer is empty
+    assert len(graph.layers) == 4 + 1
+    assert all(graph.layer_sizes())
     # one edge out of the generator per color with positive multiplicity
     assert len(graph.layers[1]) == sum(1 for m in (1, 2, 1) if m)
     # layers enumerate exactly the tight configurations of each weight
@@ -587,6 +589,33 @@ def test_crystal_graph_layers():
             c for c in tight_configs(3, 4, (1, 2, 1), 4) if weight(c) == d
         }
         assert got == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(abacus_configs())
+def test_every_configuration_has_an_f_image(cfg):
+    # the "(" one gap above the highest bead of all rows is uncanceled: no
+    # ")" follows it, since a ")" at gap g needs a bead at slot g
+    assert any(f_abacus(cfg, i) is not None for i in range(cfg.n))
+
+
+def _is_pair(sig):
+    return type(sig) is tuple and len(sig) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(abacus_configs(), st.text(alphabet="()", max_size=16))
+def test_gap_rule_and_token_list_signatures_are_plain_pairs(cfg, s):
+    # a signature is the pair (first_open, last_close) itself
+    sigs = _signatures(cfg)
+    assert len(sigs) == cfg.n and all(map(_is_pair, sigs))
+    assert _is_pair(signature_reduce(tokens(s)))
+
+
+def test_bead_set_signatures_are_plain_pairs():
+    for cfg in tight_configs(3, 2, (1, 0, 1), 4):
+        for sigs in (_grouped_signatures(cfg), path_brackets(to_path(cfg))):
+            assert len(sigs) == 3 and all(map(_is_pair, sigs))
 
 
 def test_crystal_graph_connectivity():

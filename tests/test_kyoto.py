@@ -268,10 +268,9 @@ def test_path_window_stability():
 
 
 def _f_path_widened(path, i, extra):
-    sig = signature_reduce(path_tokens_widened(path, i, extra))
-    if sig.first_open is None:
+    k, _ = signature_reduce(path_tokens_widened(path, i, extra))
+    if k is None:
         return None
-    k = sig.first_open
     elem = f_perfect(path.element(k), i, path.n)
     from slncrystals.kyoto import _with_element
 

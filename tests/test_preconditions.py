@@ -2,7 +2,7 @@
 
 import pytest
 
-from slncrystals import abacus, crystal, cylindric, kyoto, partitions, qseries
+from slncrystals import abacus, checks, crystal, cylindric, kyoto, partitions, qseries
 from slncrystals.abacus import AbacusConfig, DominantWeight
 from slncrystals.cylindric import CylindricPlanePartition
 from slncrystals.kyoto import PerfectElem
@@ -120,6 +120,18 @@ CASES = [
     ("Path-weight", "level 2", lambda: kyoto.Path(3, 2, DominantWeight((1, 0, 0)), ())),
     ("Path-entry", "entries in", lambda: kyoto.Path(3, 2, L0L1, (PerfectElem((0, 7)),))),
     ("Path-length", "entries in", lambda: kyoto.Path(3, 2, L0L1, (PerfectElem((0,)),))),
+    ("rank_level-n1", "n, ell >= 2",
+     lambda: checks.rank_level(DominantWeight((2,)), 4)),
+    ("rank_level-ell1", "n, ell >= 2",
+     lambda: checks.rank_level(DominantWeight((1, 0, 0)), 4)),
+    ("level_one-level2", "level-1 weight", lambda: checks.level_one(L0L1, 4)),
+    ("signature_reduce", "bad token", lambda: crystal.signature_reduce([("x", 0)])),
+    ("CylindricPlanePartition-profile", "length ell",
+     lambda: CylindricPlanePartition(3, 2, (0,), (Partition(), Partition()))),
+    ("CylindricPlanePartition-rows", "length ell",
+     lambda: CylindricPlanePartition(3, 2, (0, 0), (Partition(),))),
+    ("CylindricPlanePartition.entry", "outside the boundary",
+     lambda: CylindricPlanePartition(3, 1, (0,), (LAM31,)).entry(0, -1)),
 ]
 
 
