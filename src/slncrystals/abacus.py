@@ -81,13 +81,19 @@ class AbacusConfig:
     _set_signatures: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1 or self.ell < 1:
+        # one form, so that a configuration built from a list of rows or
+        # from a tuple is one value, with one hash
+        n, ell, rows = index(self.n), index(self.ell), tuple(self.rows)
+        if n < 1 or ell < 1:
             raise ValueError("need n >= 1 and ell >= 1")
-        if len(self.rows) != self.ell:
-            raise ValueError("expected %d rows" % self.ell)
-        for i, row in enumerate(self.rows):
+        if len(rows) != ell:
+            raise ValueError("expected %d rows" % ell)
+        for i, row in enumerate(rows):
             if not (isinstance(row, BeadRow) and isinstance(row.partition, Partition)):
                 raise TypeError("row %d is not a BeadRow of a Partition: %r" % (i, row))
+        _set_n(self, n)
+        _set_ell(self, ell)
+        _set_rows(self, rows)
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, without the memos
@@ -236,8 +242,10 @@ def _shift_bead_set(psi, k, m):
 def tighten(psi, k):
     """Slide the k-th bead of every row down one row, or None if blocked.
 
-    Defined exactly when every row's incoming bead stays strictly right of
-    that row's (k+1)-st bead.
+    psi must be descending.  Then T_k is defined exactly when every row's
+    incoming bead stays strictly right of that row's (k+1)-st bead; on
+    another configuration a slide can name a move that `BeadRow.move_bead`
+    refuses with ValueError.
     """
     if k < 1:
         raise ValueError("bead index must be positive")
@@ -247,9 +255,11 @@ def tighten(psi, k):
 def loosen(psi, k):
     """Slide the k-th bead of every row up one row; inverse of tighten.
 
-    Defined when each row's incoming bead stays strictly left of that row's
-    (k-1)-st bead, i.e. when bead set k-1 fits one row down.
-    `_shift_bead_set` refuses k < 1.
+    psi must be descending.  Then it is defined when each row's incoming
+    bead stays strictly left of that row's (k-1)-st bead, i.e. when bead set
+    k-1 fits one row down; on another configuration a slide can name a move
+    that `BeadRow.move_bead` refuses with ValueError.  `_shift_bead_set`
+    refuses k < 1.
     """
     if k > 1 and not _fits(psi, k - 1, 1):
         return None
@@ -475,13 +485,16 @@ def enumerate_tight(psi0, max_weight):
 def _rows_of_size(charge, size):
     """The rows of this charge whose partition has this size, one per
     partition, in `partitions_of` order.  A row is frozen and carries no
-    memo, so every enumeration may share the table."""
+    memo, so every enumeration may share the table.  The largest size the
+    tests enumerate is 8: there one charge's tables hold 67 rows, about
+    20 KB, and the whole test suite leaves 66 tables, under 200 KB."""
     return tuple(_bead_row(charge, lam) for lam in partitions_of(size))
 
 
 # the most integers, tuples times parts, that a kept `_compositions` result
 # holds: a bound on the tuples alone would keep the 2,000 weights of level 1
-# at n = 2,000, 4 million integers
+# at n = 2,000, 4 million integers.  The largest split the benchmark asks for
+# has 21 tuples of 3 parts, 63 integers.
 _CACHED_SPLITS = 4096
 
 

@@ -54,7 +54,8 @@ def tk_commute(cfg):
 
 def bijection(cfg):
     """from_abacus lands on a cylindric plane partition of the same weight
-    and to_abacus inverts it (descending cfg)."""
+    and to_abacus inverts it (descending cfg).  Each image is checked once,
+    by to_abacus, whose ValueError is the image failure."""
     pi = cylindric.from_abacus(cfg)
     try:
         back = cylindric.to_abacus(pi)  # checks is_valid_cpp(pi) first

@@ -128,15 +128,15 @@ def cmd_convert(args):
 
 
 def _weight(args):
-    """The --weight argument, color-rotated when --rotate-colors is not 0,
-    read through the rank-and-level rule `abacus._level_coeffs`."""
+    """The --weight argument, read through the rank-and-level rule
+    `abacus._level_coeffs` at the level the command walks: --ell, or 1 for
+    `verify level-one`."""
     if args.weight is None:
         raise InputError("--weight is required")
     w = parse_weight(args.weight, args.n)
-    if args.rotate_colors:
-        w = w.rotated(args.rotate_colors)
+    ell = 1 if getattr(args, "which", None) == "level-one" else args.ell
     try:
-        return abacus._level_coeffs(w, args.n, args.ell)
+        return abacus._level_coeffs(w, args.n, ell)
     except ValueError as err:
         raise ValidationError(err)
 
@@ -185,12 +185,7 @@ def cmd_enumerate(args):
 
 
 def cmd_verify(args):
-    weights = None
-    if args.weight is not None:
-        w = _weight(args)
-        if args.which == "level-one" and w.level != 1:
-            raise ValidationError("level-one needs a level-1 weight")
-        weights = [w]
+    weights = None if args.weight is None else [_weight(args)]
     cases, failure = checks.run(args.which, args.n, args.ell, args.nmax, weights)
     sys.stderr.write("checked %d cases\n" % cases)
     if args.nmax == 0:
@@ -214,7 +209,6 @@ def build_parser():
         p.add_argument("--ell", type=int, default=2)
         if weight:
             p.add_argument("--weight", help='e.g. "2*L0+3*L1+L2"')
-        p.add_argument("--rotate-colors", type=int, default=0)
 
     p = sub.add_parser("convert", help="convert between model JSON encodings")
     p.add_argument("src", choices=list(MODELS))
@@ -222,6 +216,7 @@ def build_parser():
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.add_argument("--format", choices=["json", "text"], default="json")
     common(p, weight=False)
+    p.add_argument("--rotate-colors", type=int, default=0)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("graph", help="graded crystal graph")

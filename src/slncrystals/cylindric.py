@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, count, takewhile
-from operator import ge
+from operator import ge, index
 
 from .abacus import (
     DominantWeight,
@@ -32,13 +32,18 @@ class CylindricPlanePartition:
     rows: tuple  # rows[i] = Partition of the entries of diagonal i
 
     def __post_init__(self):
-        if self.n < 1 or self.ell < 1:
+        # one form, so that a cylinder built from lists or from tuples is
+        # one value, with one hash
+        n, ell = index(self.n), index(self.ell)
+        profile, rows = tuple(map(index, self.profile)), tuple(self.rows)
+        if n < 1 or ell < 1:
             raise ValueError("need n >= 1 and ell >= 1")
-        if len(self.profile) != self.ell or len(self.rows) != self.ell:
+        if len(profile) != ell or len(rows) != ell:
             raise ValueError("profile and rows must have length ell")
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if not isinstance(row, Partition):
                 raise TypeError("row %d is not a Partition: %r" % (i, row))
+        vars(self).update(n=n, ell=ell, profile=profile, rows=rows)
 
     def entry(self, i, j):
         """The entry at diagonal i, column j (0 on defined empty cells)."""

@@ -285,8 +285,10 @@ def path_brackets(path):
 
     b_k gives a ")" of color i per entry i and a "(" of color i per entry
     i-1, its eps_i and phi_i, and the ground tail collapses to the "(" of
-    b_{K+1}.  `benchmarks/layertrace.py` counts its calls as the path
-    model's layer signal, which is why it keeps the name path_brackets.
+    b_{K+1}.  `benchmarks/layertrace.py` counts its calls, one per path
+    whose memo `_path_move` fills, as the path model's layer signal, and the
+    benchmark's self-test requires that count to be positive, which is why
+    it keeps the name path_brackets.
     """
     return _bead_set_signatures(path.element, path.last_position() + 1, path.n)
 

@@ -54,7 +54,13 @@ class Partition(tuple):
 
         Memoised per process on the 4,096 partitions last conjugated: the
         cylinder bijection conjugates every row of every configuration it
-        maps, and the same small partitions recur."""
+        maps, and the same small partitions recur (a pass over the
+        benchmark's enumerate-path requests makes 27,790 calls on 27
+        distinct partitions).  An entry holds lambda and its conjugate,
+        8 x (len(lambda) + lambda_1) bytes beyond the tuples' headers, at
+        most 8 x (s + 1) for a partition of size s: a memo full of the
+        partitions of size up to 22 holds about 0.9 MB under tracemalloc,
+        and 4,096 partitions of size 1,000 would hold about 33 MB."""
         cols = []
         j, below = len(self), 0
         for p in reversed(self):  # part j, then part j - 1, ...

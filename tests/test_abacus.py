@@ -41,7 +41,7 @@ from slncrystals.crystal import f_abacus, f_descending
 from slncrystals.cylindric import from_abacus
 from slncrystals.kyoto import Path, f_path, to_path
 from slncrystals.partitions import BeadRow, Partition, _set_slots
-from slncrystals.qseries import boundary_of
+from slncrystals.qseries import Z_bruteforce, boundary_of
 
 from helpers import (
     abacus_configs,
@@ -352,6 +352,18 @@ def test_memos_take_no_part_in_eq_hash_repr():
     assert plain._set_signatures is None
     assert psi == plain and hash(psi) == hash(plain) and repr(psi) == repr(plain)
     assert not hasattr(psi, "__dict__") and not hasattr(psi.rows[0], "__dict__")
+
+
+def test_config_from_a_list_of_rows_is_the_config_from_a_tuple():
+    # the rows are held as a tuple whatever sequence gives them, so the two
+    # configurations are one value, hash alike and serve a set-keeping walk
+    generator = compactify(fig10())
+    for psi in (fig10(), generator):
+        listed = AbacusConfig(psi.n, psi.ell, list(psi.rows))
+        assert type(listed.rows) is tuple
+        assert listed == psi and hash(listed) == hash(psi) and repr(listed) == repr(psi)
+    listed = AbacusConfig(generator.n, generator.ell, list(generator.rows))
+    assert Z_bruteforce(listed, 4) == Z_bruteforce(generator, 4)
 
 
 def _with_memos(psi):

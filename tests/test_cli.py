@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -808,28 +809,48 @@ def test_verify_reports_case_count_on_stderr():
     assert err == "checked 6 cases\nvacuous: only degree 0 was checked\n"
 
 
-def test_rotate_colors_shifts_weight():
-    rc, out, _ = run_cli(
-        ["series", "--n", "3", "--ell", "2", "--weight", "2*L0", "--nmax", "6",
-         "--kind", "dimq", "--rotate-colors", "1"]
-    )
-    rc2, out2, _ = run_cli(
-        ["series", "--n", "3", "--ell", "2", "--weight", "2*L1", "--nmax", "6",
-         "--kind", "dimq"]
-    )
-    assert rc == rc2 == 0 and out == out2
-
-
-def test_rotate_colors_zero_keeps_the_parsed_weight(monkeypatch):
-    # the parsed weight is already a checked DominantWeight: no rotation
-    # at 0 and no copy through the rank-and-level rule
+def test_weight_keeps_the_parsed_weight(monkeypatch):
+    # the parsed weight is already a checked DominantWeight: no copy
+    # through the rank-and-level rule
     w = DominantWeight((1, 1, 0))
     monkeypatch.setattr(cli, "parse_weight", lambda text, n: w)
     argv = ["series", "--n", "3", "--ell", "2", "--weight", "L0+L1"]
-    for rotate in ([], ["--rotate-colors", "0"]):
-        assert cli._weight(cli._parse_args(argv + rotate)) is w
-    rotated = cli._weight(cli._parse_args(argv + ["--rotate-colors", "1"]))
-    assert rotated == (0, 1, 1)
+    assert cli._weight(cli._parse_args(argv)) is w
+
+
+def test_each_command_lists_its_settings():
+    # every value a caller can set, by subcommand, so that adding or
+    # removing one shows here as tests/src_size.py shows a line count;
+    # --rotate-colors shifts bead rows, which only convert has to shift
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [a.option_strings[-1] if a.option_strings else a.dest
+               for a in p._actions if a.dest != "help"]
+        for name, p in commands.choices.items()
+    }
+    assert options == {
+        "convert": ["src", "dst", "input", "--format", "--n", "--ell", "--rotate-colors"],
+        "graph": ["--n", "--ell", "--weight", "--max-degree", "--format"],
+        "series": ["--n", "--ell", "--weight", "--nmax", "--kind"],
+        "enumerate": ["--n", "--ell", "--weight", "--nmax", "--tight"],
+        "verify": ["which", "--n", "--ell", "--weight", "--nmax"],
+    }
+
+
+# the weight commands: rotating the colors of a weight gives the weight
+# typed rotated, and the principal grading does not see it at all
+WEIGHT_COMMANDS = [["graph"], ["series"], ["enumerate"], ["verify", "level-one"]]
+
+
+@pytest.mark.parametrize("command", WEIGHT_COMMANDS, ids=lambda c: c[0])
+def test_weight_commands_take_no_rotate_colors(capsys, command):
+    argv = command + ["--n", "3", "--ell", "1", "--weight", "L0", "--rotate-colors", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith("error: unrecognized arguments: --rotate-colors 1\n")
 
 
 def test_wrong_rank_or_level_gives_one_message_naming_weight_n_and_ell():
@@ -864,8 +885,12 @@ def test_verify_single_weight():
         assert (rc, out) == (0, "ok: %s\n" % which)
     rc, out, _ = run_cli(["verify", "level-one", "--weight", "L2", "--n", "3", "--ell", "1"])
     assert (rc, out) == (0, "ok: level-one\n")
-    rc, _, err = run_cli(["verify", "level-one", "--weight", "2*L0", "--n", "3", "--ell", "2"])
-    assert rc == 3 and "level-1" in err
+    # level-one reads its weight at level 1, whatever --ell is
+    argv = ["verify", "level-one", "--n", "3", "--ell", "2", "--weight"]
+    assert run_cli(argv + ["L0"])[:2] == (0, "ok: level-one\n")
+    rc, out, err = run_cli(argv + ["2*L0"])
+    assert (rc, out) == (3, "")
+    assert err == "error: weight 2*L0 needs 3 coefficients and level 1\n"
 
 
 def _broken_gglemma(monkeypatch):
@@ -921,6 +946,14 @@ def _broken_from_abacus(monkeypatch):
     monkeypatch.setattr(cylindric, "from_abacus", broken)
 
 
+def _broken_to_abacus(monkeypatch):
+    from slncrystals import abacus, cylindric
+
+    real = cylindric.to_abacus
+    # the inverse now forgets every bead move
+    monkeypatch.setattr(cylindric, "to_abacus", lambda pi: abacus.compactify(real(pi)))
+
+
 def _broken_kyoto(monkeypatch):
     from slncrystals import kyoto
 
@@ -948,6 +981,7 @@ BREAKERS = [
     ("bijection", "bijection", _broken_bijection, "weight mismatch"),
     ("bijection-image", "bijection", _broken_from_abacus,
      "image not a cylindric plane partition"),
+    ("bijection-roundtrip", "bijection", _broken_to_abacus, "roundtrip failed"),
     ("gglemma", "gglemma", _broken_gglemma, "f rules disagree"),
     ("gglemma-e", "gglemma", _broken_gglemma_e, "e rules disagree"),
     ("kyoto", "kyoto", _broken_kyoto, "path model disagrees"),
@@ -1073,7 +1107,7 @@ def cli_cases(draw):
     argv += ["--n", str(n), "--ell", str(ell)]
     if command != "convert":  # convert takes no weight
         argv += ["--weight", draw(weight_text(n, ell))]
-    if draw(st.booleans()):
+    if command == "convert" and draw(st.booleans()):
         argv += ["--rotate-colors", str(draw(st.integers(-3, 3)))]
     if command in ("series", "enumerate", "verify"):
         argv += ["--nmax", str(draw(st.integers(-1, 3)))]

@@ -137,6 +137,16 @@ def test_from_abacus_builds_what_the_constructor_builds():
             assert pickle.loads(pickle.dumps(pi)) == pi == copy.deepcopy(pi)
 
 
+def test_cpp_from_lists_is_the_cpp_from_tuples():
+    # the profile and rows are held as tuples whatever sequences give them,
+    # so the two cylinders are one value and hash alike
+    pi = from_abacus(fig10())
+    listed = CylindricPlanePartition(pi.n, pi.ell, list(pi.profile), list(pi.rows))
+    assert type(listed.profile) is tuple and type(listed.rows) is tuple
+    assert listed == pi and hash(listed) == hash(pi) and repr(listed) == repr(pi)
+    assert to_abacus(listed) == fig10()
+
+
 def test_compact_gives_all_zero():
     pi = from_abacus(fig9())
     assert pi == all_zero_cpp(3, 4, (2, 1, 1, 0))

@@ -194,6 +194,12 @@ NON_INTEGER_CASES = [
     ("Partition-str", Partition, ("2", 1)),
     ("DominantWeight-str", DominantWeight, (1, "1", 0)),
     ("Boundary", Boundary, (1.0, 0)),
+    ("AbacusConfig-n", lambda v: AbacusConfig(v[0], 1, (VACUUM,)), (3.0,)),
+    ("AbacusConfig-ell", lambda v: AbacusConfig(3, v[0], (VACUUM,)), (1.0,)),
+    ("CylindricPlanePartition-n",
+     lambda v: CylindricPlanePartition(v[0], 1, (0,), (Partition(),)), (3.0,)),
+    ("CylindricPlanePartition-profile",
+     lambda v: CylindricPlanePartition(3, 2, v, (Partition(), Partition())), (0.5, 0)),
 ]
 
 
