@@ -50,14 +50,6 @@ class DominantWeight(tuple):
     n = property(len)
     level = property(sum)
 
-    def rotated(self, k):
-        """Relabel Lambda_i -> Lambda_{i+k} (cyclic color rotation)."""
-        n = self.n
-        out = [0] * n
-        for i, c in enumerate(self):
-            out[(i + k) % n] += c
-        return DominantWeight(out)
-
     def __repr__(self):
         return "DominantWeight(%r)" % (tuple(self),)
 

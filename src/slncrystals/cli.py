@@ -108,6 +108,10 @@ def _load_model(model, data):
 
 def cmd_convert(args):
     obj = _load_model(args.src, _read_json(args))
+    if args.src != "partition":  # a flag given must name the input's own value
+        for flag, given, own in (("n", args.n, obj.n), ("ell", args.ell, obj.ell)):
+            if given not in (None, own):
+                raise ValidationError("--%s %d, but input has %d" % (flag, given, own))
     # the library checks each conversion's precondition and raises ValueError
     try:
         psi = MODELS[args.src][1](obj, args)
@@ -216,6 +220,9 @@ def build_parser():
     p.add_argument("input", nargs="?", help="input file (default: stdin)")
     p.add_argument("--format", choices=["json", "text"], default="json")
     common(p, weight=False)
+    # an omitted --n or --ell is the input's own (a partition has none:
+    # `_parse_args` gives it the defaults above)
+    p.set_defaults(n=None, ell=None)
     p.add_argument("--rotate-colors", type=int, default=0)
     p.set_defaults(func=cmd_convert)
 
@@ -248,7 +255,9 @@ def build_parser():
 
 def _check_domain(args):
     """Reject numeric arguments outside every command's domain."""
-    if args.n < 2 or args.ell < 1:
+    # `cmd_convert` compares --n and --ell with an input that has its own
+    from_partition = getattr(args, "src", "partition") == "partition"
+    if from_partition and (args.n < 2 or args.ell < 1):
         raise ValidationError("need --n >= 2 and --ell >= 1")
     for name in ("nmax", "max_degree"):
         value, flag = getattr(args, name, 0), "--" + name.replace("_", "-")
@@ -270,6 +279,8 @@ def _parse_args(argv=None):
     leftover that is not an option becomes the input; any other leftover
     is refused, as argparse refuses it, with exit code 2.
     (parse_intermixed_args does not take a parser with subcommands.)
+    A `convert` from a partition, which has no n or ell of its own, takes
+    the other commands' default --n 3 and --ell 2.
     """
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
@@ -282,6 +293,9 @@ def _parse_args(argv=None):
         args.input, extras = extras[0], []
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
+    if args.command == "convert" and args.src == "partition":
+        args.n = 3 if args.n is None else args.n
+        args.ell = 2 if args.ell is None else args.ell
     return args
 
 

@@ -143,45 +143,27 @@ def cpp_weight(pi):
 # the box model
 
 
-@dataclass(frozen=True)
-class Box:
-    """A unit box: diagonal x, column y, height z (identified up to periods)."""
-
-    x: int
-    y: int
-    z: int
-
-
-def box_color(box, n):
-    """Color is constant along (x, y+s, z+s); the first layer is colored by y."""
-    return (box.y - box.z + 1) % n
-
-
-def _t_key(box, n, ell):
-    """The ordering function t = n*x/ell + y - z, scaled by ell to an integer."""
-    return n * box.x + ell * (box.y - box.z)
-
-
-def _box_tokens(pi, i):
-    """Color-i addable boxes as "(" and removable ones as ")", diagonal by
-    diagonal: a part that differs from the part before it has an addable
-    box on top, and the part before it has a removable one."""
-    tokens = []
-    for x, parts in enumerate(pi.rows):
-        prev = None
-        for y, cur in enumerate(parts + (0,), start=pi.profile[x]):
-            if cur != prev:
-                tokens.append(("(", Box(x, y, cur + 1)))
-                if prev is not None:
-                    tokens.append((")", Box(x, y - 1, prev)))
-            prev = cur
-    return [t for t in tokens if box_color(t[1], pi.n) == i % pi.n]
-
-
 def cpp_brackets(pi, i):
-    """"(" per addable box and ")" per removable box, ordered by t."""
-    tokens = _box_tokens(pi, i)
-    keyed = {_t_key(t[1], pi.n, pi.ell): t for t in tokens}
+    """"(" per color-i addable box and ")" per color-i removable box, as
+    ("(" or ")", (x, y)), ordered by t = n*x/ell + y - z.
+
+    Box (x, y, z) lies on diagonal x, column y, at height z, and has color
+    y - z + 1 mod n.  Along a diagonal, a part that differs from the part
+    before it has an addable box on top, and the part before it has a
+    removable one.  Each box is keyed by ell*t = n*x + ell*(y - z).
+    """
+    n, ell, i = pi.n, pi.ell, i % pi.n
+    tokens = []
+    for x, (start, parts) in enumerate(zip(pi.profile, pi.rows)):
+        prev = None
+        for y, cur in enumerate(parts + (0,), start):
+            if cur != prev:
+                if (y - cur) % n == i:  # the addable box (x, y, cur + 1)
+                    tokens.append((n * x + ell * (y - cur - 1), ("(", (x, y))))
+                if prev is not None and (y - prev) % n == i:  # (x, y - 1, prev)
+                    tokens.append((n * x + ell * (y - 1 - prev), (")", (x, y - 1))))
+            prev = cur
+    keyed = dict(tokens)
     if len(keyed) != len(tokens):
         raise AssertionError("t values collide on addable/removable boxes")
     return [keyed[k] for k in sorted(keyed)]
@@ -200,14 +182,18 @@ def e_cpp(pi, i):
 
 
 def _with_box(pi, box, delta):
-    """pi with the box added (delta +1) or removed (delta -1); None for no box."""
+    """pi with the box on diagonal x, column y added (delta +1) or removed
+    (delta -1); None for no box.  The box raises or lowers part
+    y - profile[x] + 1 of diagonal x by one: an addable box may open a
+    part, a removable one empty it.  Either way the diagonal stays a
+    partition, so it is built unchecked; `is_valid_cpp` checks that the
+    image is still a cylinder."""
     if box is None:
         return None
+    x, y = box
     rows = list(pi.rows)
-    # the box raises or lowers part box.y - profile[box.x] + 1 of diagonal
-    # box.x by one: an addable box may open a part, a removable one empty it
-    rows[box.x] = Partition(_hop(rows[box.x], box.y - pi.profile[box.x] + 1, delta))
-    out = CylindricPlanePartition(pi.n, pi.ell, pi.profile, tuple(rows))
+    rows[x] = Partition._trusted(_hop(rows[x], y - pi.profile[x] + 1, delta))
+    out = _cpp(pi.n, pi.ell, pi.profile, tuple(rows))
     if not is_valid_cpp(out):
         name = "f_cpp" if delta > 0 else "e_cpp"
         raise ValueError("%s left the set of cylindric plane partitions" % name)

@@ -19,7 +19,7 @@ from slncrystals.abacus import (
     highest_weight_config,
 )
 from slncrystals.crystal import signature_reduce
-from slncrystals.cylindric import CylindricPlanePartition, _box_tokens, hw_of_cpp
+from slncrystals.cylindric import CylindricPlanePartition, hw_of_cpp
 from slncrystals.kyoto import PerfectElem, e_perfect, f_perfect
 from slncrystals.partitions import BeadRow, Partition, partitions_of
 from slncrystals.qseries import euler_inverse, level_weights
@@ -227,6 +227,13 @@ def profile_offset(pi):
     if len(fits) != 1:
         raise ValueError("profile %r is no window of the charges" % (pi.profile,))
     return fits[0]
+
+
+def rotated(w, k):
+    """The dominant weight w relabelled Lambda_i -> Lambda_{i+k}, a cyclic
+    rotation of its colors."""
+    n = len(w)
+    return DominantWeight(w[(i - k) % n] for i in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -714,8 +721,9 @@ def path_tokens_widened(path, i, extra):
 
 
 def t_value(box, n, ell):
-    """The box ordering function n*x/ell + y - z, exact."""
-    return Fraction(n * box.x, ell) + box.y - box.z
+    """The box ordering function n*x/ell + y - z of box (x, y, z), exact."""
+    x, y, z = box
+    return Fraction(n * x, ell) + y - z
 
 
 def slack(psi, j):
@@ -791,14 +799,38 @@ def tokens_of_color(tokens, i, n):
     return [(char, k) for char, (k, color) in tokens if color == i % n]
 
 
+def box_color(box, n):
+    """The color of box (x, y, z), on diagonal x, column y, at height z:
+    y - z + 1 mod n, constant along (x, y + s, z + s)."""
+    x, y, z = box
+    return (y - z + 1) % n
+
+
 def addable_boxes(pi, i):
-    """Color-i boxes addable so that every diagonal stays a partition."""
-    return [box for kind, box in _box_tokens(pi, i) if kind == "("]
+    """Color-i boxes (x, y, z) addable so that every diagonal stays a
+    partition, read cell by cell: the cell on column y of diagonal x takes
+    a box on top when it is the diagonal's first cell or lower than the
+    cell before it.  Past the first zero cell no cell is lower."""
+    boxes = []
+    for x, start in enumerate(pi.profile):
+        for y in range(start, start + len(pi.rows[x]) + 1):
+            height = pi.entry(x, y)
+            if y == start or pi.entry(x, y - 1) > height:
+                boxes.append((x, y, height + 1))
+    return [box for box in boxes if box_color(box, pi.n) == i % pi.n]
 
 
 def removable_boxes(pi, i):
-    """Color-i boxes removable so that every diagonal stays a partition."""
-    return [box for kind, box in _box_tokens(pi, i) if kind == ")"]
+    """Color-i boxes (x, y, z) removable so that every diagonal stays a
+    partition, read cell by cell: the top box of a nonzero cell on column y
+    of diagonal x, when the cell after it is lower."""
+    boxes = []
+    for x, start in enumerate(pi.profile):
+        for y in range(start, start + len(pi.rows[x])):
+            height = pi.entry(x, y)
+            if height > pi.entry(x, y + 1):
+                boxes.append((x, y, height))
+    return [box for box in boxes if box_color(box, pi.n) == i % pi.n]
 
 
 def reflect_by_search(pi):

@@ -227,6 +227,57 @@ def test_convert_path_roundtrip():
     assert json.loads(back) == fig10().to_json()
 
 
+def _fig10_as(src):
+    """fig10, a (3, 4) configuration, as the JSON of `src`."""
+    psi = fig10()
+    obj = {"abacus": psi, "cpp": cylindric.from_abacus(psi), "path": kyoto.to_path(psi)}
+    return json.dumps(obj[src].to_json())
+
+
+@pytest.mark.parametrize("src", ["abacus", "cpp", "path"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "4"], "--n 4, but input has 3"),
+        (["--ell", "2"], "--ell 2, but input has 4"),
+        (["--n", "3", "--ell", "5"], "--ell 5, but input has 4"),
+        # out of every command's domain: the same rule, not the domain's
+        (["--n", "1"], "--n 1, but input has 3"),
+        (["--ell", "0"], "--ell 0, but input has 4"),
+    ],
+)
+def test_convert_flag_other_than_the_inputs_exit_3(src, flags, message):
+    # an abacus, cpp or path input carries its own n and ell
+    rc, out, err = run_cli(["convert", src, "abacus"] + flags, stdin=_fig10_as(src))
+    assert (rc, out, err) == (3, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("src", ["abacus", "cpp", "path"])
+def test_convert_flag_naming_the_inputs_changes_nothing(src):
+    data = _fig10_as(src)
+    want = (0, json.dumps(fig10().to_json()) + "\n", "")
+    assert run_cli(["convert", src, "abacus"], stdin=data) == want
+    for flags in (["--n", "3"], ["--ell", "4"], ["--ell", "4", "--n", "3"]):
+        assert run_cli(["convert", src, "abacus"] + flags, stdin=data) == want
+
+
+@pytest.mark.parametrize("n, ell", [(1, 1), (5, 1), (2, 3)])
+def test_convert_omitted_flags_are_the_inputs(n, ell):
+    # not the defaults 3 and 2, and not their domain: n = 1 converts too
+    data = {"n": n, "ell": ell, "rows": [{"charge": 0, "parts": [1]}] * ell}
+    rc, out, err = run_cli(["convert", "abacus", "cpp"], stdin=json.dumps(data))
+    got = json.loads(out)
+    assert (rc, err, got["n"], got["ell"]) == (0, "", n, ell)
+
+
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--ell", "0"]])
+def test_convert_partition_keeps_the_domain_check(flags):
+    # a partition has no n or ell of its own: --n and --ell default to 3 and
+    # 2 and are checked as for every other command
+    rc, out, err = run_cli(["convert", "partition", "abacus"] + flags, stdin="[1]")
+    assert (rc, out, err) == (3, "", "error: need --n >= 2 and --ell >= 1\n")
+
+
 def test_convert_parse_error_exit_2():
     rc, _, err = run_cli(["convert", "abacus", "cpp"], stdin="{not json")
     assert rc == 2 and "error" in err

@@ -9,9 +9,7 @@ import pytest
 from slncrystals.abacus import AbacusConfig, DominantWeight, is_descending, weight
 from slncrystals.crystal import e_descending, f_descending
 from slncrystals.cylindric import (
-    Box,
     CylindricPlanePartition,
-    box_color,
     cpp_brackets,
     cpp_weight,
     dual_weight,
@@ -31,6 +29,7 @@ from helpers import (
     FIG12_ROWS,
     addable_boxes,
     all_level_coeffs,
+    box_color,
     config,
     cpp_by_white_beads,
     descending_configs,
@@ -42,6 +41,7 @@ from helpers import (
     reflect_by_search,
     reindexed,
     removable_boxes,
+    rotated,
     t_value,
 )
 
@@ -171,9 +171,9 @@ def test_periodicity_accessor():
 
 
 def test_t_value_well_defined():
-    for box in (Box(0, 0, 0), Box(2, -1, 3), Box(5, 4, 1)):
-        assert t_value(box, 3, 6) == t_value(Box(box.x + 6, box.y - 3, box.z), 3, 6)
-    assert t_value(Box(0, 0, 0), 3, 6) == 0
+    for x, y, z in ((0, 0, 0), (2, -1, 3), (5, 4, 1)):
+        assert t_value((x, y, z), 3, 6) == t_value((x + 6, y - 3, z), 3, 6)
+    assert t_value((0, 0, 0), 3, 6) == 0
 
 
 def test_t_distinct_on_candidate_boxes():
@@ -187,9 +187,29 @@ def test_t_distinct_on_candidate_boxes():
                 cpp_brackets(pi, i)  # must not raise
 
 
+def test_cpp_brackets_match_the_cell_oracle():
+    # the one-pass box rule against boxes read cell by cell, in the order
+    # of their exact t; both kinds of box turn up, and so do empty strings
+    seen = {"(": 0, ")": 0, "empty": 0}
+    for n, ell in ((2, 2), (3, 2), (2, 3), (4, 2), (3, 3)):
+        for coeffs in all_level_coeffs(n, ell):
+            for cfg in descending_configs(n, ell, coeffs, 4):
+                pi = from_abacus(cfg)
+                for i in range(n):
+                    boxes = [("(", b) for b in addable_boxes(pi, i)]
+                    boxes += [(")", b) for b in removable_boxes(pi, i)]
+                    boxes.sort(key=lambda token: t_value(token[1], n, ell))
+                    want = [(char, (x, y)) for char, (x, y, _) in boxes]
+                    assert cpp_brackets(pi, i) == want, (pi, i)
+                    for char, _ in want:
+                        seen[char] += 1
+                    seen["empty"] += not want
+    assert all(seen.values()), seen
+
+
 def test_box_colors_constant_along_diagonal_lines():
     for s in range(4):
-        assert box_color(Box(1, 2 + s, 1 + s), 3) == box_color(Box(1, 2, 1), 3)
+        assert box_color((1, 2 + s, 1 + s), 3) == box_color((1, 2, 1), 3)
 
 
 def test_addable_removable_disjoint():
@@ -206,8 +226,8 @@ def test_empty_cylinder_single_addable():
     counts = {i: addable_boxes(pi, i) for i in range(3)}
     # the unique first-layer cell per diagonal sits at (r, p_r, 1)
     for i, boxes in counts.items():
-        for b in boxes:
-            assert b.z == 1
+        for x, y, z in boxes:
+            assert z == 1
     assert sum(len(b) for b in counts.values()) == 2
 
 
@@ -262,7 +282,7 @@ def test_reflect_figure8():
     dual = dual_weight(DominantWeight((2, 3, 1)), 3, 6)
     s = profile_offset(fig8())
     assert (s, s % 6) == (-4, 2)
-    assert hw_of_cpp(r).rotated(s % 6) == dual
+    assert rotated(hw_of_cpp(r), s % 6) == dual
 
 
 def test_reflect_weight_preserving_bijection():
@@ -380,7 +400,7 @@ def test_dual_weight_consistency_with_reflect():
         for s in range(-4, 5):
             shifted = reindexed(pi, s)
             assert profile_offset(shifted) == s
-            assert hw_of_cpp(reflect(shifted)).rotated(s % 2) == dual
+            assert rotated(hw_of_cpp(reflect(shifted)), s % 2) == dual
 
 
 def test_render_text_figure12():

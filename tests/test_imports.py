@@ -7,7 +7,8 @@ drops them; an invariant check raises AssertionError explicitly), and
 `PerfectElem` and `Path` are built unchecked, by `object.__new__` or
 `tuple.__new__`, only in their one trusted constructor each, while
 `DominantWeight` and `Boundary`, which have none, are never built
-unchecked.
+unchecked, and `tests/helpers.py` imports no underscore name from the
+library.
 
 No linter ships with the project, so this reads each module of
 src/slncrystals with the stdlib ast module; only the assert check and the
@@ -124,6 +125,32 @@ def test_every_public_function_is_used_or_exported():
         for p in sorted((ROOT / folder).glob("*.py"))
     ]
     assert unreferenced_functions(sources, init, outside) == []
+
+
+def private_imports(source):
+    """The underscore names that `source` imports from `slncrystals` or one
+    of its modules."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "slncrystals":
+                names += [a.name for a in node.names if a.name.startswith("_")]
+    return sorted(names)
+
+
+def test_private_imports_finds_an_underscore_name():
+    source = (
+        "from slncrystals.cylindric import _cpp, from_abacus\n"
+        "from slncrystals import _version as v, abacus\n"
+        "from helpers import _own\nfrom . import _local\n"
+    )
+    assert private_imports(source) == ["_cpp", "_version"]
+
+
+def test_helpers_import_no_private_name():
+    # the oracles in tests/helpers.py check the library, so they share none
+    # of its private code paths
+    assert private_imports((ROOT / "tests" / "helpers.py").read_text()) == []
 
 
 def assert_lines(source):
